@@ -3,12 +3,12 @@
 Simplicial binoids get two independent routes: the per-vertex splitting of
 the coordinate-cover complex, and the closed formula summing reduced link
 cohomology.  General integral binoids get a direct computation on the
-minimal cover, with unit groups of localizations discovered by bounded
-search in the difference group.
+minimal cover; for a cancellative binoid the units of a localization M_F
+are the lattice spanned by the generators of the face generated by F.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .binoid import (
@@ -22,6 +22,7 @@ from .divisors import cone_facets
 from .errors import (
     CompositionNonzero,
     DegenerateLocalization,
+    NotCancellative,
     NotMonomialPresentation,
     VoidComplex,
 )
@@ -37,9 +38,11 @@ from .exactalg import (
 from .simplicial import SimplicialComplex
 from .spectrum import (
     PrimeIdeal,
+    SpecPoset,
     compute_spec,
     minimal_cover,
     nerve,
+    prime_label,
     punctured_spectrum,
 )
 
@@ -223,216 +226,98 @@ class UnitSubgroup:
     ambient: DifferenceGroup
     basis: IntMatrix  # columns are independent generators in Gamma-coordinates
     face: Tuple[int, ...]
-    complete: bool
 
     @property
     def rank(self) -> int:
         return self.basis.cols
-
-    def columns(self) -> List[Tuple[int, ...]]:
-        return [self.basis.column(j) for j in range(self.basis.cols)]
 
     def to_json(self) -> dict:
         return {
             "face": list(self.face),
             "rank": self.rank,
             "basis": self.basis.to_lists(),
-            "complete": self.complete,
         }
 
 
-def _dot(u, v) -> int:
-    return sum(a * b for a, b in zip(u, v))
-
-
-def _in_lattice(basis: IntMatrix, vector: Tuple[int, ...]) -> bool:
-    column = IntMatrix.from_rows([[x] for x in vector], cols=1)
-    try:
-        solve_columns(basis, column)
-        return True
-    except ValueError:
-        return False
-
-
-def _columns_matrix(rank: int, columns: Sequence[Tuple[int, ...]]) -> IntMatrix:
-    rows = [[col[i] for col in columns] for i in range(rank)]
-    return IntMatrix.from_rows(rows, cols=len(columns))
-
-
-def _box_shell(rank: int, radius: int):
-    for point in product(range(-radius, radius + 1), repeat=rank):
-        if max((abs(x) for x in point), default=0) == radius:
-            yield point
-
-
-class _Membership:
-    """Decides g in M_F = M + Z<F> by bounded search in the difference group.
-
-    Shifts by face elements are limited to the search bound; what remains
-    must be a nonnegative combination of generator images avoiding the
-    infinity ideal.  The facet normals provide the descent that makes the
-    enumeration finite.
-    """
-
-    def __init__(self, M: BinoidPresentation, gamma: DifferenceGroup, face, bound):
-        self.bound = bound
-        self.images = gamma.all_images()
-        self.normals = cone_facets(gamma)
-        self.weights = [
-            sum(_dot(n, img) for n in self.normals) for img in self.images
-        ]
-        self.floors = [rel.lhs for rel in M.relations if rel.is_infinity]
-        self.face = tuple(face)
-        self.face_lattice = column_lattice_basis(
-            _columns_matrix(gamma.rank, [self.images[f] for f in face])
-        )
-        self.small_first = sorted(range(-bound, bound + 1), key=abs)
-        self.cache: Dict[Tuple[int, ...], bool] = {}
-
-    def _representable(self, target: Tuple[int, ...]) -> bool:
-        if target in self.cache:
-            return self.cache[target]
-        counts = [0] * len(self.images)
-
-        def rec(idx: int, rem: Tuple[int, ...], weight: int) -> bool:
-            if weight == 0:
-                return not any(rem)
-            if idx == len(self.images):
-                return False
-            if any(_dot(n, rem) < 0 for n in self.normals):
-                return False
-            img = self.images[idx]
-            step = self.weights[idx]
-            for c in range(weight // step + 1):
-                counts[idx] = c
-                if any(
-                    all(counts[i] >= f[i] for i in range(len(counts)))
-                    for f in self.floors
-                ):
-                    break  # the infinity ideal absorbs every larger exponent
-                if rec(
-                    idx + 1,
-                    tuple(r - c * x for r, x in zip(rem, img)),
-                    weight - c * step,
-                ):
-                    counts[idx] = 0
-                    return True
-            counts[idx] = 0
-            return False
-
-        total = sum(_dot(n, target) for n in self.normals)
-        result = total >= 0 and rec(0, target, total)
-        self.cache[target] = result
-        return result
-
-    def __call__(self, g: Tuple[int, ...]) -> bool:
-        if self.face and _in_lattice(self.face_lattice, g):
-            return True  # g lies in Z<F> itself
-        for k in product(self.small_first, repeat=len(self.face)):
-            shifted = tuple(
-                x - sum(kf * self.images[f][i] for kf, f in zip(k, self.face))
-                for i, x in enumerate(g)
-            )
-            if any(_dot(n, shifted) < 0 for n in self.normals):
-                continue
-            if self._representable(shifted):
-                return True
-        return False
-
-
 def units_of_localization(
-    M: BinoidPresentation,
-    gamma: DifferenceGroup,
-    face: Sequence[int],
-    bound: int = 6,
+    M: BinoidPresentation, gamma: DifferenceGroup, face: Sequence[int]
 ) -> UnitSubgroup:
     """Subgroup of the difference group inverted by localizing at a face.
 
-    Collects every g with g and -g in M_F inside the coordinate box of the
-    given radius and returns the subgroup they generate.  The complete
-    flag drops when a boundary-shell unit falls outside the subgroup found
-    strictly inside, the sign that the bound was hit too early.
+    The primes disjoint from F form a union-closed family, so their union
+    p_F is the largest of them.  For a cancellative binoid the units of M_F
+    are spanned by the images of the generators outside p_F.
     """
     face = tuple(sorted(face))
-    for rel in M.relations:
-        if rel.is_infinity and rel.lhs_support() <= set(face):
-            raise DegenerateLocalization(
-                "localization kills the face: an infinity relation is supported on it"
-            )
-    member = _Membership(M, gamma, face, bound)
-    r = gamma.rank
-    zero_normals = [
-        n
-        for n in member.normals
-        if all(_dot(n, member.images[f]) == 0 for f in face)
+    avoiding = [
+        p for p in compute_spec(M).primes if not set(p.generator_subset) & set(face)
     ]
+    if not avoiding:
+        raise DegenerateLocalization(
+            "no prime avoids the face %s: the localization is zero" % (list(face),)
+        )
+    largest = avoiding[-1].generator_subset
+    outside = [i for i in range(M.generator_count) if i not in largest]
+    images = [[row[i] for i in outside] for row in gamma.images.entries]
+    basis = column_lattice_basis(IntMatrix.from_rows(images, cols=len(outside)))
+    return UnitSubgroup(gamma, basis, face)
 
-    found: List[Tuple[int, ...]] = []
-    basis = IntMatrix.zero(r, 0)
-    complete = True
-    for radius in range(bound + 1):
-        for g in _box_shell(r, radius):
-            if any(_dot(n, g) != 0 for n in zero_normals):
-                continue  # a normal vanishing on the face must vanish on units
-            if not any(g):
-                continue
-            if _in_lattice(basis, g):
-                continue
-            if member(g) and member(tuple(-x for x in g)):
-                if radius == bound:
-                    complete = False
-                found.append(g)
-                basis = column_lattice_basis(_columns_matrix(r, found))
-    return UnitSubgroup(gamma, basis, face, complete)
+
+def _check_cancellative(S: SpecPoset, gamma: DifferenceGroup) -> None:
+    """Every prime's complement must be the generators on one face of the cone.
+
+    The face is cut out by the facet normals that vanish on the complement;
+    a prime failing this shows the presentation is not cancellative, and
+    then the difference group does not see the units of the localizations.
+    """
+    normals = cone_facets(gamma)
+    values = IntMatrix.from_rows(normals, cols=gamma.rank) * gamma.images
+    zero_sets = [{i for i, v in enumerate(row) if v == 0} for row in values.entries]
+    everything = set(range(gamma.images.cols))
+    for p in S.primes:
+        outside = everything - set(p.generator_subset)
+        face = everything.intersection(*(z for z in zero_sets if outside <= z))
+        if face != outside:
+            raise NotCancellative(
+                "not cancellative: the generators outside the prime %s "
+                "are not the generators on a face of the cone" % prime_label(S, p)
+            )
 
 
 @dataclass(frozen=True)
 class LocalPicardResult:
-    """Čech output on the minimal cover: groups, complex, and search status."""
+    """Čech output on the minimal cover: groups, complex, and cover supports."""
 
     groups: Tuple[FinAbGroup, ...]
-    complete: bool
     cech: CechComplex
     cover: Tuple[Tuple[int, ...], ...]
 
     def to_json(self) -> dict:
         return {
             "groups": [g.to_json() for g in self.groups],
-            "complete": self.complete,
             "cover": [list(sup) for sup in self.cover],
             "complex": self.cech.to_json(),
         }
 
 
-def local_picard_general(M: BinoidPresentation, bound: int = 6) -> LocalPicardResult:
+def local_picard_general(M: BinoidPresentation) -> LocalPicardResult:
     """Unit-sheaf Čech cohomology on the minimal cover of the punctured spectrum.
 
     Every intersection of basic opens of an integral binoid is nonempty,
-    so the index complex is a full simplex.  Unit groups of smaller
-    intersections are pushed into larger ones so the restriction maps stay
-    solvable in the recorded bases; degree 1 is the local Picard group.
+    so the index complex is a full simplex.  J in K gives p_K in p_J, so
+    the unit group over J lies in the one over K and the restriction maps
+    are solvable in the recorded bases; degree 1 is the local Picard group.
     """
     gamma = difference_group(M)
     S = compute_spec(M)
+    _check_cancellative(S, gamma)
     cover = minimal_cover(S, punctured_spectrum(S))
 
     units: Dict[Tuple[int, ...], UnitSubgroup] = {}
-    complete = True
     for size in range(1, len(cover) + 1):
         for J in combinations(range(len(cover)), size):
-            face = tuple(sorted({i for j in J for i in cover[j]}))
-            u = units_of_localization(M, gamma, face, bound)
-            complete = complete and u.complete
-            columns = u.columns()
-            if size > 1:
-                for l in range(size):
-                    for inherited in units[J[:l] + J[l + 1 :]].columns():
-                        if not _in_lattice(u.basis, inherited):
-                            complete = False  # the box search missed this unit
-                        columns.append(inherited)
-                basis = column_lattice_basis(_columns_matrix(gamma.rank, columns))
-                u = UnitSubgroup(gamma, basis, face, u.complete)
-            units[J] = u
+            face = {i for j in J for i in cover[j]}
+            units[J] = units_of_localization(M, gamma, face)
 
     labels = []
     offsets: Dict[Tuple[int, ...], int] = {}
@@ -459,9 +344,7 @@ def local_picard_general(M: BinoidPresentation, bound: int = 6) -> LocalPicardRe
         diffs.append(IntMatrix.from_rows(entries, cols=cols))
 
     cech = CechComplex(tuple(labels), tuple(diffs))
-    return LocalPicardResult(
-        tuple(cech.cohomology()), complete, cech, tuple(cover)
-    )
+    return LocalPicardResult(tuple(cech.cohomology()), cech, tuple(cover))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """Command line front end: parse input files, dispatch, print text/JSON/DOT.
 
-Exit codes: 0 success, 2 parse error, 3 precondition error, 4 when a
-result carries a completeness flag and the flag is false.  All syntax
+Exit codes: 0 success, 2 parse error, 3 precondition error.  All syntax
 lives here; the library modules only ever see built values.
 """
 
@@ -292,7 +291,7 @@ def _as_complex(obj) -> SimplicialComplex:
 def _run_spec(ns, obj):
     S = compute_spec(_as_binoid(obj))
     if ns.dot or ns.verb == "dot":
-        return to_dot(S), 0, None
+        return to_dot(S)
     if ns.json:
         names = S.presentation.generator_names
         payload = {
@@ -305,31 +304,22 @@ def _run_spec(ns, obj):
                 for p in S.primes
             ],
         }
-        return _dump(payload), 0, None
-    return "".join(prime_label(S, p) + "\n" for p in S.primes), 0, None
+        return _dump(payload)
+    return "".join(prime_label(S, p) + "\n" for p in S.primes)
 
 
 def _run_picard(ns, obj):
     groups = local_picard_formula(_as_complex(obj))
     if ns.json:
-        return _dump(_groups_payload(groups)), 0, None
-    return _format_degrees([str(g) for g in groups], 0, ns.degree), 0, None
+        return _dump(_groups_payload(groups))
+    return _format_degrees([str(g) for g in groups], 0, ns.degree)
 
 
 def _run_picard_general(ns, obj):
-    bound = 6 if ns.bound is None else ns.bound
-    result = local_picard_general(_as_binoid(obj), bound)
-    code, diagnostic = 0, None
-    if not result.complete:
-        code = 4
-        diagnostic = (
-            "incomplete: the unit search hit bound %d; rerun with a larger --bound"
-            % bound
-        )
+    result = local_picard_general(_as_binoid(obj))
     if ns.json:
-        return _dump(result.to_json()), code, diagnostic
-    text = _format_degrees([str(g) for g in result.groups], 0, ns.degree)
-    return text, code, diagnostic
+        return _dump(result.to_json())
+    return _format_degrees([str(g) for g in result.groups], 0, ns.degree)
 
 
 def _cover_nerve(M: BinoidPresentation):
@@ -346,8 +336,8 @@ def _run_cohomology(ns, obj):
     groups = delta.cohomology(reduced=ns.reduced)
     start = -1 if ns.reduced else 0
     if ns.json:
-        return _dump(_groups_payload(groups, start)), 0, None
-    return _format_degrees([str(g) for g in groups], start, ns.degree), 0, None
+        return _dump(_groups_payload(groups, start))
+    return _format_degrees([str(g) for g in groups], start, ns.degree)
 
 
 def _run_sr_cohomology(ns, obj):
@@ -359,16 +349,16 @@ def _run_sr_cohomology(ns, obj):
                 for constant, integer in degrees
             ]
         }
-        return _dump(payload), 0, None
+        return _dump(payload)
     entries = [_pair_text(constant, integer) for constant, integer in degrees]
-    return _format_degrees(entries, 0, ns.degree), 0, None
+    return _format_degrees(entries, 0, ns.degree)
 
 
 def _run_class_group(ns, obj):
     group = class_group(_as_binoid(obj))
     if ns.json:
-        return _dump(group.to_json()), 0, None
-    return str(group) + "\n", 0, None
+        return _dump(group.to_json())
+    return str(group) + "\n"
 
 
 def _run_pic_open(ns, obj):
@@ -377,8 +367,8 @@ def _run_pic_open(ns, obj):
     weil = primes_of_height_at_most(S, 1) & punctured_spectrum(S)
     groups = pic_open_subset(delta, weil)
     if ns.json:
-        return _dump(_groups_payload(groups)), 0, None
-    return _format_degrees([str(g) for g in groups], 0, ns.degree), 0, None
+        return _dump(_groups_payload(groups))
+    return _format_degrees([str(g) for g in groups], 0, ns.degree)
 
 
 def _run_nerve(ns, obj):
@@ -391,12 +381,12 @@ def _run_nerve(ns, obj):
         payload["cover"] = [
             {"index": i, "support": sup} for i, sup in enumerate(supports, start=1)
         ]
-        return _dump(payload), 0, None
+        return _dump(payload)
     comments = "".join(
         "# %d: D(%s)\n" % (i, ",".join(str(name) for name in sup))
         for i, sup in enumerate(supports, start=1)
     )
-    return comments + _complex_text(N), 0, None
+    return comments + _complex_text(N)
 
 
 def _run_link(ns, obj):
@@ -404,14 +394,14 @@ def _run_link(ns, obj):
     face = tuple(_label(t) for t in ns.labels)
     linked = delta.link(face)
     if ns.json:
-        return _dump(_complex_payload(linked)), 0, None
-    return _complex_text(linked), 0, None
+        return _dump(_complex_payload(linked))
+    return _complex_text(linked)
 
 
 def _run_monomial_report(ns, obj):
     report = monomial_report(_as_binoid(obj))
     if ns.json:
-        return _dump(report.to_json()), 0, None
+        return _dump(report.to_json())
     facets = " | ".join(
         " ".join(str(v) for v in facet) for facet in report.complex.facets
     )
@@ -421,7 +411,7 @@ def _run_monomial_report(ns, obj):
         lines.append("H^%d = %s" % (j, _pair_text(constant, integer)))
     lines.append("nonvanishing H^1: %s" % ("yes" if report.nonvanishing_h1 else "no"))
     lines.append("unipotent part: %s" % report.unipotent_part)
-    return "\n".join(lines) + "\n", 0, None
+    return "\n".join(lines) + "\n"
 
 
 _HANDLERS = {
@@ -460,7 +450,6 @@ def _parse_args(argv):
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--dot", action="store_true", help="DOT output (spec only)")
     parser.add_argument("--reduced", action="store_true", help="reduced cohomology")
-    parser.add_argument("--bound", type=int, metavar="N", help="unit search radius")
     parser.add_argument("--degree", type=int, metavar="J", help="print one degree")
     return parser.parse_args(argv)
 
@@ -472,11 +461,6 @@ def _validate(ns):
         raise ParseError("link needs at least one vertex label")
     if ns.reduced and ns.verb != "cohomology":
         raise ParseError("--reduced only applies to cohomology")
-    if ns.bound is not None:
-        if ns.verb != "picard-general":
-            raise ParseError("--bound only applies to picard-general")
-        if ns.bound < 0:
-            raise ParseError("--bound must be nonnegative")
     if ns.dot and ns.verb not in ("spec", "dot"):
         raise ParseError("--dot only applies to spec")
     if ns.json and (ns.dot or ns.verb == "dot"):
@@ -493,7 +477,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         ns = _parse_args(argv)
         _validate(ns)
-        text, code, diagnostic = _HANDLERS[ns.verb](ns, load_input(ns.path))
+        text = _HANDLERS[ns.verb](ns, load_input(ns.path))
     except SystemExit as e:  # argparse --help
         return int(e.code or 0)
     except ParseError as e:
@@ -503,9 +487,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: %s" % e, file=sys.stderr)
         return 3
     sys.stdout.write(text)
-    if diagnostic is not None:
-        print(diagnostic, file=sys.stderr)
-    return code
+    return 0
 
 
 if __name__ == "__main__":

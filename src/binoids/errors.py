@@ -80,7 +80,16 @@ class NotOpen(PreconditionError):
 # cech
 
 class DegenerateLocalization(PreconditionError):
-    """The support contains an infinity-relation, so the localization is zero."""
+    """No prime avoids the face, so the localization is zero."""
+
+
+class NotCancellative(PreconditionError):
+    """A prime's complement is not the set of generators on a face of the cone.
+
+    The difference group then does not carry the units of the
+    localizations, so the presentation is outside the Čech computation
+    for general integral binoids.
+    """
 
 
 # divisors

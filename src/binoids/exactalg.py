@@ -114,35 +114,19 @@ class SmithDecomposition:
 
 
 def _canonical_torsion(factors: Iterable[int]) -> tuple:
-    """Invariant factors (each >= 2, divisibility chain) of ⊕ Z/f."""
-    factors = [abs(int(f)) for f in factors]
-    if any(f == 0 for f in factors):
+    """Invariant factors (each >= 2, divisibility chain) of ⊕ Z/f.
+
+    Z/a ⊕ Z/b ≅ Z/gcd ⊕ Z/lcm, so sweeping every pair (i < j) to
+    (gcd, lcm) leaves each entry dividing all later ones.
+    """
+    chain = [abs(int(f)) for f in factors]
+    if any(f == 0 for f in chain):
         raise ValueError("torsion orders must be nonzero")
-    # merge by prime powers, then rebuild the chain largest-first
-    powers = {}
-    for f in factors:
-        n, p = f, 2
-        while p * p <= n:
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                powers.setdefault(p, []).append(e)
-            p += 1
-        if n > 1:
-            powers.setdefault(n, []).append(1)
-    for exps in powers.values():
-        exps.sort(reverse=True)
-    length = max((len(v) for v in powers.values()), default=0)
-    chain = []
-    for i in range(length):
-        d = 1
-        for p, exps in powers.items():
-            if i < len(exps):
-                d *= p ** exps[i]
-        chain.append(d)
-    return tuple(reversed(chain))
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = math.gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] * chain[j] // g
+    return tuple(d for d in chain if d > 1)
 
 
 @dataclass(frozen=True)
@@ -172,8 +156,7 @@ class FinAbGroup:
 
     @classmethod
     def from_torsion(cls, factors: Iterable[int], free_rank: int = 0) -> "FinAbGroup":
-        chain = tuple(d for d in _canonical_torsion(factors) if d > 1)
-        return cls(free_rank, chain)
+        return cls(free_rank, _canonical_torsion(factors))
 
     @property
     def is_trivial(self) -> bool:

@@ -20,9 +20,11 @@ from binoids.cech import (
     stanley_reisner_cohomology,
     units_of_localization,
 )
+from binoids.divisors import class_group
 from binoids.errors import (
     CompositionNonzero,
     DegenerateLocalization,
+    NotCancellative,
     NotIntegral,
     NotMonomialPresentation,
     NotOpen,
@@ -349,7 +351,6 @@ class TestUnitsOfLocalization:
         gamma = difference_group(M)
         units = units_of_localization(M, gamma, (0,))
         assert units.rank == 1
-        assert units.complete
         col = units.basis.column(0)
         assert col in (gamma.image_of(0), tuple(-v for v in gamma.image_of(0)))
 
@@ -358,7 +359,6 @@ class TestUnitsOfLocalization:
         units = units_of_localization(M, difference_group(M), (0, 1))
         assert units.rank == 3
         assert cokernel(units.basis).is_trivial
-        assert units.complete
 
     def test_xyzw_mixed_pair(self):
         M = xyzw()
@@ -384,7 +384,6 @@ class TestUnitsOfLocalization:
         M = free_binoid(3)
         units = units_of_localization(M, difference_group(M), (0, 1, 2))
         assert units.rank == 3
-        assert units.complete
         assert cokernel(units.basis).is_trivial
 
     def test_simplicial_faces_have_coordinate_units(self):
@@ -393,7 +392,6 @@ class TestUnitsOfLocalization:
         for face in [(0,), (2, 3), (0, 1, 2)]:
             units = units_of_localization(M, gamma, face)
             assert units.rank == len(face)
-            assert units.complete
             for j in range(units.basis.cols):
                 col = units.basis.column(j)
                 assert all(v == 0 for i, v in enumerate(col) if i not in face)
@@ -407,21 +405,21 @@ class TestUnitsOfLocalization:
         with pytest.raises(DegenerateLocalization):
             units_of_localization(M, free_gamma(4), (0, 3))
 
-    def test_saturation_flag(self):
+    def test_free_binoid_single_generator(self):
         M = free_binoid(1)
-        gamma = difference_group(M)
-        assert not units_of_localization(M, gamma, (0,), bound=1).complete
-        assert units_of_localization(M, gamma, (0,), bound=2).complete
+        units = units_of_localization(M, difference_group(M), (0,))
+        assert units.rank == 1
+        assert cokernel(units.basis).is_trivial
 
 
 class TestLocalPicardGeneral:
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_x_plus_y_equals_nz(self, n):
         result = local_picard_general(xy_nz(n))
         assert result.cover == ((0,), (1,))
         assert result.cech.ranks == (2, 2)
-        assert result.groups == (TRIVIAL_GROUP, FinAbGroup(0, (n,)))
-        assert result.complete
+        assert result.groups[0] == TRIVIAL_GROUP
+        assert result.groups[1] == class_group(xy_nz(n)) == FinAbGroup.from_torsion([n])
 
     def test_x_plus_y_equals_z_plus_w(self):
         result = local_picard_general(xyzw())
@@ -431,7 +429,6 @@ class TestLocalPicardGeneral:
         # single-variable unit groups intersect in 0
         assert result.groups[0] == TRIVIAL_GROUP
         assert result.groups[1] == Z(1)
-        assert result.complete
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_smashed_normal_surface(self, n):
@@ -440,12 +437,18 @@ class TestLocalPicardGeneral:
         assert result.cech.ranks == (3, 6, 3)
         assert result.groups[0].is_trivial
         assert result.groups[1].is_trivial
-        assert result.complete
 
     def test_free_binoid(self):
         result = local_picard_general(free_binoid(2))
         assert result.groups == (TRIVIAL_GROUP, TRIVIAL_GROUP)
-        assert result.complete
+
+    def test_two_relations_with_torsion(self):
+        # 2a + d = 2c, a + 3c = 2b
+        M = BinoidPresentation(
+            ("a", "b", "c", "d"),
+            (Relation((2, 0, 0, 1), (0, 0, 2, 0)), Relation((1, 0, 3, 0), (0, 2, 0, 0))),
+        )
+        assert local_picard_general(M).groups[1] == FinAbGroup(0, (4,))
 
     def test_inclusion_blocks_injective(self):
         result = local_picard_general(xyzw())
@@ -471,9 +474,15 @@ class TestLocalPicardGeneral:
         with pytest.raises(NotIntegral):
             local_picard_general(xyz_to_infinity())
 
-    def test_incomplete_bound_propagates(self):
-        result = local_picard_general(free_binoid(1), bound=1)
-        assert not result.complete
+    def test_not_cancellative(self):
+        # a + d = b + c, 2a = c + d: 3d = 2b + c holds in the difference
+        # group but not in the binoid
+        M = BinoidPresentation(
+            ("a", "b", "c", "d"),
+            (Relation((1, 0, 0, 1), (0, 1, 1, 0)), Relation((2, 0, 0, 0), (0, 0, 1, 1))),
+        )
+        with pytest.raises(NotCancellative, match="<a,c>"):
+            local_picard_general(M)
 
 
 class TestMonomialReport:

@@ -2,7 +2,7 @@
 
 The mathematics is covered module by module elsewhere; these tests freeze
 the file formats, the text and JSON output, and the exit code contract:
-0 success, 2 parse error, 3 precondition error, 4 incomplete result.
+0 success, 2 parse error, 3 precondition error.
 """
 
 import json
@@ -54,6 +54,12 @@ relation: x + y = 4 z
 XYZW = """\
 generators: x y z w
 relation: x + y = z + w
+"""
+
+NOT_CANCELLATIVE = """\
+generators: a b c d
+relation: a + d = b + c
+relation: 2 a = c + d
 """
 
 XYZ_INF = """\
@@ -274,7 +280,7 @@ class TestPicardGeneralVerb:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["complete"] is True
+        assert set(payload) == {"groups", "cover", "complex"}
         assert payload["cover"] == [[0], [1]]
         assert payload["groups"] == [
             {"free_rank": 0, "torsion": []},
@@ -282,22 +288,25 @@ class TestPicardGeneralVerb:
         ]
         assert payload["complex"]["ranks"] == [2, 2]
 
-    def test_incomplete_search_exits_4(self, capsys, tmp_path):
-        text = "generators: x\n"
-        code, out, err = invoke(
-            capsys, "picard-general", write(tmp_path, text), "--bound", "1"
-        )
-        assert code == 4
-        assert out == "H^0 = Z, H^1 = 0\n"
-        assert "bound" in err and err.count("\n") == 1
+    @pytest.mark.parametrize("n", [7, 12])
+    def test_large_torsion_class(self, capsys, tmp_path, n):
+        text = "generators: x y z\nrelation: x + y = %d z\n" % n
+        code, out, _ = invoke(capsys, "picard-general", write(tmp_path, text))
+        assert code == 0
+        assert out == "H^0 = 0, H^1 = Z/%d\n" % n
 
-    def test_larger_bound_completes(self, capsys, tmp_path):
-        text = "generators: x\n"
-        code, out, _ = invoke(
-            capsys, "picard-general", write(tmp_path, text), "--bound", "2"
-        )
+    def test_single_generator(self, capsys, tmp_path):
+        code, out, _ = invoke(capsys, "picard-general", write(tmp_path, "generators: x\n"))
         assert code == 0
         assert out == "H^0 = Z, H^1 = 0\n"
+
+    def test_not_cancellative_exits_3(self, capsys, tmp_path):
+        code, out, err = invoke(
+            capsys, "picard-general", write(tmp_path, NOT_CANCELLATIVE)
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and "<a,c>" in err
 
     def test_not_integral(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "picard-general", write(tmp_path, XYZ_INF))
@@ -563,12 +572,6 @@ class TestFlagValidation:
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_bound_only_for_picard_general(self, capsys, tmp_path):
-        code, _, _ = invoke(
-            capsys, "picard", write(tmp_path, FAVOURITE_CPLX), "--bound", "3"
-        )
-        assert code == 2
-
     def test_degree_rejected_where_meaningless(self, capsys, tmp_path):
         code, _, _ = invoke(
             capsys, "class-group", write(tmp_path, XY_4Z), "--degree", "1"
@@ -599,11 +602,13 @@ class TestFlagValidation:
         )
         assert code == 2
 
-    def test_negative_bound(self, capsys, tmp_path):
-        code, _, _ = invoke(
-            capsys, "picard-general", write(tmp_path, XY_2Z), "--bound", "-2"
+    def test_bound_is_unknown_option(self, capsys, tmp_path):
+        code, out, err = invoke(
+            capsys, "picard-general", write(tmp_path, XY_2Z), "--bound", "6"
         )
         assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--bound" in err
 
     def test_deterministic_output(self, capsys, tmp_path):
         path = write(tmp_path, FAVOURITE_CPLX)

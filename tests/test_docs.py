@@ -1,0 +1,30 @@
+"""The examples in the module docstrings and in README.md run as doctests."""
+
+import doctest
+import importlib
+import pathlib
+
+import pytest
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+# the modules whose docstrings carry examples
+MODULES = ["binoids.exactalg", "binoids.simplicial", "binoids.binoid"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_doctests(name):
+    result = doctest.testmod(importlib.import_module(name))
+    assert result.attempted > 0 and result.failed == 0
+
+
+def test_readme_python_blocks():
+    text = README.read_text(encoding="utf-8")
+    blocks = [part.split("```", 1)[0] for part in text.split("```python\n")[1:]]
+    assert blocks
+    parser = doctest.DocTestParser()
+    runner = doctest.DocTestRunner()
+    for i, block in enumerate(blocks):
+        runner.run(parser.get_doctest(block, {}, "README block %d" % i, str(README), 0))
+    result = runner.summarize(verbose=False)
+    assert result.attempted > 0 and result.failed == 0

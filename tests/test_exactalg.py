@@ -181,6 +181,22 @@ class TestFinAbGroup:
         assert FinAbGroup.from_torsion([2, 4]) == FinAbGroup(0, (2, 4))
         assert FinAbGroup.from_torsion([4, 6]) == FinAbGroup(0, (2, 12))
 
+    def test_large_semiprime(self):
+        n = (10**9 + 7) * (10**9 + 9)
+        assert FinAbGroup.from_torsion([n]) == FinAbGroup(0, (n,))
+        assert FinAbGroup.from_torsion([10**9 + 7, 10**9 + 9]) == FinAbGroup(0, (n,))
+
+    def test_canonical_form_matches_minor_gcds(self):
+        rng = random.Random(116)
+        for _ in range(300):
+            factors = [rng.randint(1, 360) for _ in range(rng.randint(1, 5))]
+            diagonal = [
+                [f if i == j else 0 for j in range(len(factors))]
+                for i, f in enumerate(factors)
+            ]
+            expected = tuple(d for d in minor_gcd_invariant_factors(diagonal) if d > 1)
+            assert FinAbGroup.from_torsion(factors).invariant_factors == expected
+
     def test_direct_sum(self):
         a = FinAbGroup(1, (2,))
         b = FinAbGroup(2, (3,))
