@@ -602,6 +602,23 @@ class TestFlagValidation:
         )
         assert code == 2
 
+    def test_bound_only_for_picard_general(self, capsys, tmp_path):
+        # --bound is gone for picard-general, and no other verb ever took it.
+        code, out, err = invoke(
+            capsys, "picard", write(tmp_path, FAVOURITE_CPLX), "--bound", "3"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--bound" in err
+
+    def test_negative_bound(self, capsys, tmp_path):
+        code, out, err = invoke(
+            capsys, "picard-general", write(tmp_path, XY_2Z), "--bound", "-2"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "--bound" in err
+
     def test_bound_is_unknown_option(self, capsys, tmp_path):
         code, out, err = invoke(
             capsys, "picard-general", write(tmp_path, XY_2Z), "--bound", "6"
