@@ -20,7 +20,6 @@ from .binoid import (
 )
 from .divisors import cone_facets
 from .errors import (
-    CompositionNonzero,
     DegenerateLocalization,
     NotCancellative,
     NotMonomialPresentation,
@@ -31,6 +30,7 @@ from .exactalg import (
     FinAbGroup,
     GroupExpr,
     IntMatrix,
+    check_composition,
     cohomology_of_complex,
     column_lattice_basis,
     solve_columns,
@@ -69,8 +69,7 @@ class CechComplex:
             if d.cols != len(labels[j]) or d.rows != len(labels[j + 1]):
                 raise ValueError("differential shape does not match the labels")
         for a, b in zip(diffs, diffs[1:]):
-            if not (b * a).is_zero():
-                raise CompositionNonzero("consecutive differentials do not compose to zero")
+            check_composition(a, b)
 
     @property
     def ranks(self) -> Tuple[int, ...]:

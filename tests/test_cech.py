@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from binoids.binoid import (
@@ -226,6 +228,18 @@ class TestLocalPicardCech:
     def test_matches_formula_with_torsion(self):
         delta = cx(CONE_RP2_FACETS)
         assert local_picard_cech(delta) == local_picard_formula(delta)
+
+    def test_cross_polytope_6_at_scale(self):
+        # boundary of the 6-cross-polytope, vertex i antipodal to i + 6
+        facets = [
+            tuple(i + 6 * s for i, s in zip(range(1, 7), signs))
+            for signs in product((0, 1), repeat=6)
+        ]
+        delta = cx(facets)
+        assert picard_complex_simplicial(delta).ranks == (12, 120, 480, 960, 960, 384)
+        expected = [TRIVIAL_GROUP] * 5 + [Z(12)]
+        assert local_picard_formula(delta) == expected
+        assert local_picard_cech(delta) == expected
 
 
 class TestConstantCohomology:

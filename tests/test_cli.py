@@ -6,11 +6,13 @@ the file formats, the text and JSON output, and the exit code contract:
 """
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import binoids
 from binoids.cli import main
 
 FAVOURITE_CPLX = """\
@@ -637,10 +639,14 @@ class TestFlagValidation:
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
         path = write(tmp_path, XY_4Z)
+        # the child imports the same package as this process, installed or not
+        src = os.path.dirname(os.path.dirname(binoids.__file__))
+        paths = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
         proc = subprocess.run(
             [sys.executable, "-m", "binoids.cli", "class-group", path],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p)),
         )
         assert proc.returncode == 0
         assert proc.stdout == "Z/4\n"

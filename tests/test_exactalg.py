@@ -9,8 +9,10 @@ from binoids.exactalg import (
     GroupExpr,
     IntMatrix,
     coefficient_cohomology,
+    cohomology_of_complex,
     cokernel,
     complex_cohomology,
+    invariant_factors,
     smith_normal_form,
 )
 
@@ -19,6 +21,7 @@ from oracles import (
     mat_mul,
     minor_gcd_invariant_factors,
     naive_complex_cohomology,
+    naive_diagonal,
     random_zero_composition,
 )
 
@@ -172,6 +175,94 @@ class TestComplexCohomology:
             H = complex_cohomology(M(d_in, cols=a), M(d_out, cols=b))
             fr, tor = naive_complex_cohomology(d_in, d_out, b)
             assert (H.free_rank, H.invariant_factors) == (fr, tor)
+
+    def check_against_oracle(self, d_in, d_out, a, b):
+        H = complex_cohomology(M(d_in, cols=a), M(d_out, cols=b))
+        fr, tor = naive_complex_cohomology(d_in, d_out, b)
+        assert (H.free_rank, H.invariant_factors) == (fr, tor)
+
+    def test_middle_rank_up_to_12(self):
+        rng = random.Random(1201)
+        for _ in range(60):
+            a, b, c = rng.randint(0, 9), rng.randint(6, 12), rng.randint(0, 9)
+            d_in, d_out = random_zero_composition(rng, a, b, c, rng.randint(0, b))
+            self.check_against_oracle(d_in, d_out, a, b)
+
+    def test_no_unit_pivot(self):
+        # every entry a multiple of 2 or 3: the dense remainder does all the work
+        rng = random.Random(1202)
+        for _ in range(40):
+            a, b, c = rng.randint(1, 8), rng.randint(2, 10), rng.randint(1, 8)
+            d_in, d_out = random_zero_composition(rng, a, b, c, rng.randint(0, b))
+            s, t = rng.choice([2, 3]), rng.choice([2, 3])
+            d_in = [[s * x for x in row] for row in d_in]
+            d_out = [[t * x for x in row] for row in d_out]
+            self.check_against_oracle(d_in, d_out, a, b)
+
+    def test_elimination_stops_part_way(self):
+        # direct sum of a complex with unit entries and one scaled by 2 or 3:
+        # the unit pivots run out while the scaled block is still nonzero
+        def block_sum(A, B, cols_a, cols_b):
+            return [row + [0] * cols_b for row in A] + [[0] * cols_a + row for row in B]
+
+        def draw(rng, test):
+            while True:
+                a, b, c = rng.randint(1, 5), rng.randint(2, 6), rng.randint(1, 5)
+                d_in, d_out = random_zero_composition(rng, a, b, c, rng.randint(1, b - 1))
+                if any(test(x) for row in d_in + d_out for x in row):
+                    return a, b, d_in, d_out
+
+        rng = random.Random(1203)
+        for _ in range(40):
+            a1, b1, in1, out1 = draw(rng, lambda x: abs(x) == 1)
+            a2, b2, in2, out2 = draw(rng, lambda x: x != 0)
+            s = rng.choice([2, 3])
+            in2 = [[s * x for x in row] for row in in2]
+            out2 = [[s * x for x in row] for row in out2]
+            d_in = block_sum(in1, in2, a1, a2)
+            d_out = block_sum(out1, out2, b1, b2)
+            self.check_against_oracle(d_in, d_out, a1 + a2, b1 + b2)
+
+
+class TestInvariantFactors:
+    def test_matches_naive_diagonal(self):
+        rng = random.Random(1204)
+        for _ in range(150):
+            m, n = rng.randint(0, 12), rng.randint(0, 12)
+            scale = rng.choice([1, 1, 2, 3])
+            rows = [
+                [scale * rng.choice([0, 0, 0, 1, -1, 2, 3]) for _ in range(n)]
+                for _ in range(m)
+            ]
+            expected = tuple(d for d in naive_diagonal(rows, cols=n) if d)
+            assert invariant_factors(M(rows, cols=n)) == expected
+
+
+class TestCohomologyOfComplex:
+    def test_matches_positionwise_oracle(self):
+        rng = random.Random(1205)
+        for _ in range(20):
+            ranks = [rng.randint(1, 6) for _ in range(3)]
+            d0, d1 = random_zero_composition(rng, *ranks, rng.randint(0, ranks[1]))
+            groups = cohomology_of_complex(ranks, [M(d0, cols=ranks[0]), M(d1, cols=ranks[1])])
+            expected = [
+                naive_complex_cohomology([], d0, ranks[0]),
+                naive_complex_cohomology(d0, d1, ranks[1]),
+                naive_complex_cohomology(d1, [], ranks[2]),
+            ]
+            assert [(g.free_rank, g.invariant_factors) for g in groups] == expected
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError):
+            cohomology_of_complex([1, 2], [IntMatrix.zero(3, 1)])
+        with pytest.raises(ValueError):
+            cohomology_of_complex([1, 2, 1], [IntMatrix.zero(2, 1)])
+
+    def test_composition_checked(self):
+        d0 = M([[1], [0]])
+        d1 = M([[1, 1]])
+        with pytest.raises(CompositionNonzero):
+            cohomology_of_complex([1, 2, 1], [d0, d1])
 
 
 class TestFinAbGroup:
