@@ -8,7 +8,6 @@ here works on the vectors.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
@@ -20,7 +19,7 @@ from .errors import (
     VoidComplex,
 )
 from .exactalg import IntMatrix, smith_normal_form
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, subsets_avoiding
 
 
 @dataclass(frozen=True)
@@ -114,33 +113,42 @@ class DifferenceGroup:
 
 
 def from_simplicial(complex_: SimplicialComplex) -> BinoidPresentation:
-    """The binoid (vertices | sum over each minimal non-face = ∞)."""
+    """The binoid (vertices | sum over each minimal non-face = ∞).
+
+    A minimal non-face of size at least two is a nonempty face F plus a
+    vertex later than F's last one, all of whose facets are faces; the
+    relations are listed by size, then lexicographically.
+    """
     if complex_.is_void or not complex_.vertices:
         raise VoidComplex("need a complex with at least one vertex")
     vertices = complex_.vertices
     n = len(vertices)
-    face_set = {frozenset(f) for f in complex_.all_faces()}
-    relations = []
-    for size in range(2, n + 1):
-        for combo in itertools.combinations(range(n), size):
-            subset = frozenset(vertices[i] for i in combo)
-            if subset in face_set:
-                continue
-            if all(subset - {v} in face_set for v in subset):
-                lhs = tuple(1 if i in combo else 0 for i in range(n))
-                relations.append(Relation(lhs, None))
-    return BinoidPresentation(vertices, tuple(relations))
+    position = {v: i for i, v in enumerate(vertices)}
+    faces = {}  # bitmask -> positions, by size and then lexicographically
+    for f in complex_.all_faces():
+        members = tuple(position[v] for v in f)
+        faces[sum(1 << i for i in members)] = members
+    nonfaces = []  # in the order of the faces they extend, which is the same
+    for mask, members in faces.items():
+        if not members:
+            continue
+        for v in range(members[-1] + 1, n):
+            candidate = mask | 1 << v
+            if candidate not in faces and all(
+                (candidate & ~(1 << u)) in faces for u in members
+            ):
+                nonfaces.append(members + (v,))
+    relations = tuple(
+        Relation(tuple(1 if i in combo else 0 for i in range(n)), None)
+        for combo in nonfaces
+    )
+    return BinoidPresentation(vertices, relations)
 
 
 def _complex_from_nonface_supports(names: tuple, supports: list) -> SimplicialComplex:
     n = len(names)
-    supports = [frozenset(s) for s in supports]
-    faces = []
-    for size in range(n + 1):
-        for combo in itertools.combinations(range(n), size):
-            cset = set(combo)
-            if not any(s <= cset for s in supports):
-                faces.append(tuple(names[i] for i in combo))
+    masks = [sum(1 << i for i in s) for s in supports]
+    faces = [tuple(names[i] for i in face) for face, _ in subsets_avoiding(n, masks)]
     if not faces:
         return SimplicialComplex.void()
     covered = {v for f in faces for v in f}

@@ -8,7 +8,6 @@ the former nothing.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -25,6 +24,52 @@ from .exactalg import (
 Face = Tuple
 
 
+def grow_subsets(n: int, extend, start=0) -> list:
+    """Every subset of range(n) that a subset-closed test admits, with its state.
+
+    Subsets are sorted tuples grown from the empty one, which is always
+    kept with state ``start``, by one element larger than their last at a
+    time: ``extend(state, i)`` returns the state of the subset plus i, or
+    None when that subset fails the test.  As the test is closed under
+    subsets, every admitted subset is reached through admitted ones, and
+    the work is about n calls of ``extend`` per admitted subset.
+
+    >>> sorted(s for s, _ in grow_subsets(3, lambda size, i: size + 1 if size < 2 else None))
+    [(), (0,), (0, 1), (0, 2), (1,), (1, 2), (2,)]
+    """
+    found = [((), start)]
+    for subset, state in found:  # grows while it is read
+        for i in range(subset[-1] + 1 if subset else 0, n):
+            following = extend(state, i)
+            if following is not None:
+                found.append((subset + (i,), following))
+    return found
+
+
+def subsets_avoiding(n: int, supports: Sequence[int]) -> list:
+    """The subsets of range(n) containing no support, each with its bitmask.
+
+    Supports are bitmasks.  The subsets are the faces of the complex whose
+    non-faces are the supports, found in about n times their number of steps.
+
+    >>> sorted(face for face, _ in subsets_avoiding(3, [0b011]))
+    [(), (0,), (0, 2), (1,), (1, 2), (2,)]
+    """
+    if 0 in supports:
+        return []
+    by_top = {}
+    for s in supports:
+        by_top.setdefault(s.bit_length() - 1, []).append(s)
+
+    def extend(face, i):
+        face |= 1 << i
+        if any(not s & ~face for s in by_top.get(i, ())):
+            return None
+        return face
+
+    return grow_subsets(n, extend)
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Vertex order plus pairwise incomparable facets.
@@ -39,11 +84,16 @@ class SimplicialComplex:
     vertices: tuple
     facets: tuple
     _closure: dict = field(default=None, init=False, repr=False, compare=False)
+    _positions: dict = field(default=None, init=False, repr=False, compare=False)
+    _face_masks: frozenset = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def make(cls, vertices: Sequence, faces: Iterable[Sequence]) -> "SimplicialComplex":
         """Normalize: sort faces by vertex position, keep the maximal ones,
-        and turn uncovered vertices into singleton facets."""
+        and turn uncovered vertices into singleton facets.
+
+        Faces are visited largest first, each compared only with the
+        maximal faces kept so far."""
         vertices = tuple(vertices)
         if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex labels")
@@ -61,14 +111,14 @@ class SimplicialComplex:
         for v in vertices:
             if v not in covered:
                 normalized.add((v,))
-        maximal = tuple(
-            sorted(
-                (f for f in normalized
-                 if not any(set(f) < set(g) for g in normalized)),
-                key=lambda f: tuple(position[v] for v in f),
-            )
-        )
-        return cls(vertices, maximal)
+        kept, kept_masks = [], []
+        for f in sorted(normalized, key=len, reverse=True):
+            mask = sum(1 << position[v] for v in f)
+            if all(mask & ~k for k in kept_masks):
+                kept.append(f)
+                kept_masks.append(mask)
+        maximal = sorted(kept, key=lambda f: tuple(position[v] for v in f))
+        return cls(vertices, tuple(maximal))
 
     @classmethod
     def from_facets(cls, facets: Iterable[Sequence]) -> "SimplicialComplex":
@@ -102,10 +152,22 @@ class SimplicialComplex:
         return max(len(f) for f in self.facets) - 1
 
     def _position(self, v):
+        if self._positions is None:
+            positions = {u: i for i, u in enumerate(self.vertices)}
+            object.__setattr__(self, "_positions", positions)
         try:
-            return self.vertices.index(v)
-        except ValueError:
+            return self._positions[v]
+        except KeyError:
             raise UnknownVertex("vertex %r not in complex" % (v,))
+
+    def _mask(self, face) -> int:
+        return sum(1 << self._position(v) for v in face)
+
+    def _faces_as_masks(self) -> frozenset:
+        if self._face_masks is None:
+            masks = frozenset(self._mask(f) for f in self.all_faces())
+            object.__setattr__(self, "_face_masks", masks)
+        return self._face_masks
 
     def _face_key(self, face):
         return tuple(self._position(v) for v in face)
@@ -141,8 +203,9 @@ class SimplicialComplex:
         return out
 
     def has_face(self, face: Sequence) -> bool:
-        face = tuple(sorted(face, key=self._position))
-        return face in set(self._faces_by_dim().get(len(face) - 1, []))
+        face = tuple(face)
+        mask = self._mask(face)
+        return bin(mask).count("1") == len(face) and mask in self._faces_as_masks()
 
     # -- derived complexes --------------------------------------------------
 
@@ -176,21 +239,28 @@ class SimplicialComplex:
 
     def crosscut(self, listed_faces: Sequence[Sequence]) -> "SimplicialComplex":
         """Complex on 1-based indices of the list; an index set is a face
-        exactly when the union of its faces is a face here."""
+        exactly when the union of its faces is a face here.
+
+        Index sets are grown one later index at a time and kept only while
+        their union is still a face, so the work follows the size of the
+        result, not the 2^k subsets of the list.
+        """
         listed = [tuple(sorted(f, key=self._position)) for f in listed_faces]
         for f in listed:
             if not self.has_face(f):
                 raise NotAFace("%r is not a face" % (f,))
-        indices = list(range(1, len(listed) + 1))
-        faces = []
-        for r in range(len(listed) + 1):
-            for combo in itertools.combinations(indices, r):
-                union = set().union(*(listed[i - 1] for i in combo)) if combo else set()
-                if self.has_face(sorted(union, key=self._position)):
-                    faces.append(combo)
-        if not faces:
+        if self.is_void:
             return SimplicialComplex.void()
-        return SimplicialComplex.make(indices, [f for f in faces if f])
+        masks = [self._mask(f) for f in listed]
+        faces = self._faces_as_masks()
+
+        def extend(union, i):
+            union |= masks[i]
+            return union if union in faces else None
+
+        grown = grow_subsets(len(listed), extend)
+        faces = [tuple(i + 1 for i in subset) for subset, _ in grown if subset]
+        return SimplicialComplex.make(range(1, len(listed) + 1), faces)
 
     # -- cohomology ----------------------------------------------------------
 

@@ -7,12 +7,11 @@ family, ordered by inclusion.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .binoid import BinoidPresentation
 from .errors import NotInSpec, NotOpen, NotPositive
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, grow_subsets, subsets_avoiding
 
 
 @dataclass(frozen=True, order=True)
@@ -35,90 +34,151 @@ class PrimeIdeal:
 
 @dataclass(frozen=True)
 class SpecPoset:
-    """All prime ideals of a presentation, sorted by size then lexicographically."""
+    """All prime ideals of a presentation, sorted by size then lexicographically.
+
+    The position index, the generator bitmasks and the Hasse diagram with
+    the heights are built on first use and kept.
+    """
 
     presentation: BinoidPresentation
     primes: Tuple[PrimeIdeal, ...]
     _index: dict = field(default=None, init=False, repr=False, compare=False)
+    _masks: tuple = field(default=None, init=False, repr=False, compare=False)
+    _hasse: tuple = field(default=None, init=False, repr=False, compare=False)
 
-    def position_of(self, prime: PrimeIdeal) -> int:
+    def _positions(self) -> dict:
         if self._index is None:
             lookup = {p: i for i, p in enumerate(self.primes)}
             object.__setattr__(self, "_index", lookup)
-        if prime not in self._index:
+        return self._index
+
+    def position_of(self, prime: PrimeIdeal) -> int:
+        positions = self._positions()
+        if prime not in positions:
             raise NotInSpec(f"{prime.generator_subset} is not a prime ideal here")
-        return self._index[prime]
+        return positions[prime]
 
     def __contains__(self, prime) -> bool:
-        return isinstance(prime, PrimeIdeal) and any(p == prime for p in self.primes)
+        return isinstance(prime, PrimeIdeal) and prime in self._positions()
+
+    def _generator_masks(self) -> tuple:
+        """Per position, the prime's generators as a bitmask."""
+        if self._masks is None:
+            masks = tuple(_mask(p.generator_subset) for p in self.primes)
+            object.__setattr__(self, "_masks", masks)
+        return self._masks
+
+    def _hasse_diagram(self) -> tuple:
+        """Per position, the positions of the primes it covers, and its height.
+
+        A prime q just below p is the largest prime inside p minus some
+        generator of p outside q, so the lower covers of p are the maximal
+        ones among at most |p| interiors.
+        """
+        if self._hasse is None:
+            element_masks, infinity_masks = _relation_masks(self.presentation)
+            masks = self._generator_masks()
+            where = {m: i for i, m in enumerate(masks)}
+            covers, heights = [], []
+            for p, mask in zip(self.primes, masks):  # smaller primes come first
+                below = {
+                    _interior(mask & ~(1 << g), element_masks, infinity_masks)
+                    for g in p.generator_subset
+                }
+                below.discard(None)
+                lower = [
+                    where[q] for q in below if not any(q != r and not q & ~r for r in below)
+                ]
+                lower.sort()
+                covers.append(tuple(lower))
+                heights.append(max((heights[c] + 1 for c in lower), default=0))
+            object.__setattr__(self, "_hasse", (tuple(covers), tuple(heights)))
+        return self._hasse
 
 
 def _sort_key(prime: PrimeIdeal):
     return (len(prime.generator_subset), prime.generator_subset)
 
 
-def compute_spec(M: BinoidPresentation) -> SpecPoset:
-    """Enumerate the prime ideals of a positive presentation.
+def _mask(generators) -> int:
+    return sum(1 << i for i in generators)
 
-    Candidates are scanned by increasing size; a union of two known primes
-    is admitted without rechecking the criterion.
-    """
-    n = M.generator_count
+
+def _mask_members(mask: int) -> List[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _relation_masks(M: BinoidPresentation):
+    """Supports as bitmasks: (lhs, rhs) per element relation, lhs per infinity one."""
     element_masks = []
     infinity_masks = []
     for rel in M.relations:
-        lhs = sum(1 << i for i in rel.lhs_support())
+        lhs = _mask(rel.lhs_support())
         if not lhs:
             raise NotPositive("relation with empty left-hand support")
         if rel.is_infinity:
             infinity_masks.append(lhs)
         else:
-            rhs = sum(1 << i for i in rel.rhs_support())
+            rhs = _mask(rel.rhs_support())
             if not rhs:
                 raise NotPositive("relation with empty right-hand support")
             element_masks.append((lhs, rhs))
+    return element_masks, infinity_masks
 
-    def satisfies_criterion(mask: int) -> bool:
+
+def _interior(mask: int, element_masks, infinity_masks) -> Optional[int]:
+    """The largest prime inside ``mask``, or None when no prime lies inside it.
+
+    A relation side that ``mask`` meets while missing the other side can
+    meet no prime inside ``mask``, so it is dropped until every relation
+    is balanced; every prime inside ``mask`` lies in what is left, which
+    is itself prime exactly when it meets every infinity relation.
+    """
+    unbalanced = True
+    while unbalanced:
+        unbalanced = False
         for lhs, rhs in element_masks:
             if bool(mask & lhs) != bool(mask & rhs):
-                return False
-        return all(mask & f for f in infinity_masks)
-
-    found: List[int] = []
-    known_unions: Set[int] = set()
-    primes = []
-    for size in range(n + 1):
-        for subset in combinations(range(n), size):
-            mask = sum(1 << i for i in subset)
-            if mask in known_unions or satisfies_criterion(mask):
-                for other in found:
-                    known_unions.add(mask | other)
-                found.append(mask)
-                primes.append(PrimeIdeal(subset))
-    return SpecPoset(M, tuple(sorted(primes, key=_sort_key)))
+                mask &= ~(lhs | rhs)
+                unbalanced = True
+    return mask if all(mask & f for f in infinity_masks) else None
 
 
-def _height_table(S: SpecPoset) -> dict:
-    heights = {}
-    for p in S.primes:  # sorted by size, so all proper subsets come first
-        below = [
-            heights[q]
-            for q in S.primes
-            if len(q) < len(p) and set(q.generator_subset) < set(p.generator_subset)
+def compute_spec(M: BinoidPresentation) -> SpecPoset:
+    """Enumerate the prime ideals of a positive presentation.
+
+    Without element relations (simplicial and monomial presentations) the
+    primes are the complements of the faces of the complex whose non-faces
+    are the relation supports, and those faces are grown one later
+    generator at a time, in about n steps per prime.  With element
+    relations every one of the 2^n generator subsets is tested against the
+    criterion; that scan, and the 2^|cover| opens of
+    ``cech.local_picard_general``, are the exponential steps that remain.
+    """
+    n = M.generator_count
+    element_masks, infinity_masks = _relation_masks(M)
+    if element_masks:
+        masks = [
+            m for m in range(1 << n)
+            if all(bool(m & lhs) == bool(m & rhs) for lhs, rhs in element_masks)
+            and all(m & f for f in infinity_masks)
         ]
-        heights[p] = max(below) + 1 if below else 0
-    return heights
+    else:
+        full = (1 << n) - 1
+        masks = [full & ~face for _, face in subsets_avoiding(n, infinity_masks)]
+    primes = [PrimeIdeal(tuple(_mask_members(m))) for m in masks]
+    return SpecPoset(M, tuple(sorted(primes, key=_sort_key)))
 
 
 def height(S: SpecPoset, prime: PrimeIdeal) -> int:
     """Length of the longest chain of primes strictly below ``prime``."""
-    S.position_of(prime)
-    return _height_table(S)[prime]
+    return S._hasse_diagram()[1][S.position_of(prime)]
 
 
 def primes_of_height_at_most(S: SpecPoset, bound: int) -> Set[PrimeIdeal]:
     """Primes of height at most ``bound``; bound 1 gives the punctured Weil locus."""
-    return {p for p, h in _height_table(S).items() if h <= bound}
+    heights = S._hasse_diagram()[1]
+    return {p for p, h in zip(S.primes, heights) if h <= bound}
 
 
 def punctured_spectrum(S: SpecPoset) -> Set[PrimeIdeal]:
@@ -144,14 +204,13 @@ def open_subset(S: SpecPoset, support: Sequence[int]) -> Set[PrimeIdeal]:
     return {p for p in S.primes if avoid.isdisjoint(p.generator_subset)}
 
 
-def _check_open(S: SpecPoset, opens: Iterable[PrimeIdeal]) -> Set[PrimeIdeal]:
-    U = set(opens)
-    for p in U:
-        S.position_of(p)
-    for q in S.primes:
-        if q in U:
-            continue
-        if any(set(q.generator_subset) < set(p.generator_subset) for p in U):
+def _check_open(S: SpecPoset, opens: Iterable[PrimeIdeal]) -> Set[int]:
+    """Positions of the primes of an open set, which holds every prime below them."""
+    U = {S.position_of(p) for p in opens}
+    masks = S._generator_masks()
+    inside = [masks[i] for i in U]
+    for j, q in enumerate(masks):
+        if j not in U and any(not q & ~m for m in inside):
             raise NotOpen("subset is not closed under passing to smaller primes")
     return U
 
@@ -162,39 +221,43 @@ def minimal_cover(S: SpecPoset, opens: Iterable[PrimeIdeal]) -> List[Tuple[int, 
     One basic open per maximal prime of the set; the support is the
     complement of that prime.  Returned in sorted order.
     """
-    U = _check_open(S, opens)
-    maximal = [
-        p
-        for p in U
-        if not any(
-            p is not q and set(p.generator_subset) < set(q.generator_subset)
-            for q in U
-        )
-    ]
-    return sorted(minimal_neighborhood(S, p) for p in maximal)
+    masks = S._generator_masks()
+    maximal = []
+    for i in sorted(_check_open(S, opens), reverse=True):  # larger primes first
+        if all(masks[i] & ~masks[k] for k in maximal):
+            maximal.append(i)
+    return sorted(minimal_neighborhood(S, S.primes[i]) for i in maximal)
 
 
 def nerve(S: SpecPoset, cover: Sequence[Sequence[int]]) -> SimplicialComplex:
     """Nerve of a list of basic opens, on 1-based vertices indexing the list.
 
     A set of indices spans a face when the corresponding opens intersect;
-    indices whose open is empty are dropped.
+    indices whose open is empty are dropped.  Index sets are grown one
+    later index at a time while their opens still intersect, so the work
+    follows the number of faces, not the 2^k subsets of the cover.
     """
-    opens = [open_subset(S, support) for support in cover]
+    prime_masks = S._generator_masks()
+    opens = []
+    for support in cover:
+        avoid = _mask(set(support))
+        opens.append(_mask(k for k, m in enumerate(prime_masks) if not m & avoid))
+    everything = (1 << len(prime_masks)) - 1
+    grown = grow_subsets(len(opens), lambda common, i: common & opens[i] or None, everything)
+    faces = [tuple(i + 1 for i in subset) for subset, _ in grown if subset]
     vertices = [i + 1 for i, U in enumerate(opens) if U]
-    faces = []
-    for size in range(1, len(vertices) + 1):
-        for subset in combinations(vertices, size):
-            common = set.intersection(*(opens[i - 1] for i in subset))
-            if common:
-                faces.append(subset)
     return SimplicialComplex.make(vertices, faces)
 
 
 def connected_components(S: SpecPoset, opens: Iterable[PrimeIdeal]) -> int:
-    """Number of connected components of an open set, via comparability."""
-    U = sorted(_check_open(S, opens), key=_sort_key)
-    parent = list(range(len(U)))
+    """Number of connected components of an open set, via comparability.
+
+    Comparable primes of an open set are joined by a chain of covers
+    inside it, so the Hasse edges within the set suffice.
+    """
+    U = _check_open(S, opens)
+    covers = S._hasse_diagram()[0]
+    parent = {i: i for i in U}
 
     def find(i):
         while parent[i] != i:
@@ -202,29 +265,10 @@ def connected_components(S: SpecPoset, opens: Iterable[PrimeIdeal]) -> int:
             i = parent[i]
         return i
 
-    for a, p in enumerate(U):
-        for b in range(a + 1, len(U)):
-            sets = set(p.generator_subset), set(U[b].generator_subset)
-            if sets[0] <= sets[1] or sets[1] <= sets[0]:
-                parent[find(a)] = find(b)
-    return len({find(i) for i in range(len(U))})
-
-
-def _cover_relations(S: SpecPoset) -> List[Tuple[int, int]]:
-    edges = []
-    sets = [set(p.generator_subset) for p in S.primes]
-    for a, small in enumerate(sets):
-        for b, big in enumerate(sets):
-            if not (len(small) < len(big) and small < big):
-                continue
-            if any(
-                small < mid < big
-                for mid in sets
-                if len(small) < len(mid) < len(big)
-            ):
-                continue
-            edges.append((a, b))
-    return edges
+    for i in U:
+        for c in covers[i]:
+            parent[find(c)] = find(i)
+    return len({find(i) for i in U})
 
 
 def prime_label(S: SpecPoset, prime: PrimeIdeal) -> str:
@@ -240,7 +284,8 @@ def to_dot(S: SpecPoset) -> str:
     lines = ["digraph spec {", "  rankdir=BT;"]
     for i, p in enumerate(S.primes):
         lines.append(f'  p{i} [label="{prime_label(S, p)}"];')
-    for a, b in _cover_relations(S):
+    covers = S._hasse_diagram()[0]
+    for a, b in sorted((c, i) for i, below in enumerate(covers) for c in below):
         lines.append(f"  p{a} -> p{b};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -352,3 +352,126 @@ def brute_cover_edges(primes):
         if p < q and not any(p < r < q for r in primes):
             covers.append((p, q))
     return covers
+
+
+# ---------------------------------------------------------------------------
+# spectra, faces, crosscuts and nerves by scanning every subset
+
+
+def all_subsets(items):
+    """Every subset of a sequence as a tuple, by size then lexicographically."""
+    items = list(items)
+    return [c for r in range(len(items) + 1) for c in itertools.combinations(items, r)]
+
+
+def brute_spectrum(n, element, infinity):
+    """Primes of a presentation on generators 0..n-1, by testing all 2^n subsets.
+
+    `element` lists (lhs support, rhs support) pairs and `infinity` the
+    supports of the relations with ∞ on the right.  A subset is prime when
+    it meets both or neither side of every element relation and meets every
+    infinity support.  Returned as sorted tuples, by size then
+    lexicographically.
+    """
+    primes = []
+    for c in all_subsets(range(n)):
+        s = set(c)
+        if all(bool(s & set(l)) == bool(s & set(r)) for l, r in element) and all(
+            s & set(f) for f in infinity
+        ):
+            primes.append(c)
+    return primes
+
+
+def brute_faces(facets):
+    """Every face of the complex spanned by the facets, as frozensets."""
+    return {frozenset(c) for f in facets for c in all_subsets(f)}
+
+
+def brute_minimal_nonfaces(vertices, facets):
+    """Minimal non-faces with at least two vertices, as tuples of positions.
+
+    Ordered by size, then lexicographically in the positions.
+    """
+    faces = brute_faces(facets)
+    out = []
+    for c in all_subsets(range(len(vertices))):
+        s = frozenset(vertices[i] for i in c)
+        if len(c) >= 2 and s not in faces and all(s - {v} in faces for v in s):
+            out.append(c)
+    return out
+
+
+def brute_crosscut(facets, listed):
+    """Nonempty 1-based index sets of `listed` whose union is a face."""
+    faces = brute_faces(facets)
+    return {
+        c
+        for c in all_subsets(range(1, len(listed) + 1))
+        if c and frozenset(v for i in c for v in listed[i - 1]) in faces
+    }
+
+
+def brute_nerve(primes, cover):
+    """Nonempty 1-based index sets of `cover` whose opens D(support) meet.
+
+    An open D(support) holds the primes avoiding every index in the support.
+    """
+    opens = [{p for p in primes if not set(p) & set(sup)} for sup in cover]
+    return {
+        c
+        for c in all_subsets(range(1, len(cover) + 1))
+        if c and set.intersection(*(opens[i - 1] for i in c))
+    }
+
+
+def brute_heights(primes):
+    """Length of the longest chain strictly below each set, by recursion."""
+    sets = [frozenset(p) for p in primes]
+    memo = {}
+
+    def h(p):
+        if p not in memo:
+            memo[p] = max((h(q) + 1 for q in sets if q < p), default=0)
+        return memo[p]
+
+    return {tuple(sorted(p)): h(p) for p in sets}
+
+
+def weil_pic_open_ranks(facets):
+    """Free ranks of H^0 and H^1 of the unit sheaf on the punctured height-<=1 locus.
+
+    The locus of a simplicial spectrum is the set of nonempty faces F with
+    every facet through F of size at most |F| + 1.  The unit sheaf splits
+    over the vertices v into the extension by zero from the faces
+    containing v, so H^j is the sum over v of the cohomology of the order
+    complex K of the locus relative to its part K_v of faces avoiding v.
+    The locus has no chain of three faces, so K is a graph: relative H^0
+    counts the components of K missing K_v, and relative H^1 follows from
+    the Euler characteristic (vertices minus edges outside K_v).
+    """
+    faces = [f for f in brute_faces(facets) if f]
+    locus = [
+        f for f in faces if max(len(g) for g in facets if f <= set(g)) <= len(f) + 1
+    ]
+    edges = [(f, g) for f in locus for g in locus if f < g]
+    h0 = h1 = 0
+    for v in sorted({v for f in facets for v in f}):
+        component = {f: f for f in locus}
+
+        def root(f):
+            while component[f] != f:
+                f = component[f]
+            return f
+
+        for f, g in edges:
+            a, b = root(f), root(g)
+            if a != b:
+                component[a] = b
+        touched = {root(f) for f in locus if v not in f}
+        missing = len({root(f) for f in locus} - touched)
+        inner_points = sum(1 for f in locus if v in f)
+        inner_edges = sum(1 for f, g in edges if v in g)
+        h0 += missing
+        h1 += missing - inner_points + inner_edges
+    return h0, h1

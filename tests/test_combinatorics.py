@@ -1,0 +1,255 @@
+"""Spectra, heights, Hasse diagrams, crosscuts and nerves against subset scans.
+
+The package grows faces one vertex at a time and reads heights and covers
+off a cached Hasse diagram; the oracles in `oracles.py` scan every subset
+instead and never import the package.
+"""
+
+import json
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from binoids.binoid import (
+    BinoidPresentation,
+    Relation,
+    as_simplicial,
+    from_simplicial,
+    radical_complex,
+)
+from binoids.cech import pic_open_subset
+from binoids.cli import main
+from binoids.errors import NotOpen
+from binoids.simplicial import SimplicialComplex
+from binoids.spectrum import (
+    compute_spec,
+    connected_components,
+    height,
+    minimal_cover,
+    nerve,
+    primes_of_height_at_most,
+    punctured_spectrum,
+    to_dot,
+)
+
+from fixtures import CONE_RP2_FACETS, cycle_facets
+from oracles import (
+    brute_cover_edges,
+    brute_crosscut,
+    brute_faces,
+    brute_heights,
+    brute_minimal_nonfaces,
+    brute_nerve,
+    brute_spectrum,
+    weil_pic_open_ranks,
+)
+
+
+@st.composite
+def complexes(draw, max_vertices=9):
+    """A complex on at most nine vertices, declared in a shuffled label order."""
+    n = draw(st.integers(1, max_vertices))
+    labels = draw(st.permutations(range(1, n + 1)))
+    facets = draw(
+        st.lists(
+            st.lists(st.sampled_from(labels), min_size=1, max_size=min(n, 5), unique=True),
+            min_size=1,
+            max_size=n + 3,
+        )
+    )
+    return SimplicialComplex.make(labels, facets)
+
+
+@st.composite
+def monomial_presentations(draw):
+    """Monomial presentations, with squared generators, repeated supports or none."""
+    n = draw(st.integers(1, 8))
+    vector = st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any)
+    gens = draw(st.lists(vector, max_size=n + 2))
+    if gens and draw(st.booleans()):
+        gens.append(draw(st.sampled_from(gens)))
+    names = tuple("x%d" % i for i in range(n))
+    return BinoidPresentation(names, tuple(Relation(v, None) for v in gens))
+
+
+@st.composite
+def integral_presentations(draw):
+    """Up to three element relations on at most six generators."""
+    n = draw(st.integers(1, 6))
+    side = st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any)
+    pairs = draw(st.lists(st.tuples(side, side).filter(lambda p: p[0] != p[1]), max_size=3))
+    names = tuple("g%d" % i for i in range(n))
+    return BinoidPresentation(names, tuple(Relation(l, r) for l, r in pairs))
+
+
+def supports(M):
+    element = [(rel.lhs_support(), rel.rhs_support()) for rel in M.relations if not rel.is_infinity]
+    infinity = [rel.lhs_support() for rel in M.relations if rel.is_infinity]
+    return element, infinity
+
+
+def spec_tuples(S):
+    return [p.generator_subset for p in S.primes]
+
+
+def check_spectrum_against_oracles(M):
+    S = compute_spec(M)
+    primes = brute_spectrum(M.generator_count, *supports(M))
+    assert spec_tuples(S) == primes
+    heights = brute_heights(primes)
+    assert [height(S, p) for p in S.primes] == [heights[p] for p in primes]
+    position = {p: i for i, p in enumerate(primes)}
+    edges = sorted(
+        (position[tuple(sorted(a))], position[tuple(sorted(b))])
+        for a, b in brute_cover_edges([frozenset(p) for p in primes])
+    )
+    arrows = [line for line in to_dot(S).splitlines() if "->" in line]
+    assert arrows == ["  p%d -> p%d;" % edge for edge in edges]
+    return S
+
+
+class TestSpectrumAgainstSubsetScan:
+    @settings(max_examples=60, deadline=None)
+    @given(complexes())
+    def test_simplicial(self, c):
+        M = from_simplicial(c)
+        expected = brute_minimal_nonfaces(c.vertices, c.facets)
+        got = [tuple(i for i, x in enumerate(rel.lhs) if x) for rel in M.relations]
+        assert got == expected  # pins the relation order: by size, then positions
+        assert all(rel.is_infinity and max(rel.lhs) == 1 for rel in M.relations)
+        check_spectrum_against_oracles(M)
+
+    @settings(max_examples=60, deadline=None)
+    @given(monomial_presentations())
+    def test_monomial(self, M):
+        check_spectrum_against_oracles(M)
+        _, infinity = supports(M)
+        names = M.generator_names
+        expected = {
+            frozenset(names[i] for i in face)
+            for face in brute_spectrum(M.generator_count, [], [])
+            if not any(s <= set(face) for s in infinity)
+        }
+        radical = radical_complex(M)
+        assert {frozenset(f) for f in radical.all_faces()} == expected
+        if all(max(rel.lhs) == 1 for rel in M.relations):
+            assert as_simplicial(M) == radical
+
+    @settings(max_examples=60, deadline=None)
+    @given(integral_presentations())
+    def test_element_relations(self, M):
+        check_spectrum_against_oracles(M)
+
+
+class TestOpenSetsAgainstDefinitions:
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(complexes(7), monomial_presentations(), integral_presentations()), st.data())
+    def test_cover_components_and_openness(self, obj, data):
+        M = from_simplicial(obj) if isinstance(obj, SimplicialComplex) else obj
+        S = compute_spec(M)
+        chosen = data.draw(st.sets(st.sampled_from(S.primes)))
+        sets = {p: set(p.generator_subset) for p in S.primes}
+        U = {q for q in S.primes if any(sets[q] <= sets[p] for p in chosen)}
+        maximal = [p for p in U if not any(sets[p] < sets[q] for q in U)]
+        n = M.generator_count
+        assert minimal_cover(S, U) == sorted(
+            tuple(i for i in range(n) if i not in sets[p]) for p in maximal
+        )
+        parent = {p: p for p in U}
+
+        def root(p):
+            while parent[p] != p:
+                p = parent[p]
+            return p
+
+        for p in U:
+            for q in U:
+                if sets[p] < sets[q] and root(p) != root(q):
+                    parent[root(p)] = root(q)
+        assert connected_components(S, U) == len({root(p) for p in U})
+        if chosen != U:  # the chosen primes alone miss something below them
+            with pytest.raises(NotOpen):
+                minimal_cover(S, chosen)
+
+
+class TestCrosscutAndNerveAgainstSubsetScan:
+    @settings(max_examples=60, deadline=None)
+    @given(complexes(), st.data())
+    def test_crosscut(self, c, data):
+        faces = c.all_faces()
+        listed = data.draw(st.lists(st.sampled_from(faces), max_size=7))
+        cut = c.crosscut(listed)
+        expected = brute_crosscut(c.facets, listed)
+        assert {f for f in cut.all_faces() if f} == expected
+        assert cut.vertices == (tuple(range(1, len(listed) + 1)) if expected else ())
+
+    @settings(max_examples=60, deadline=None)
+    @given(complexes(7), st.data())
+    def test_nerve(self, c, data):
+        M = from_simplicial(c)
+        S = compute_spec(M)
+        n = M.generator_count
+        cover = data.draw(
+            st.lists(st.lists(st.integers(0, n - 1), max_size=n, unique=True), max_size=6)
+        )
+        N = nerve(S, cover)
+        expected = brute_nerve(spec_tuples(S), cover)
+        assert {f for f in N.all_faces() if f} == expected
+        assert N.vertices == tuple(sorted({i for f in expected for i in f}))
+
+
+def cross_polytope_boundary(d):
+    """Boundary of the d-cross-polytope, vertex i antipodal to i + d."""
+    return [
+        tuple(i + d * s for i, s in zip(range(1, d + 1), signs))
+        for signs in product((0, 1), repeat=d)
+    ]
+
+
+def weil_pic_open(delta):
+    S = compute_spec(from_simplicial(delta))
+    weil = primes_of_height_at_most(S, 1) & punctured_spectrum(S)
+    return pic_open_subset(delta, weil)
+
+
+class TestScale:
+    """Inputs whose subset scans ran for minutes; no wall-clock asserts."""
+
+    @pytest.mark.parametrize(
+        "facets",
+        [cross_polytope_boundary(4), CONE_RP2_FACETS],
+        ids=["cross-polytope-4", "cone-rp2"],
+    )
+    def test_pic_open_matches_weil_oracle(self, facets):
+        groups = weil_pic_open(SimplicialComplex.from_facets(facets))
+        h0, h1 = weil_pic_open_ranks(facets)
+        assert [g.free_rank for g in groups[:2]] == [h0, h1]
+        assert all(not g.invariant_factors for g in groups)
+        assert all(g.free_rank == 0 for g in groups[2:])
+
+    def test_spec_json_of_the_8_simplex(self, capsys, tmp_path):
+        path = tmp_path / "simplex8.cplx"
+        path.write_text("vertices: 1 2 3 4 5 6 7 8\nfacet: 1 2 3 4 5 6 7 8\n")
+        assert main(["spec", str(path), "--json"]) == 0
+        primes = json.loads(capsys.readouterr().out)["primes"]
+        assert len(primes) == 256
+        for prime in primes:  # height(V - F) = 8 - |F|
+            face = 8 - len(prime["generators"])
+            assert prime["height"] == 8 - face
+
+    def test_pic_open_of_the_8_simplex(self):
+        groups = weil_pic_open(SimplicialComplex.from_facets([tuple(range(1, 9))]))
+        assert all(g.free_rank == 0 and not g.invariant_factors for g in groups)
+
+    def test_nerve_of_the_16_cycle_is_the_cycle(self):
+        cycle = SimplicialComplex.from_facets(cycle_facets(16))
+        S = compute_spec(from_simplicial(cycle))
+        cover = minimal_cover(S, punctured_spectrum(S))
+        assert cover == [(i,) for i in range(16)]
+        assert nerve(S, cover) == cycle
+
+    def test_faces_of_the_16_cycle(self):
+        M = from_simplicial(SimplicialComplex.from_facets(cycle_facets(16)))
+        assert len(M.relations) == 16 * 15 // 2 - 16
+        assert len(compute_spec(M).primes) == len(brute_faces(cycle_facets(16))) == 33

@@ -100,6 +100,12 @@ class TestLink:
         with pytest.raises(NotAFace):
             favourite().link((1, 4))
 
+    def test_repeated_vertex_is_not_a_face(self):
+        assert favourite().has_face((3, 1))
+        assert not favourite().has_face((1, 1))
+        with pytest.raises(NotAFace):
+            favourite().link((3, 3))
+
 
 class TestRestriction:
     def test_favourite(self):
