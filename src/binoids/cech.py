@@ -5,11 +5,17 @@ the coordinate-cover complex, and the closed formula summing reduced link
 cohomology.  General integral binoids get a direct computation on the
 minimal cover; for a cancellative binoid the units of a localization M_F
 are the lattice spanned by the generators of the face generated by F.
+
+One constructor, `_cech_complex`, lays out the Čech complex of all three
+covers: the coordinate cover of a simplicial binoid, the minimal cover of
+an open subset (indexed by its crosscut complex) and the minimal cover of
+a general integral binoid.  Each caller only names the index simplices,
+the basis of the group at each and the restriction maps.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from .binoid import (
     BinoidPresentation,
@@ -90,6 +96,46 @@ class CechComplex:
         }
 
 
+def _cech_complex(simplices, coordinates, restriction) -> CechComplex:
+    """The Čech complex of groups Z^coordinates(J) over an index complex.
+
+    simplices[k] lists the k-simplices J (tuples); coordinates(J) labels
+    the basis of the group at J; restriction(sub, K) yields the (row,
+    column, entry) triples of the map from the group at a facet sub of K
+    into the group at K.  The differential sums (-1)^l times the map from
+    the facet dropping K[l].
+    """
+    labels, offsets = [], {}
+    for k_simplices in simplices:
+        degree = []
+        for J in k_simplices:
+            offsets[J] = len(degree)
+            degree.extend((J, c) for c in coordinates(J))
+        labels.append(tuple(degree))
+    diffs = []
+    for k in range(1, len(simplices)):
+        cols = len(labels[k - 1])
+        rows = [[0] * cols for _ in labels[k]]
+        for K in simplices[k]:
+            for l in range(len(K)):
+                sub = K[:l] + K[l + 1 :]
+                sign = (-1) ** l
+                for a, b, x in restriction(sub, K):
+                    rows[offsets[K] + a][offsets[sub] + b] += sign * x
+        diffs.append(IntMatrix(len(rows), cols, tuple(map(tuple, rows))))
+    return CechComplex(tuple(labels), tuple(diffs))
+
+
+def _same_coordinate(coordinates):
+    """The restriction sending each coordinate of sub to the same one of K."""
+
+    def restriction(sub, K):
+        position = {c: a for a, c in enumerate(coordinates(K))}
+        return [(position[c], b, 1) for b, c in enumerate(coordinates(sub))]
+
+    return restriction
+
+
 # ---------------------------------------------------------------------------
 # simplicial binoids
 
@@ -103,24 +149,8 @@ def picard_complex_simplicial(delta: SimplicialComplex) -> CechComplex:
     """
     if delta.is_void or not delta.vertices:
         raise VoidComplex("need a complex with at least one vertex")
-    labels = []
-    for d in range(delta.dimension + 1):
-        labels.append(tuple((f, v) for f in delta.faces(d) for v in f))
-    diffs = []
-    for d in range(delta.dimension):
-        index = {lab: i for i, lab in enumerate(labels[d])}
-        rows = []
-        for face, v in labels[d + 1]:
-            row = [0] * len(labels[d])
-            for l, dropped in enumerate(face):
-                if dropped == v:
-                    continue
-                sub = face[:l] + face[l + 1 :]
-                if (sub, v) in index:
-                    row[index[(sub, v)]] += (-1) ** l
-            rows.append(row)
-        diffs.append(IntMatrix.from_rows(rows, cols=len(labels[d])))
-    return CechComplex(tuple(labels), tuple(diffs))
+    simplices = [delta.faces(d) for d in range(delta.dimension + 1)]
+    return _cech_complex(simplices, tuple, _same_coordinate(tuple))
 
 
 def local_picard_formula(delta: SimplicialComplex) -> List[FinAbGroup]:
@@ -171,31 +201,14 @@ def pic_open_subset(delta: SimplicialComplex, opens: Set[PrimeIdeal]) -> List[Fi
     faces = [tuple(delta.vertices[i] for i in sup) for sup in supports]
     ccc = delta.crosscut(faces)
 
-    unions = {}
-    labels = []
-    for k in range(ccc.dimension + 1):
-        degree = []
-        for J in ccc.faces(k):
-            merged = sorted(
-                {v for j in J for v in faces[j - 1]}, key=position.get
-            )
-            unions[J] = merged
-            degree.extend((J, v) for v in merged)
-        labels.append(tuple(degree))
-
-    diffs = []
-    for k in range(ccc.dimension):
-        index = {lab: i for i, lab in enumerate(labels[k])}
-        rows = []
-        for J, v in labels[k + 1]:
-            row = [0] * len(labels[k])
-            for l in range(len(J)):
-                sub = J[:l] + J[l + 1 :]
-                if v in unions[sub]:
-                    row[index[(sub, v)]] += (-1) ** l
-            rows.append(row)
-        diffs.append(IntMatrix.from_rows(rows, cols=len(labels[k])))
-    return CechComplex(tuple(labels), tuple(diffs)).cohomology()
+    simplices = [ccc.faces(k) for k in range(ccc.dimension + 1)]
+    unions = {
+        J: sorted({v for j in J for v in faces[j - 1]}, key=position.get)
+        for k_simplices in simplices
+        for J in k_simplices
+    }
+    restriction = _same_coordinate(unions.__getitem__)
+    return _cech_complex(simplices, unions.__getitem__, restriction).cohomology()
 
 
 def stanley_reisner_cohomology(
@@ -247,16 +260,20 @@ def units_of_localization(
     p_F is the largest of them.  For a cancellative binoid the units of M_F
     are spanned by the images of the generators outside p_F.
     """
+    return _units_of_localization(compute_spec(M), gamma, face)
+
+
+def _units_of_localization(
+    S: SpecPoset, gamma: DifferenceGroup, face: Sequence[int]
+) -> UnitSubgroup:
     face = tuple(sorted(face))
-    avoiding = [
-        p for p in compute_spec(M).primes if not set(p.generator_subset) & set(face)
-    ]
+    avoiding = [p for p in S.primes if not set(p.generator_subset) & set(face)]
     if not avoiding:
         raise DegenerateLocalization(
             "no prime avoids the face %s: the localization is zero" % (list(face),)
         )
     largest = avoiding[-1].generator_subset
-    outside = [i for i in range(M.generator_count) if i not in largest]
+    outside = [i for i in range(gamma.images.cols) if i not in largest]
     images = [[row[i] for i in outside] for row in gamma.images.entries]
     basis = column_lattice_basis(IntMatrix.from_rows(images, cols=len(outside)))
     return UnitSubgroup(gamma, basis, face)
@@ -312,37 +329,20 @@ def local_picard_general(M: BinoidPresentation) -> LocalPicardResult:
     _check_cancellative(S, gamma)
     cover = minimal_cover(S, punctured_spectrum(S))
 
-    units: Dict[Tuple[int, ...], UnitSubgroup] = {}
-    for size in range(1, len(cover) + 1):
-        for J in combinations(range(len(cover)), size):
-            face = {i for j in J for i in cover[j]}
-            units[J] = units_of_localization(M, gamma, face)
+    simplices = [
+        list(combinations(range(len(cover)), size)) for size in range(1, len(cover) + 1)
+    ]
+    units = {
+        J: _units_of_localization(S, gamma, {i for j in J for i in cover[j]})
+        for k_simplices in simplices
+        for J in k_simplices
+    }
 
-    labels = []
-    offsets: Dict[Tuple[int, ...], int] = {}
-    for size in range(1, len(cover) + 1):
-        degree = []
-        for J in combinations(range(len(cover)), size):
-            offsets[J] = len(degree)
-            degree.extend((J, t) for t in range(units[J].rank))
-        labels.append(tuple(degree))
+    def restriction(sub, K):
+        block = solve_columns(units[K].basis, units[sub].basis)
+        return [(a, b, x) for a, row in enumerate(block.entries) for b, x in enumerate(row)]
 
-    diffs = []
-    for size in range(1, len(cover)):
-        rows = len(labels[size])
-        cols = len(labels[size - 1])
-        entries = [[0] * cols for _ in range(rows)]
-        for K in combinations(range(len(cover)), size + 1):
-            for l in range(size + 1):
-                J = K[:l] + K[l + 1 :]
-                block = solve_columns(units[K].basis, units[J].basis)
-                sign = (-1) ** l
-                for a in range(block.rows):
-                    for b in range(block.cols):
-                        entries[offsets[K] + a][offsets[J] + b] += sign * block.entry(a, b)
-        diffs.append(IntMatrix.from_rows(entries, cols=cols))
-
-    cech = CechComplex(tuple(labels), tuple(diffs))
+    cech = _cech_complex(simplices, lambda J: range(units[J].rank), restriction)
     return LocalPicardResult(tuple(cech.cohomology()), cech, tuple(cover))
 
 

@@ -139,6 +139,8 @@ def _build_binoid(lines) -> BinoidPresentation:
             raise ParseError("infinity belongs on the right-hand side", line=lineno)
         lhs = _parse_side(lhs_text, index, lineno)
         rhs = None if rhs_text == "inf" else _parse_side(rhs_text, index, lineno)
+        if lhs == rhs:
+            raise ParseError("the two sides of the relation are equal", line=lineno)
         relations.append(Relation(lhs, rhs))
     return BinoidPresentation(tuple(names), tuple(relations))
 

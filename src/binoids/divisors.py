@@ -14,7 +14,7 @@ from typing import List, Optional, Tuple
 
 from .binoid import BinoidPresentation, DifferenceGroup, difference_group
 from .errors import FacetPrimeMismatch, NotFullDimensional, NotPointed
-from .exactalg import FinAbGroup, IntMatrix, cokernel, kernel_basis, smith_normal_form
+from .exactalg import FinAbGroup, IntMatrix, cokernel, invariant_factors, kernel_basis
 from .spectrum import PrimeIdeal, compute_spec, height
 
 
@@ -31,8 +31,10 @@ def cone_facets(gamma: DifferenceGroup) -> List[Tuple[int, ...]]:
     r = gamma.rank
     images = gamma.all_images()
     span = IntMatrix.from_rows([list(v) for v in images], cols=r)
-    if smith_normal_form(span).rank() < r:
+    if len(invariant_factors(span)) < r:
         raise NotFullDimensional("generator images do not span the full lattice")
+    if r == 0:
+        return []  # the zero cone has no facets
 
     normals = set()
     for subset in combinations(range(len(images)), r - 1):
@@ -52,12 +54,12 @@ def cone_facets(gamma: DifferenceGroup) -> List[Tuple[int, ...]]:
         zero_span = IntMatrix.from_rows(
             [list(img) for img, v in zip(images, values) if v == 0], cols=r
         )
-        if smith_normal_form(zero_span).rank() != r - 1:
+        if len(invariant_factors(zero_span)) != r - 1:
             continue
         normals.add(tuple(normal))
 
     dual = IntMatrix.from_rows([list(n) for n in normals], cols=r)
-    if smith_normal_form(dual).rank() < r:
+    if len(invariant_factors(dual)) < r:
         raise NotPointed("generator images contain a line")
     return sorted(normals)
 
@@ -169,7 +171,7 @@ def regular_in_codim1_check(M: BinoidPresentation) -> RegularityReport:
             [list(gamma.image_of(i)) for i, v in enumerate(row) if v == 0],
             cols=gamma.rank,
         )
-        hyperplane = smith_normal_form(zero_span).rank() == gamma.rank - 1
+        hyperplane = len(invariant_factors(zero_span)) == gamma.rank - 1
         evidence.append(PrimeEvidence(prime, witness, hyperplane))
     certified = all(e.witness is not None and e.units_span_hyperplane for e in evidence)
     return RegularityReport("Certified" if certified else "Unknown", tuple(evidence))

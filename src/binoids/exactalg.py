@@ -28,7 +28,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from typing import Iterable, Optional
 
 from .errors import CompositionNonzero
@@ -55,9 +55,8 @@ class IntMatrix:
         for row in self.entries:
             if len(row) != self.cols:
                 raise ValueError("column count mismatch")
-            for x in row:
-                if not isinstance(x, int):
-                    raise ValueError("entries must be exact integers")
+            if not all(map(isinstance, row, repeat(int))):
+                raise ValueError("entries must be exact integers")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], cols: Optional[int] = None) -> "IntMatrix":
@@ -89,13 +88,6 @@ class IntMatrix:
 
     def to_lists(self) -> list:
         return [list(row) for row in self.entries]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.rows)) for j in range(self.cols)),
-        )
 
     def is_zero(self) -> bool:
         return all(x == 0 for row in self.entries for x in row)
@@ -483,27 +475,18 @@ def kernel_basis(A: IntMatrix) -> IntMatrix:
 
 
 def column_lattice_basis(A: IntMatrix) -> IntMatrix:
-    """A basis (as columns) of the subgroup of Z^rows spanned by A's columns."""
-    U, S, _ = _smith(A)
-    diag = [S[i][i] for i in range(min(A.rows, A.cols))]
-    r = sum(1 for d in diag if d != 0)
-    # columns of U^{-1} * S: invert the row operations on the standard basis
-    Uinv = _invert_unimodular_rows(U)
-    data = tuple(tuple(Uinv[i][k] * diag[k] for k in range(r)) for i in range(A.rows))
+    """A basis (as columns) of the subgroup of Z^rows spanned by A's columns.
+
+    U*A*V = S gives A*V = U^-1*S, whose first rank columns are the nonzero
+    invariant factors times columns of the unimodular U^-1.
+    """
+    _, S, V = _smith(A)
+    r = sum(1 for i in range(min(A.rows, A.cols)) if S[i][i] != 0)
+    data = tuple(
+        tuple(sum(a * V[t][k] for t, a in enumerate(row)) for k in range(r))
+        for row in A.entries
+    )
     return IntMatrix(A.rows, r, data)
-
-
-def _invert_unimodular_rows(U: list) -> list:
-    n = len(U)
-    A = IntMatrix.from_rows(U, cols=n)
-    P, S, Q = _smith(A)
-    if any(S[i][i] != 1 for i in range(n)):
-        raise ValueError("matrix is not unimodular")
-    # P*U*Q = I => U^{-1} = Q*P
-    return [
-        [sum(Q[i][k] * P[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
 
 
 def solve_columns(B: IntMatrix, C: IntMatrix) -> IntMatrix:

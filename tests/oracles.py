@@ -178,6 +178,21 @@ def naive_cokernel(rows, cols=None):
     return m - len(nonzero), tuple(d for d in nonzero if d > 1)
 
 
+def same_column_lattice(A, B):
+    """Whether the columns of A and of B span the same subgroup of Z^m.
+
+    A and B are lists of the same m rows.  Both spans lie in the span of
+    [A | B], and a sublattice with the rank and invariant factors of a
+    lattice containing it is all of it, so the spans agree exactly when
+    A, B and [A | B] have the same nonzero invariant factors.
+    """
+    joined = [list(a) + list(b) for a, b in zip(A, B)]
+    factors = [
+        sorted(abs(d) for d in naive_diagonal(rows) if d) for rows in (A, B, joined)
+    ]
+    return factors[0] == factors[1] == factors[2]
+
+
 def naive_complex_cohomology(d_in, d_out, middle_rank):
     """(free_rank, factors) of ker(d_out)/im(d_in) at the middle group Z^middle_rank.
 

@@ -64,6 +64,12 @@ relation: a + d = b + c
 relation: 2 a = c + d
 """
 
+RANK_ZERO = """\
+generators: g0 g1
+relation: g1 + g0 = 2 g0 + 3 g1
+relation: g1 + g0 = 1 g0 + 2 g1
+"""
+
 XYZ_INF = """\
 generators: x y z
 relation: x + y + z = inf
@@ -128,6 +134,12 @@ class TestParsing:
         code, _, err = invoke(capsys, "spec", write(tmp_path, text))
         assert code == 2
         assert "line 2" in err
+
+    def test_relation_with_equal_sides(self, capsys, tmp_path):
+        text = "generators: g0 g1\nrelation: g0 + g1 = 1 g0 + 1 g1\n"
+        code, out, err = invoke(capsys, "picard-general", write(tmp_path, text))
+        assert (code, out) == (2, "")
+        assert err == "error: line 2: the two sides of the relation are equal\n"
 
     def test_bad_coefficient(self, capsys, tmp_path):
         text = "generators: x y\nrelation: x = 1.5 y\n"
@@ -290,6 +302,93 @@ class TestPicardGeneralVerb:
         ]
         assert payload["complex"]["ranks"] == [2, 2]
 
+    @pytest.mark.parametrize(
+        "text, document",
+        [
+            (
+                XY_2Z,
+                {
+                    "complex": {
+                        "differentials": [[[-1, -1], [0, 2]]],
+                        "labels": [[[[0], 0], [[1], 0]], [[[0, 1], 0], [[0, 1], 1]]],
+                        "ranks": [2, 2],
+                    },
+                    "cover": [[0], [1]],
+                    "groups": [
+                        {"free_rank": 0, "torsion": []},
+                        {"free_rank": 0, "torsion": [2]},
+                    ],
+                },
+            ),
+            (
+                XYZW,
+                {
+                    "complex": {
+                        "differentials": [
+                            [[-1, -1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0],
+                             [-1, 0, 0, 0], [0, 0, 1, 0], [-1, 0, 0, 0],
+                             [0, 0, 0, 1], [0, -1, 0, 0], [0, 0, 1, 0],
+                             [0, -1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0],
+                             [0, 0, -1, 0], [0, 0, -1, -1]],
+                            [[1, 0, 0, -1, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0],
+                             [0, 1, 0, 0, -1, 0, 0, 1, 1, 0, 0, 0, 0, 0],
+                             [0, 0, 1, 0, -1, 0, 0, 0, 1, 0, 0, 0, 0, 0],
+                             [1, 0, 0, 0, 0, -1, 0, 0, 0, -1, 0, 0, 0, 0],
+                             [0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0],
+                             [0, 0, 1, 0, 0, 0, 1, 0, 0, 0, -1, 0, 0, 0],
+                             [0, 0, 0, 1, 0, -1, 0, 0, 0, 0, 0, 1, 0, 0],
+                             [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0],
+                             [0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1],
+                             [0, 0, 0, 0, 0, 0, 0, -1, 0, 1, 0, 1, 0, 0],
+                             [0, 0, 0, 0, 0, 0, 0, 1, 1, -1, 0, 0, 1, 0],
+                             [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 1]],
+                            [[-1, 0, 0, 1, 0, 0, -1, 0, 0, 1, 0, 0],
+                             [0, -1, 0, 0, 1, 0, 0, -1, 0, 0, 1, 0],
+                             [0, 0, -1, 0, 0, 1, 0, 0, -1, 0, 0, 1]],
+                        ],
+                        "labels": [
+                            [[[0], 0], [[1], 0], [[2], 0], [[3], 0]],
+                            [[[0, 1], 0], [[0, 1], 1], [[0, 1], 2], [[0, 2], 0],
+                             [[0, 2], 1], [[0, 3], 0], [[0, 3], 1], [[1, 2], 0],
+                             [[1, 2], 1], [[1, 3], 0], [[1, 3], 1], [[2, 3], 0],
+                             [[2, 3], 1], [[2, 3], 2]],
+                            [[[0, 1, 2], 0], [[0, 1, 2], 1], [[0, 1, 2], 2],
+                             [[0, 1, 3], 0], [[0, 1, 3], 1], [[0, 1, 3], 2],
+                             [[0, 2, 3], 0], [[0, 2, 3], 1], [[0, 2, 3], 2],
+                             [[1, 2, 3], 0], [[1, 2, 3], 1], [[1, 2, 3], 2]],
+                            [[[0, 1, 2, 3], 0], [[0, 1, 2, 3], 1], [[0, 1, 2, 3], 2]],
+                        ],
+                        "ranks": [4, 14, 12, 3],
+                    },
+                    "cover": [[0], [1], [2], [3]],
+                    "groups": [
+                        {"free_rank": 0, "torsion": []},
+                        {"free_rank": 1, "torsion": []},
+                        {"free_rank": 0, "torsion": []},
+                        {"free_rank": 0, "torsion": []},
+                    ],
+                },
+            ),
+        ],
+        ids=["x+y=2z", "x+y=z+w"],
+    )
+    def test_json_document(self, capsys, tmp_path, text, document):
+        """The whole document, so a sign or offset slip in a differential shows."""
+        code, out, _ = invoke(capsys, "picard-general", write(tmp_path, text), "--json")
+        assert code == 0
+        assert json.loads(out) == document
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]])
+    def test_rank_zero_difference_group(self, capsys, tmp_path, json_flag):
+        code, out, err = invoke(
+            capsys, "picard-general", write(tmp_path, RANK_ZERO), *json_flag
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: not cancellative: the generators outside the prime <g0> "
+            "are not the generators on a face of the cone\n"
+        )
+
     @pytest.mark.parametrize("n", [7, 12])
     def test_large_torsion_class(self, capsys, tmp_path, n):
         text = "generators: x y z\nrelation: x + y = %d z\n" % n
@@ -432,6 +531,11 @@ class TestClassGroupVerb:
         code, _, err = invoke(capsys, "class-group", write(tmp_path, text))
         assert code == 3
         assert err.startswith("error:")
+
+    def test_rank_zero_difference_group(self, capsys, tmp_path):
+        code, out, err = invoke(capsys, "class-group", write(tmp_path, RANK_ZERO))
+        assert (code, out) == (3, "")
+        assert err == "error: 0 facets against 2 height-1 primes\n"
 
 
 class TestPicOpenVerb:

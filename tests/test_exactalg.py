@@ -11,6 +11,7 @@ from binoids.exactalg import (
     coefficient_cohomology,
     cohomology_of_complex,
     cokernel,
+    column_lattice_basis,
     complex_cohomology,
     invariant_factors,
     smith_normal_form,
@@ -23,6 +24,7 @@ from oracles import (
     naive_complex_cohomology,
     naive_diagonal,
     random_zero_composition,
+    same_column_lattice,
 )
 
 
@@ -236,6 +238,27 @@ class TestInvariantFactors:
             ]
             expected = tuple(d for d in naive_diagonal(rows, cols=n) if d)
             assert invariant_factors(M(rows, cols=n)) == expected
+
+
+class TestColumnLatticeBasis:
+    def test_same_lattice_full_column_rank(self):
+        rng = random.Random(1206)
+        for _ in range(200):
+            m, k, n = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 7)
+            scale = rng.choice([1, 2, 3])
+            # products through Z^k give rank deficiency when k < min(m, n)
+            left = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(m)]
+            right = [[scale * rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+            rows = mat_mul(left, right) if k else [[0] * n for _ in range(m)]
+            B = column_lattice_basis(M(rows, cols=n))
+            assert B.rows == m
+            assert same_column_lattice(rows, B.to_lists())
+            assert len([d for d in naive_diagonal(B.to_lists(), cols=B.cols) if d]) == B.cols
+
+    def test_oracle_tells_lattices_apart(self):
+        assert same_column_lattice([[2, 0], [0, 1]], [[2, 2], [0, 1]])
+        assert not same_column_lattice([[2], [0]], [[1], [0]])
+        assert not same_column_lattice([[1], [0]], [[0], [1]])
 
 
 class TestCohomologyOfComplex:
