@@ -49,6 +49,23 @@ class Relation:
     def is_infinity(self) -> bool:
         return self.rhs is None
 
+    def text(self, names) -> str:
+        """The relation in the input syntax, over these generator names.
+
+        >>> Relation((1, 1, 0), (0, 0, 2)).text(("x", "y", "z"))
+        'x + y = 2 z'
+        """
+
+        def side(vector):
+            terms = [
+                "%s" % name if x == 1 else "%d %s" % (x, name)
+                for name, x in zip(names, vector)
+                if x
+            ]
+            return " + ".join(terms) or "0"
+
+        return "%s = %s" % (side(self.lhs), "inf" if self.rhs is None else side(self.rhs))
+
     def lhs_support(self) -> frozenset:
         return frozenset(i for i, x in enumerate(self.lhs) if x)
 
@@ -165,9 +182,13 @@ def as_simplicial(M: BinoidPresentation) -> SimplicialComplex:
     supports = []
     for rel in M.relations:
         if not rel.is_infinity:
-            raise NotSimplicialPresentation("element relation present")
+            raise NotSimplicialPresentation(
+                "element relation present: %s" % rel.text(M.generator_names)
+            )
         if any(x > 1 for x in rel.lhs):
-            raise NotSimplicialPresentation("relation is not squarefree")
+            raise NotSimplicialPresentation(
+                "relation is not squarefree: %s" % rel.text(M.generator_names)
+            )
         supports.append(rel.lhs_support())
     return _complex_from_nonface_supports(M.generator_names, supports)
 
@@ -177,7 +198,10 @@ def radical_complex(M: BinoidPresentation) -> SimplicialComplex:
     supports = []
     for rel in M.relations:
         if not rel.is_infinity:
-            raise NotMonomialPresentation("element relation present")
+            raise NotMonomialPresentation(
+                "all relations must send a monomial to infinity, not %s"
+                % rel.text(M.generator_names)
+            )
         supports.append(rel.lhs_support())
     return _complex_from_nonface_supports(M.generator_names, supports)
 
@@ -211,8 +235,12 @@ def difference_group(M: BinoidPresentation) -> DifferenceGroup:
     The basis comes from the Smith normal form of the relation lattice,
     so images are reproducible run to run.
     """
-    if not M.is_integral():
-        raise NotIntegral("∞-relation present; the binoid is not integral")
+    for rel in M.relations:
+        if rel.is_infinity:
+            raise NotIntegral(
+                "∞-relation present; the binoid is not integral: %s"
+                % rel.text(M.generator_names)
+            )
     n = M.generator_count
     columns = [
         [l - r for l, r in zip(rel.lhs, rel.rhs)] for rel in M.relations

@@ -13,7 +13,7 @@ a general integral binoid.  Each caller only names the index simplices,
 the basis of the group at each and the restriction maps.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import List, Optional, Sequence, Set, Tuple
 
@@ -28,7 +28,6 @@ from .divisors import cone_facets
 from .errors import (
     DegenerateLocalization,
     NotCancellative,
-    NotMonomialPresentation,
     VoidComplex,
 )
 from .exactalg import (
@@ -36,8 +35,9 @@ from .exactalg import (
     FinAbGroup,
     GroupExpr,
     IntMatrix,
-    check_composition,
-    cohomology_of_complex,
+    _dense,
+    _reduce_complex,
+    _sparse_complex,
     column_lattice_basis,
     solve_columns,
 )
@@ -53,36 +53,37 @@ from .spectrum import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CechComplex:
     """Cochain complex of free groups with a label per coordinate.
 
     Labels in degree j are pairs (face or cover subset, coordinate); the
-    differentials carry the alternating-sign restriction maps.
+    differentials carry the alternating-sign restriction maps.  They are
+    given as IntMatrix or as sparse rows {row: {column: nonzero entry}},
+    kept as sparse rows, and checked once, here, to compose to zero.
     """
 
     labels_by_degree: Tuple[Tuple, ...]
-    differentials: Tuple[IntMatrix, ...]
+    _rows: Tuple[dict, ...] = field(repr=False)
 
-    def __post_init__(self):
-        labels = tuple(tuple(degree) for degree in self.labels_by_degree)
-        diffs = tuple(self.differentials)
+    def __init__(self, labels_by_degree, differentials):
+        labels = tuple(tuple(degree) for degree in labels_by_degree)
+        rows = _sparse_complex([len(degree) for degree in labels], list(differentials))
         object.__setattr__(self, "labels_by_degree", labels)
-        object.__setattr__(self, "differentials", diffs)
-        if len(diffs) != max(len(labels) - 1, 0):
-            raise ValueError("need one differential between consecutive degrees")
-        for j, d in enumerate(diffs):
-            if d.cols != len(labels[j]) or d.rows != len(labels[j + 1]):
-                raise ValueError("differential shape does not match the labels")
-        for a, b in zip(diffs, diffs[1:]):
-            check_composition(a, b)
+        object.__setattr__(self, "_rows", tuple(rows))
 
     @property
     def ranks(self) -> Tuple[int, ...]:
         return tuple(len(degree) for degree in self.labels_by_degree)
 
+    @property
+    def differentials(self) -> Tuple[IntMatrix, ...]:
+        """The differentials as dense matrices, built on each call."""
+        ranks = self.ranks
+        return tuple(_dense(d, ranks[j + 1], ranks[j]) for j, d in enumerate(self._rows))
+
     def cohomology(self) -> List[FinAbGroup]:
-        return cohomology_of_complex(list(self.ranks), list(self.differentials))
+        return _reduce_complex(list(self.ranks), list(self._rows))
 
     def to_json(self) -> dict:
         return {
@@ -101,9 +102,10 @@ def _cech_complex(simplices, coordinates, restriction) -> CechComplex:
 
     simplices[k] lists the k-simplices J (tuples); coordinates(J) labels
     the basis of the group at J; restriction(sub, K) yields the (row,
-    column, entry) triples of the map from the group at a facet sub of K
-    into the group at K.  The differential sums (-1)^l times the map from
-    the facet dropping K[l].
+    column, entry) triples of the nonzero entries of the map from the
+    group at a facet sub of K into the group at K.  The differential sums
+    (-1)^l times the map from the facet dropping K[l]; as these facets
+    differ, their blocks never overlap.
     """
     labels, offsets = [], {}
     for k_simplices in simplices:
@@ -114,15 +116,14 @@ def _cech_complex(simplices, coordinates, restriction) -> CechComplex:
         labels.append(tuple(degree))
     diffs = []
     for k in range(1, len(simplices)):
-        cols = len(labels[k - 1])
-        rows = [[0] * cols for _ in labels[k]]
+        rows = {}
         for K in simplices[k]:
             for l in range(len(K)):
                 sub = K[:l] + K[l + 1 :]
                 sign = (-1) ** l
                 for a, b, x in restriction(sub, K):
-                    rows[offsets[K] + a][offsets[sub] + b] += sign * x
-        diffs.append(IntMatrix(len(rows), cols, tuple(map(tuple, rows))))
+                    rows.setdefault(offsets[K] + a, {})[offsets[sub] + b] = sign * x
+        diffs.append(rows)
     return CechComplex(tuple(labels), tuple(diffs))
 
 
@@ -170,7 +171,12 @@ def local_picard_formula(delta: SimplicialComplex) -> List[FinAbGroup]:
 
 
 def local_picard_cech(delta: SimplicialComplex) -> List[FinAbGroup]:
-    """Same groups as local_picard_formula, by running the Čech complex."""
+    """Same groups as local_picard_formula, by running the Čech complex.
+
+    >>> delta = SimplicialComplex.from_facets([(1, 2, 3), (3, 4)])
+    >>> [str(g) for g in local_picard_cech(delta)]
+    ['0', 'Z', '0']
+    """
     return picard_complex_simplicial(delta).cohomology()
 
 
@@ -340,7 +346,9 @@ def local_picard_general(M: BinoidPresentation) -> LocalPicardResult:
 
     def restriction(sub, K):
         block = solve_columns(units[K].basis, units[sub].basis)
-        return [(a, b, x) for a, row in enumerate(block.entries) for b, x in enumerate(row)]
+        return [
+            (a, b, x) for a, row in enumerate(block.entries) for b, x in enumerate(row) if x
+        ]
 
     cech = _cech_complex(simplices, lambda J: range(units[J].rank), restriction)
     return LocalPicardResult(tuple(cech.cohomology()), cech, tuple(cover))
@@ -380,10 +388,8 @@ def monomial_report(M: BinoidPresentation) -> MonomialReport:
     The radical complex carries the reduced cohomology; degree 1 of the
     reduced part already decides nonvanishing of the Picard group.  The
     unipotent contribution has no finite presentation, so it is reported
-    untouched.
+    untouched.  radical_complex rejects an element relation.
     """
-    if not M.is_monomial():
-        raise NotMonomialPresentation("all relations must send a monomial to infinity")
     delta = radical_complex(M)
     exponents = [rel.lhs for rel in M.relations]
     is_radical = all(

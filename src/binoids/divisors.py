@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 from .binoid import BinoidPresentation, DifferenceGroup, difference_group
 from .errors import FacetPrimeMismatch, NotFullDimensional, NotPointed
 from .exactalg import FinAbGroup, IntMatrix, cokernel, invariant_factors, kernel_basis
-from .spectrum import PrimeIdeal, compute_spec, height
+from .spectrum import PrimeIdeal, compute_spec, height, prime_label
 
 
 def _dot(u: Tuple[int, ...], v: Tuple[int, ...]) -> int:
@@ -99,10 +99,16 @@ def valuation_matrix(M: BinoidPresentation) -> ValuationMatrix:
         values = tuple(_dot(normal, img) for img in images)
         key = PrimeIdeal(tuple(i for i, v in enumerate(values) if v > 0))
         if key in by_prime:
-            raise FacetPrimeMismatch("two facets select the same prime")
+            raise FacetPrimeMismatch(
+                "two facets select the same prime %s" % prime_label(S, key)
+            )
         by_prime[key] = (normal, values)
-    if set(by_prime) != set(height_one):
-        raise FacetPrimeMismatch("facet supports do not match the height-1 primes")
+    for p in height_one:
+        if p not in by_prime:
+            raise FacetPrimeMismatch(
+                "facet supports do not match the height-1 primes: "
+                "no facet selects %s" % prime_label(S, p)
+            )
     ordered = sorted(height_one, key=lambda p: p.generator_subset)
     return ValuationMatrix(
         IntMatrix.from_rows([list(by_prime[p][1]) for p in ordered], cols=len(images)),

@@ -18,9 +18,18 @@ the least fill-in, (row nonzeros - 1) * (column nonzeros - 1); each such
 pivot splits off a factor 1 (Dumas, Saunders and Villard, "On efficient
 sparse integer matrix Smith normal forms", 2001).  Boundary matrices
 are mostly reduced this way.  Second, the block left without unit
-entries goes to the dense Smith normal form.  `cohomology_of_complex`
-checks d_(j+1) * d_j = 0 sparsely once per consecutive pair and reduces
-each differential once.
+entries goes to the dense Smith normal form, of which only the
+diagonal is read.
+
+`cohomology_of_complex` takes the differentials as sparse rows (or
+IntMatrix), checks d_(j+1) * d_j = 0 sparsely once per consecutive pair
+and then reduces the complex as a whole, from d_0 upward.  A unit pivot
+of d_j cancels a summand Z --±1--> Z of the complex (Kaczynski, Mrozek
+and Ślusarek, "Homology computation by reduction of chain complexes",
+1998), which changes the neighbouring differentials only by deleting one
+row of d_(j-1) and one column of d_(j+1).  So every later differential is
+smaller before it is eliminated, and the remainders left for the dense
+Smith normal form are smaller too.
 """
 
 from __future__ import annotations
@@ -368,12 +377,12 @@ def _sparse_rows(A: IntMatrix) -> dict:
     return rows
 
 
-def _eliminate(rows: dict) -> tuple:
-    """The nonzero invariant factors of the matrix with these sparse rows.
+def _eliminate(rows: dict) -> list:
+    """Cancel the unit entries of the matrix with these sparse rows.
 
-    Consumes `rows`.  Unit pivots are taken in order of least fill-in;
-    each splits off a factor 1, and the block they leave goes to
-    `smith_normal_form`.
+    Unit pivots are taken in order of least fill-in.  `rows` is reduced in
+    place to the block they leave, which has no entry ±1; the pivots are
+    returned as (row, column) pairs, each one invariant factor 1.
     """
     cols = {}
     for i, row in rows.items():
@@ -390,7 +399,7 @@ def _eliminate(rows: dict) -> tuple:
     # keys that are skipped when popped
     heap = list(unit_entries((i, j) for i, row in rows.items() for j in row))
     heapq.heapify(heap)
-    units = 0
+    pivots = []
     while heap:
         cost, p, q = heapq.heappop(heap)
         prow = rows.get(p)
@@ -417,17 +426,32 @@ def _eliminate(rows: dict) -> tuple:
                     cols[j].discard(i)
             if not row:
                 del rows[i]
-        units += 1
+        pivots.append((p, q))
         # costs change only in the reduced rows and in the pivot row's columns
         changed = {(i, j) for i in touched if i in rows for j in rows[i]}
         changed.update((i, j) for j in prow for i in cols[j])
         for key in unit_entries(changed):
             heapq.heappush(heap, key)
+    return pivots
+
+
+def _remainder_factors(rows: dict) -> tuple:
+    """The nonzero invariant factors of a block of sparse rows, by the dense Smith form."""
+    if not rows:
+        return ()
     rest = sorted({j for row in rows.values() for j in row})
-    block = IntMatrix.from_rows(
-        [[row.get(j, 0) for j in rest] for row in rows.values()], cols=len(rest)
-    )
-    return (1,) * units + tuple(d for d in smith_normal_form(block).diagonal() if d)
+    block = tuple(tuple(row.get(j, 0) for j in rest) for row in rows.values())
+    _, S, _ = _smith(IntMatrix(len(block), len(rest), block))
+    return tuple(S[i][i] for i in range(min(len(block), len(rest))) if S[i][i])
+
+
+def _dense(rows: dict, m: int, n: int) -> IntMatrix:
+    """The m x n IntMatrix with these sparse rows."""
+    data = [[0] * n for _ in range(m)]
+    for i, row in rows.items():
+        for j, x in row.items():
+            data[i][j] = x
+    return IntMatrix(m, n, tuple(map(tuple, data)))
 
 
 def _nonzero_product_row(inner: dict, outer: dict) -> Optional[int]:
@@ -452,7 +476,8 @@ def invariant_factors(A: IntMatrix) -> tuple:
     >>> invariant_factors(IntMatrix.from_rows([[1, -1], [0, 2]]))
     (1, 2)
     """
-    return _eliminate(_sparse_rows(A))
+    rows = _sparse_rows(A)
+    return (1,) * len(_eliminate(rows)) + _remainder_factors(rows)
 
 
 def cokernel(A: IntMatrix) -> FinAbGroup:
@@ -522,13 +547,72 @@ def solve_columns(B: IntMatrix, C: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(X, cols=a)
 
 
+def _sparse_complex(ranks: list, diffs: list) -> list:
+    """The sparse rows of each differential, once the complex is checked.
+
+    diffs[j] maps Z^ranks[j] -> Z^ranks[j+1], as an IntMatrix or as sparse
+    rows {row: {column: nonzero entry}}, which are kept as given.  Shapes
+    raise ValueError and a nonzero d_(j+1) * d_j raises CompositionNonzero.
+    """
+    if len(diffs) != max(len(ranks) - 1, 0):
+        raise ValueError("need exactly one differential between consecutive groups")
+    sparse = []
+    for j, d in enumerate(diffs):
+        m, n = ranks[j + 1], ranks[j]
+        if isinstance(d, IntMatrix):
+            fits = (d.rows, d.cols) == (m, n)
+            d = _sparse_rows(d)
+        else:
+            fits = all(
+                0 <= i < m and row and 0 <= min(row) and max(row) < n
+                for i, row in d.items()
+            )
+        if not fits:
+            raise ValueError("differential %d does not map Z^%d to Z^%d" % (j, n, m))
+        sparse.append(d)
+    for j in range(1, len(sparse)):
+        r = _nonzero_product_row(sparse[j - 1], sparse[j])
+        if r is not None:
+            raise CompositionNonzero("row %d of d_%d * d_%d is not zero" % (r, j, j - 1))
+    return sparse
+
+
+def _reduce_complex(ranks: list, diffs: list) -> list:
+    """Cohomology of a complex of sparse differentials known to compose to zero.
+
+    A unit entry of d_j at (p, q) splits off the summand Z --±1--> Z of
+    the basis vectors q of degree j and p of degree j + 1 (Kaczynski,
+    Mrozek and Ślusarek, 1998).  Cancelling it turns column p of d_(j+1)
+    and row q of d_(j-1) into integer combinations of the other columns
+    and rows, so they are dropped without changing any invariant factor:
+    the columns before d_(j+1) is eliminated, the rows from the unit-free
+    remainder of d_(j-1) after d_j is.  The remainders then go to the
+    dense Smith normal form.  `diffs` is left as it was.
+    """
+    pivot_counts, remainders, dropped = [], [], ()
+    for d in diffs:
+        rows = {}
+        for i, row in d.items():
+            kept = {j: x for j, x in row.items() if j not in dropped}
+            if kept:
+                rows[i] = kept
+        pivots = _eliminate(rows)
+        if remainders:
+            for _, q in pivots:
+                remainders[-1].pop(q, None)
+        pivot_counts.append(len(pivots))
+        remainders.append(rows)
+        dropped = {p for p, _ in pivots}
+    factors = [()]
+    for units, rows in zip(pivot_counts, remainders):
+        factors.append((1,) * units + _remainder_factors(rows))
+    factors.append(())
+    return [_cohomology(rank, factors[j], factors[j + 1]) for j, rank in enumerate(ranks)]
+
+
 def check_composition(d_in: IntMatrix, d_out: IntMatrix) -> None:
     """Raise CompositionNonzero unless d_out * d_in = 0, multiplying sparsely."""
-    if d_out.cols != d_in.rows:
-        raise ValueError("differentials do not share the middle group")
-    r = _nonzero_product_row(_sparse_rows(d_in), _sparse_rows(d_out))
-    if r is not None:
-        raise CompositionNonzero("row %d of d_out * d_in is not zero" % r)
+    _sparse_complex([d_in.cols, d_in.rows, d_out.rows], [d_in, d_out])
 
 
 def _cohomology(rank: int, factors_in: tuple, factors_out: tuple) -> FinAbGroup:
@@ -542,40 +626,31 @@ def _cohomology(rank: int, factors_in: tuple, factors_out: tuple) -> FinAbGroup:
 def complex_cohomology(d_in: IntMatrix, d_out: IntMatrix) -> FinAbGroup:
     """ker(d_out)/im(d_in) for one position of a complex Z^a -> Z^b -> Z^c.
 
-    For free groups this is Z^(b - rk d_in - rk d_out) plus the torsion
-    of coker d_in, so only the nonzero invariant factors of the two
-    differentials are needed (see invariant_factors).  The composition
-    d_out * d_in is checked to vanish first.
+    The middle group of the three-term complex of cohomology_of_complex;
+    the composition d_out * d_in is checked to vanish first.
 
     >>> d = IntMatrix.from_rows([[1, -1], [0, 2]])
     >>> complex_cohomology(d, IntMatrix.zero(0, 2))
     FinAbGroup(free_rank=0, invariant_factors=(2,))
     """
-    check_composition(d_in, d_out)
-    return _cohomology(d_in.rows, invariant_factors(d_in), invariant_factors(d_out))
+    return cohomology_of_complex([d_in.cols, d_in.rows, d_out.rows], [d_in, d_out])[1]
 
 
 def cohomology_of_complex(ranks: list, diffs: list) -> list:
     """Cohomology groups of a cochain complex given by ranks and differentials.
 
-    diffs[j] maps Z^ranks[j] -> Z^ranks[j+1]; the ends are padded with
-    zero maps.  Each differential is checked against its neighbour and
-    reduced to its invariant factors once.
+    diffs[j] maps Z^ranks[j] -> Z^ranks[j+1], as an IntMatrix or as sparse
+    rows {row: {column: nonzero entry}}; the ends are padded with zero
+    maps.  H^j = Z^(b_j - rk d_(j-1) - rk d_j) ⊕ torsion(coker d_(j-1)).
+    The complex is checked once to compose to zero and then reduced as a
+    whole, from d_0 upward (see the module docstring).
+
+    >>> d0 = {0: {0: 2}, 1: {0: 2}}  # Z -> Z^2, 1 |-> (2, 2)
+    >>> d1 = {0: {0: 1, 1: -1}}  # Z^2 -> Z, (a, b) |-> a - b
+    >>> [str(g) for g in cohomology_of_complex([1, 2, 1], [d0, d1])]
+    ['0', 'Z/2', '0']
     """
-    if len(diffs) != max(len(ranks) - 1, 0):
-        raise ValueError("need exactly one differential between consecutive groups")
-    for j, d in enumerate(diffs):
-        if (d.rows, d.cols) != (ranks[j + 1], ranks[j]):
-            raise ValueError(
-                "differential %d does not map Z^%d to Z^%d" % (j, ranks[j], ranks[j + 1])
-            )
-    sparse = [_sparse_rows(d) for d in diffs]
-    for j in range(1, len(sparse)):
-        r = _nonzero_product_row(sparse[j - 1], sparse[j])
-        if r is not None:
-            raise CompositionNonzero("row %d of d_%d * d_%d is not zero" % (r, j, j - 1))
-    factors = [()] + [_eliminate(rows) for rows in sparse] + [()]
-    return [_cohomology(rank, factors[j], factors[j + 1]) for j, rank in enumerate(ranks)]
+    return _reduce_complex(ranks, _sparse_complex(ranks, diffs))
 
 
 def coefficient_cohomology(h_here: FinAbGroup, h_next: FinAbGroup, symbol: str) -> GroupExpr:

@@ -17,6 +17,7 @@ from .exactalg import (
     GroupExpr,
     IntMatrix,
     TRIVIAL_GROUP,
+    _dense,
     coefficient_cohomology,
     cohomology_of_complex,
 )
@@ -265,6 +266,7 @@ class SimplicialComplex:
     # -- cohomology ----------------------------------------------------------
 
     def _cochain_data(self, reduced: bool):
+        """Ranks and differentials, as sparse rows {row: {column: entry}}."""
         if self.is_void:
             raise VoidComplex("the void complex has no cochain complex")
         start = -1 if reduced else 0
@@ -272,17 +274,14 @@ class SimplicialComplex:
         ranks = [len(self.faces(d)) for d in degrees]
         diffs = []
         for d in degrees[:-1]:
-            sources = self.faces(d)
-            targets = self.faces(d + 1)
-            index = {f: i for i, f in enumerate(sources)}
-            rows = []
-            for target in targets:
-                row = [0] * len(sources)
-                for l in range(len(target)):
-                    sub = target[:l] + target[l + 1 :]
-                    row[index[sub]] += (-1) ** l
-                rows.append(row)
-            diffs.append(IntMatrix.from_rows(rows, cols=len(sources)))
+            index = {f: i for i, f in enumerate(self.faces(d))}
+            diffs.append({
+                t: {
+                    index[target[:l] + target[l + 1 :]]: (-1) ** l
+                    for l in range(len(target))
+                }
+                for t, target in enumerate(self.faces(d + 1))
+            })
         return ranks, diffs
 
     def cochain_complex(self, reduced: bool = False) -> List[IntMatrix]:
@@ -291,7 +290,8 @@ class SimplicialComplex:
         Faces are ordered lexicographically; the coefficient of a vertex
         omitted at position l is (-1)^l.
         """
-        return self._cochain_data(reduced)[1]
+        ranks, diffs = self._cochain_data(reduced)
+        return [_dense(d, ranks[j + 1], ranks[j]) for j, d in enumerate(diffs)]
 
     def cohomology(self, reduced: bool = False) -> List[FinAbGroup]:
         """H^j for j = 0..dim (reduced: from j = -1)."""

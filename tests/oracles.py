@@ -339,6 +339,38 @@ def random_zero_composition(rng, a, b, c, split):
     return d_in, d_out
 
 
+def random_cochain_complex(rng, length, max_pieces=3, multipliers=(0, 1, -1, 2, 3)):
+    """A random cochain complex Z^r_0 -> ... -> Z^r_(length-1) with known summands.
+
+    It is a direct sum of elementary complexes, up to max_pieces of them
+    starting in each degree j: Z alone in degree j (multiplier None), or
+    Z --m--> Z from degree j to j + 1 with m drawn from `multipliers`.
+    Each group is then conjugated by a random unimodular T_j, so
+    d_j = T_(j+1) * D_j * T_j^-1 hides the summands but still composes to
+    zero.  Returns (ranks, diffs, pieces): diffs[j] is a list of rows
+    (r_(j+1) x r_j) and pieces the (degree, multiplier) of each summand.
+    """
+    pieces = []
+    for j in range(length):
+        for _ in range(rng.randint(0, max_pieces)):
+            lone = j + 1 == length or rng.random() < 0.2
+            pieces.append((j, None if lone else rng.choice(multipliers)))
+    ranks = [0] * length
+    ends = []
+    for j, m in pieces:
+        ends.append((ranks[j], None if m is None else ranks[j + 1]))
+        ranks[j] += 1
+        if m is not None:
+            ranks[j + 1] += 1
+    D = [[[0] * ranks[j] for _ in range(ranks[j + 1])] for j in range(length - 1)]
+    for (j, m), (source, target) in zip(pieces, ends):
+        if m is not None:
+            D[j][target][source] = m
+    T = [random_unimodular(rng, r) for r in ranks]
+    diffs = [mat_mul(mat_mul(T[j + 1][0], D[j]), T[j][1]) for j in range(length - 1)]
+    return ranks, diffs, pieces
+
+
 def random_facets(rng, max_vertices=7):
     """Random facet list on vertices 1..n; includes low-dimensional pieces."""
     n = rng.randint(1, max_vertices)

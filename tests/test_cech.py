@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from binoids.binoid import (
     BinoidPresentation,
@@ -63,6 +64,28 @@ from oracles import make_rng, random_facets
 
 def cx(facets):
     return SimplicialComplex.from_facets(facets)
+
+
+# complexes on up to 7 vertices, and cones over RP^2 with the 7 vertices
+# relabelled, whose Z/2 in degree 3 goes through the dense remainder
+drawn_complexes = st.one_of(
+    st.integers(1, 7).flatmap(
+        lambda n: st.lists(
+            st.sets(st.integers(1, n), min_size=1, max_size=4).map(sorted).map(tuple),
+            min_size=1,
+            max_size=n + 2,
+        )
+    ),
+    st.permutations(range(1, 8)).map(
+        lambda order: [tuple(order[v - 1] for v in f) for f in CONE_RP2_FACETS]
+    ),
+).map(cx)
+
+
+def punctured(delta):
+    S = compute_spec(from_simplicial(delta))
+    full = tuple(range(len(delta.vertices)))
+    return {p for p in S.primes if p.generator_subset != full}
 
 
 def free_gamma(n):
@@ -225,6 +248,11 @@ class TestLocalPicardCech:
             delta = cx(random_facets(rng, 6))
             assert local_picard_cech(delta) == local_picard_formula(delta)
 
+    @settings(max_examples=40, deadline=None)
+    @given(drawn_complexes)
+    def test_matches_formula_on_drawn_complexes(self, delta):
+        assert local_picard_cech(delta) == local_picard_formula(delta)
+
     def test_matches_formula_with_torsion(self):
         delta = cx(CONE_RP2_FACETS)
         assert local_picard_cech(delta) == local_picard_formula(delta)
@@ -305,10 +333,12 @@ class TestPicOpenSubset:
         rng = make_rng(25)
         for _ in range(15):
             delta = cx(random_facets(rng, 6))
-            S = compute_spec(from_simplicial(delta))
-            full = tuple(range(len(delta.vertices)))
-            U = {p for p in S.primes if p.generator_subset != full}
-            assert pic_open_subset(delta, U) == local_picard_formula(delta)
+            assert pic_open_subset(delta, punctured(delta)) == local_picard_formula(delta)
+
+    @settings(max_examples=40, deadline=None)
+    @given(drawn_complexes)
+    def test_punctured_spectrum_on_drawn_complexes(self, delta):
+        assert pic_open_subset(delta, punctured(delta)) == local_picard_formula(delta)
 
     def test_weil_locus_of_curves_gives_local_picard(self):
         rng = make_rng(26)

@@ -672,6 +672,47 @@ class TestMonomialReportVerb:
         assert code == 3
 
 
+class TestPreconditionDiagnostics:
+    """A precondition error names the relation or prime at fault, on one line."""
+
+    @pytest.mark.parametrize(
+        "verb, text, message",
+        [
+            ("picard", XY_2Z, "element relation present: x + y = 2 z"),
+            (
+                "sr-cohomology",
+                "generators: x y z\nrelation: x + 2 z = inf\n",
+                "relation is not squarefree: x + 2 z = inf",
+            ),
+            (
+                "monomial-report",
+                XYZW,
+                "all relations must send a monomial to infinity, not x + y = z + w",
+            ),
+            (
+                "class-group",
+                XYZ_INF,
+                "∞-relation present; the binoid is not integral: x + y + z = inf",
+            ),
+            (
+                "picard-general",
+                XYZ_INF,
+                "∞-relation present; the binoid is not integral: x + y + z = inf",
+            ),
+            (
+                "class-group",
+                NOT_CANCELLATIVE,
+                "facet supports do not match the height-1 primes: no facet selects <a,c>",
+            ),
+        ],
+        ids=["element", "squarefree", "monomial", "integral-cl", "integral-pic", "facets"],
+    )
+    def test_names_the_culprit(self, capsys, tmp_path, verb, text, message):
+        code, out, err = invoke(capsys, verb, write(tmp_path, text))
+        assert (code, out) == (3, "")
+        assert err == "error: %s\n" % message
+
+
 class TestFlagValidation:
     def test_unknown_verb(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "frobnicate", write(tmp_path, XY_2Z))

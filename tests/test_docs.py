@@ -9,7 +9,7 @@ import pytest
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 # the modules whose docstrings carry examples
-MODULES = ["binoids.exactalg", "binoids.simplicial", "binoids.binoid"]
+MODULES = ["binoids.exactalg", "binoids.simplicial", "binoids.binoid", "binoids.cech"]
 
 
 @pytest.mark.parametrize("name", MODULES)

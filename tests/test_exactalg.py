@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from binoids import exactalg
 from binoids.errors import CompositionNonzero
 from binoids.exactalg import (
     FinAbGroup,
@@ -23,6 +24,7 @@ from oracles import (
     minor_gcd_invariant_factors,
     naive_complex_cohomology,
     naive_diagonal,
+    random_cochain_complex,
     random_zero_composition,
     same_column_lattice,
 )
@@ -286,6 +288,81 @@ class TestCohomologyOfComplex:
         d1 = M([[1, 1]])
         with pytest.raises(CompositionNonzero):
             cohomology_of_complex([1, 2, 1], [d0, d1])
+
+
+class TestComplexWideCancellation:
+    """Unit pivots cancelled across the whole complex, from d_0 upward."""
+
+    def check(self, ranks, diffs, pieces):
+        groups = cohomology_of_complex(
+            ranks, [M(d, cols=ranks[j]) for j, d in enumerate(diffs)]
+        )
+        got = [(g.free_rank, g.invariant_factors) for g in groups]
+        padded = [[]] + diffs + [[]]
+        naive = [
+            naive_complex_cohomology(padded[j], padded[j + 1], rank)
+            for j, rank in enumerate(ranks)
+        ]
+        assert got == naive
+        # the summands give the groups directly: Z for a lone Z and for each
+        # end of Z --0--> Z, Z/m at the target of Z --m--> Z for m = 2, 3
+        summands = []
+        for j in range(len(ranks)):
+            free = sum(1 for piece in pieces if piece in ((j, None), (j, 0), (j - 1, 0)))
+            torsion = [m for i, m in pieces if i == j - 1 and m in (2, 3)]
+            g = FinAbGroup.from_torsion(torsion, free)
+            summands.append((g.free_rank, g.invariant_factors))
+        assert got == summands
+
+    def test_matches_naive_oracle(self):
+        rng = random.Random(1207)
+        for _ in range(60):
+            self.check(*random_cochain_complex(rng, rng.randint(4, 6)))
+
+    def test_unit_pivots_beside_non_unit_remainders(self):
+        # a ±1 summand of d_j next to a 2 or 3 summand of d_(j-1) or d_(j+1):
+        # the pivots of d_j then drop rows of a remainder left by d_(j-1)
+        # and columns of d_(j+1) that has entries other than ±1
+        rng = random.Random(1208)
+        seen = 0
+        while seen < 40:
+            ranks, diffs, pieces = random_cochain_complex(rng, rng.randint(4, 6))
+            units = {j for j, m in pieces if m in (1, -1)}
+            others = {j for j, m in pieces if m in (2, 3)}
+            if any(j - 1 in others or j + 1 in others for j in units):
+                seen += 1
+                self.check(ranks, diffs, pieces)
+
+    @pytest.mark.parametrize(
+        "diffs, groups",
+        [
+            # d_0: 1 -> (2, 2) has no unit; the pivot of d_1: (a, b) -> a - b
+            # drops one of the two rows of d_0's remainder
+            ([{0: {0: 2}, 1: {0: 2}}, {0: {0: 1, 1: -1}}], ["0", "Z/2", "0"]),
+            # the pivot of d_0: 1 -> (1, 1) drops a column of d_1: (a, b) -> 2a - 2b
+            ([{0: {0: 1}, 1: {0: 1}}, {0: {0: 2, 1: -2}}], ["0", "0", "Z/2"]),
+        ],
+        ids=["rows", "columns"],
+    )
+    def test_dense_remainder_is_what_cancellation_leaves(self, monkeypatch, diffs, groups):
+        shapes = []
+        smith = exactalg._smith
+
+        def recording(A):
+            shapes.append((A.rows, A.cols))
+            return smith(A)
+
+        monkeypatch.setattr(exactalg, "_smith", recording)
+        assert [str(g) for g in cohomology_of_complex([1, 2, 1], diffs)] == groups
+        assert shapes == [(1, 1)]
+
+    def test_sparse_rows_checked(self):
+        with pytest.raises(ValueError):
+            cohomology_of_complex([1, 2], [{2: {0: 1}}])
+        with pytest.raises(ValueError):
+            cohomology_of_complex([1, 2], [{0: {1: 1}}])
+        with pytest.raises(CompositionNonzero):
+            cohomology_of_complex([1, 2, 1], [{0: {0: 1}}, {0: {0: 1, 1: 1}}])
 
 
 class TestFinAbGroup:
