@@ -99,9 +99,6 @@ class BinoidPresentation:
     def generator_count(self) -> int:
         return len(self.generator_names)
 
-    def is_monomial(self) -> bool:
-        return all(rel.is_infinity for rel in self.relations)
-
     def is_integral(self) -> bool:
         return not any(rel.is_infinity for rel in self.relations)
 

@@ -5,6 +5,7 @@ lives here; the library modules only ever see built values.
 """
 
 import argparse
+import functools
 import json
 import sys
 from typing import List, Optional, Tuple
@@ -35,20 +36,6 @@ from .spectrum import (
     primes_of_height_at_most,
     punctured_spectrum,
     to_dot,
-)
-
-VERBS = (
-    "spec",
-    "dot",
-    "picard",
-    "picard-general",
-    "cohomology",
-    "sr-cohomology",
-    "class-group",
-    "pic-open",
-    "nerve",
-    "link",
-    "monomial-report",
 )
 
 _GROUP_VERBS = {"picard", "picard-general", "cohomology", "sr-cohomology", "pic-open"}
@@ -440,20 +427,22 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _parse_args(argv):
+@functools.lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="binoids",
         description="Spectra, Picard groups, and class groups of "
         "finitely presented binoids.",
     )
-    parser.add_argument("verb", choices=VERBS, metavar="VERB")
+    parser.add_argument("verb", choices=tuple(_HANDLERS), metavar="VERB")
     parser.add_argument("path", metavar="FILE")
     parser.add_argument("labels", nargs="*", metavar="LABEL")
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     parser.add_argument("--dot", action="store_true", help="DOT output (spec only)")
     parser.add_argument("--reduced", action="store_true", help="reduced cohomology")
     parser.add_argument("--degree", type=int, metavar="J", help="print one degree")
-    return parser.parse_args(argv)
+    return parser
 
 
 def _validate(ns):
@@ -477,7 +466,7 @@ def _validate(ns):
 
 def main(argv: Optional[List[str]] = None) -> int:
     try:
-        ns = _parse_args(argv)
+        ns = _parser().parse_args(argv)
         _validate(ns)
         text = _HANDLERS[ns.verb](ns, load_input(ns.path))
     except SystemExit as e:  # argparse --help

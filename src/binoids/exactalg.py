@@ -13,10 +13,11 @@ Z^a --d_in--> Z^b --d_out--> Z^c,
 
 and the rank and the cokernel torsion are read off the nonzero invariant
 factors.  `invariant_factors` finds them in two phases.  First, on a
-dict-of-rows copy, it eliminates entries equal to ±1, always the one with
-the least fill-in, (row nonzeros - 1) * (column nonzeros - 1); each such
-pivot splits off a factor 1 (Dumas, Saunders and Villard, "On efficient
-sparse integer matrix Smith normal forms", 2001).  Boundary matrices
+dict-of-rows copy, it eliminates entries equal to ±1, least fill-in
+(row nonzeros - 1) * (column nonzeros - 1) first (Markowitz, 1957), with
+costs refreshed lazily as entries come off a heap; each such pivot splits
+off a factor 1 (Dumas, Saunders and Villard, "On efficient sparse integer
+matrix Smith normal forms", 2001).  Boundary matrices
 are mostly reduced this way.  Second, the block left without unit
 entries goes to the dense Smith normal form, of which only the
 diagonal is read.
@@ -380,24 +381,22 @@ def _sparse_rows(A: IntMatrix) -> dict:
 def _eliminate(rows: dict) -> list:
     """Cancel the unit entries of the matrix with these sparse rows.
 
-    Unit pivots are taken in order of least fill-in.  `rows` is reduced in
-    place to the block they leave, which has no entry ±1; the pivots are
-    returned as (row, column) pairs, each one invariant factor 1.
+    Unit pivots are taken in order of least fill-in, re-costed when popped.
+    `rows` is reduced in place to the block they leave, which has no entry
+    ±1; the pivots are returned as (row, column) pairs, each one invariant
+    factor 1.
     """
     cols = {}
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
-
-    def unit_entries(entries):
-        for i, j in entries:
-            x = rows[i][j]
-            if x == 1 or x == -1:
-                yield ((len(rows[i]) - 1) * (len(cols[j]) - 1), i, j)
-
-    # the heap holds the current cost of every unit entry, among stale
-    # keys that are skipped when popped
-    heap = list(unit_entries((i, j) for i, row in rows.items() for j in row))
+    # a key per unit entry, maybe stale: pushed back when popped if its cost grew
+    heap = [
+        ((len(row) - 1) * (len(cols[j]) - 1), i, j)
+        for i, row in rows.items()
+        for j, x in row.items()
+        if x == 1 or x == -1
+    ]
     heapq.heapify(heap)
     pivots = []
     while heap:
@@ -405,33 +404,32 @@ def _eliminate(rows: dict) -> list:
         prow = rows.get(p)
         if prow is None or prow.get(q) not in (1, -1):
             continue
-        if cost != (len(prow) - 1) * (len(cols[q]) - 1):
+        now = (len(prow) - 1) * (len(cols[q]) - 1)
+        if now > cost:
+            heapq.heappush(heap, (now, p, q))
             continue
         del rows[p]
         for j in prow:
             cols[j].discard(p)
         sign = prow.pop(q)
-        touched = cols.pop(q)
-        for i in touched:
+        for i in cols.pop(q):
             row = rows[i]
             f = row.pop(q) * sign
             for j, v in prow.items():
-                x = row.get(j, 0) - f * v
+                old = row.get(j, 0)
+                x = old - f * v
                 if x:
-                    if j not in row:
+                    if not old:
                         cols[j].add(i)
                     row[j] = x
+                    if (x == 1 or x == -1) and old not in (1, -1):
+                        heapq.heappush(heap, ((len(row) - 1) * (len(cols[j]) - 1), i, j))
                 else:
                     del row[j]
                     cols[j].discard(i)
             if not row:
                 del rows[i]
         pivots.append((p, q))
-        # costs change only in the reduced rows and in the pivot row's columns
-        changed = {(i, j) for i in touched if i in rows for j in rows[i]}
-        changed.update((i, j) for j in prow for i in cols[j])
-        for key in unit_entries(changed):
-            heapq.heappush(heap, key)
     return pivots
 
 

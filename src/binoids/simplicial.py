@@ -211,22 +211,26 @@ class SimplicialComplex:
     # -- derived complexes --------------------------------------------------
 
     def link(self, face: Sequence) -> "SimplicialComplex":
-        """Faces G disjoint from `face` with face ∪ G in the complex."""
+        """Faces G disjoint from `face` with face ∪ G in the complex.
+
+        Read off this complex's facets and cached faces that contain `face`,
+        which stay sorted when `face` is removed from them.
+        """
         face = tuple(face)
         if not self.has_face(face):
             raise NotAFace("%r is not a face" % (face,))
         if not face:
             return self
         fset = set(face)
-        link_faces = [
-            tuple(v for v in g if v not in fset)
-            for g in self.all_faces()
-            if fset <= set(g)
-        ]
-        vertices = [v for v in self.vertices if any(v in g for g in link_faces)]
-        if not link_faces:
-            return SimplicialComplex.void()
-        return SimplicialComplex.make(vertices, link_faces)
+
+        def strip(faces):
+            return [tuple(v for v in g if v not in fset) for g in faces if fset.issubset(g)]
+
+        closure = {d - len(face): strip(faces) for d, faces in self._faces_by_dim().items()}
+        vertices = tuple(v for (v,) in closure.get(0, ()))
+        linked = SimplicialComplex(vertices, tuple(strip(self.facets)))
+        object.__setattr__(linked, "_closure", closure)
+        return linked
 
     def restriction(self, subset: Iterable) -> "SimplicialComplex":
         """The faces contained in the given vertex subset."""
@@ -270,19 +274,19 @@ class SimplicialComplex:
         if self.is_void:
             raise VoidComplex("the void complex has no cochain complex")
         start = -1 if reduced else 0
-        degrees = list(range(start, self.dimension + 1))
-        ranks = [len(self.faces(d)) for d in degrees]
+        by_dim = self._faces_by_dim()
+        faces = [by_dim.get(d, []) for d in range(start, self.dimension + 1)]
         diffs = []
-        for d in degrees[:-1]:
-            index = {f: i for i, f in enumerate(self.faces(d))}
+        for sources, targets in zip(faces, faces[1:]):
+            index = {f: i for i, f in enumerate(sources)}
             diffs.append({
                 t: {
                     index[target[:l] + target[l + 1 :]]: (-1) ** l
                     for l in range(len(target))
                 }
-                for t, target in enumerate(self.faces(d + 1))
+                for t, target in enumerate(targets)
             })
-        return ranks, diffs
+        return [len(f) for f in faces], diffs
 
     def cochain_complex(self, reduced: bool = False) -> List[IntMatrix]:
         """Differentials of the (reduced) integer cochain complex.

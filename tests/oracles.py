@@ -435,6 +435,12 @@ def brute_faces(facets):
     return {frozenset(c) for f in facets for c in all_subsets(f)}
 
 
+def brute_link(facets, face):
+    """The faces G disjoint from `face` with G ∪ face a face, as frozensets."""
+    face = frozenset(face)
+    return {g - face for g in brute_faces(facets) if face <= g}
+
+
 def brute_minimal_nonfaces(vertices, facets):
     """Minimal non-faces with at least two vertices, as tuples of positions.
 

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -493,6 +493,28 @@ class TestLocalPicardGeneral:
             (Relation((2, 0, 0, 1), (0, 0, 2, 0)), Relation((1, 0, 3, 0), (0, 2, 0, 0))),
         )
         assert local_picard_general(M).groups[1] == FinAbGroup(0, (4,))
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_cone_over_rational_normal_curve(self, d):
+        # g_i + g_j = g_k + g_l whenever i + j = k + l; Cl = Z/d classically
+        def vector(pair):
+            v = [0] * (d + 1)
+            for i in pair:
+                v[i] += 1
+            return tuple(v)
+
+        pairs = [(i, j) for i in range(d + 1) for j in range(i, d + 1)]
+        M = BinoidPresentation(
+            tuple("g%d" % i for i in range(d + 1)),
+            tuple(
+                Relation(vector(a), vector(b))
+                for a, b in combinations(pairs, 2)
+                if sum(a) == sum(b)
+            ),
+        )
+        expected = FinAbGroup.from_torsion([d])
+        assert class_group(M) == expected
+        assert local_picard_general(M).groups[1] == expected
 
     def test_inclusion_blocks_injective(self):
         result = local_picard_general(xyzw())

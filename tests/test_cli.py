@@ -781,17 +781,35 @@ class TestFlagValidation:
         assert first == second
 
 
+def run_alone(*args):
+    """Run the command line in a fresh interpreter; return (exit code, stdout)."""
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(binoids.__file__))
+    paths = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    proc = subprocess.run(
+        [sys.executable, "-m", "binoids.cli", *args],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p)),
+    )
+    return proc.returncode, proc.stdout
+
+
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
-        path = write(tmp_path, XY_4Z)
-        # the child imports the same package as this process, installed or not
-        src = os.path.dirname(os.path.dirname(binoids.__file__))
-        paths = [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
-        proc = subprocess.run(
-            [sys.executable, "-m", "binoids.cli", "class-group", path],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p)),
-        )
-        assert proc.returncode == 0
-        assert proc.stdout == "Z/4\n"
+        assert run_alone("class-group", write(tmp_path, XY_4Z)) == (0, "Z/4\n")
+
+    def test_consecutive_calls_match_fresh_processes(self, capsys, tmp_path):
+        # the parser is built once per process; no flag may leak into the next call
+        path = write(tmp_path, FAVOURITE_CPLX)
+        calls = [
+            ["spec", path, "--json"],
+            ["spec", path],
+            ["picard", path, "--dot"],
+            ["cohomology", path, "--reduced", "--degree", "-1"],
+            ["cohomology", path],
+            ["link", path, "3"],
+        ]
+        in_process = [invoke(capsys, *argv)[:2] for argv in calls]
+        assert in_process == [run_alone(*argv) for argv in calls]
+        assert in_process[2][0] == 2

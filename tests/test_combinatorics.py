@@ -6,7 +6,7 @@ instead and never import the package.
 """
 
 import json
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +20,7 @@ from binoids.binoid import (
 )
 from binoids.cech import pic_open_subset
 from binoids.cli import main
-from binoids.errors import NotOpen
+from binoids.errors import NotAFace, NotOpen
 from binoids.simplicial import SimplicialComplex
 from binoids.spectrum import (
     compute_spec,
@@ -39,6 +39,7 @@ from oracles import (
     brute_crosscut,
     brute_faces,
     brute_heights,
+    brute_link,
     brute_minimal_nonfaces,
     brute_nerve,
     brute_spectrum,
@@ -197,6 +198,36 @@ class TestCrosscutAndNerveAgainstSubsetScan:
         expected = brute_nerve(spec_tuples(S), cover)
         assert {f for f in N.all_faces() if f} == expected
         assert N.vertices == tuple(sorted({i for f in expected for i in f}))
+
+
+class TestLinkAgainstSubsetScan:
+    @settings(max_examples=80, deadline=None)
+    @given(complexes(), st.data())
+    def test_link(self, c, data):
+        """Facets, vertices and every dimension's faces, which the link seeds
+        from this complex's faces instead of closing its facets again."""
+        faces = brute_faces(c.facets)
+        position = {v: i for i, v in enumerate(c.vertices)}
+
+        def key(f):
+            return sorted(position[v] for v in f)
+
+        small = sorted((f for f in faces if 1 <= len(f) <= 3), key=key)
+        face = data.draw(st.permutations(list(data.draw(st.sampled_from(small)))))
+        link = c.link(face)
+        expected = brute_link(c.facets, face)
+        maximal = [g for g in expected if not any(g < h for h in expected)]
+        assert list(link.facets) == [tuple(sorted(g, key=position.get)) for g in sorted(maximal, key=key)]
+        assert link.vertices == tuple(v for v in c.vertices if frozenset([v]) in expected)
+        for d in range(-2, c.dimension + 2):
+            sized = sorted((g for g in expected if len(g) == d + 1), key=key)
+            assert link.faces(d) == [tuple(sorted(g, key=position.get)) for g in sized]
+        nonfaces = [
+            f for k in (1, 2, 3) for f in combinations(c.vertices, k) if frozenset(f) not in faces
+        ]
+        if nonfaces:
+            with pytest.raises(NotAFace):
+                c.link(data.draw(st.sampled_from(nonfaces)))
 
 
 def cross_polytope_boundary(d):

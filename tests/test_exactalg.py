@@ -242,6 +242,14 @@ class TestInvariantFactors:
             assert invariant_factors(M(rows, cols=n)) == expected
 
 
+    def test_unit_made_by_fill_in_is_a_pivot(self):
+        # the first pivot turns the entry 2 into 1, which must then be taken too
+        rows = {0: {0: 1, 1: 1}, 1: {0: 1, 1: 2}}
+        assert len(exactalg._eliminate(rows)) == 2
+        assert rows == {}
+        assert invariant_factors(M([[1, 1], [1, 2]])) == (1, 1)
+
+
 class TestColumnLatticeBasis:
     def test_same_lattice_full_column_rank(self):
         rng = random.Random(1206)
