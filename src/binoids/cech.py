@@ -201,7 +201,12 @@ def pic_open_subset(delta: SimplicialComplex, opens: Set[PrimeIdeal]) -> List[Fi
     one Z^(union of faces) per crosscut k-face.  Degree 1 is Pic of the
     open set.
     """
-    S = compute_spec(from_simplicial(delta))
+    return _pic_open_subset(compute_spec(from_simplicial(delta)), delta, opens)
+
+
+def _pic_open_subset(
+    S: SpecPoset, delta: SimplicialComplex, opens: Set[PrimeIdeal]
+) -> List[FinAbGroup]:
     supports = minimal_cover(S, opens)
     position = {v: i for i, v in enumerate(delta.vertices)}
     faces = [tuple(delta.vertices[i] for i in sup) for sup in supports]

@@ -17,10 +17,10 @@ from .binoid import (
     from_simplicial,
 )
 from .cech import (
+    _pic_open_subset,
     local_picard_formula,
     local_picard_general,
     monomial_report,
-    pic_open_subset,
     stanley_reisner_cohomology,
 )
 from .divisors import class_group
@@ -354,7 +354,7 @@ def _run_pic_open(ns, obj):
     delta = _as_complex(obj)
     S = compute_spec(from_simplicial(delta))
     weil = primes_of_height_at_most(S, 1) & punctured_spectrum(S)
-    groups = pic_open_subset(delta, weil)
+    groups = _pic_open_subset(S, delta, weil)
     if ns.json:
         return _dump(_groups_payload(groups))
     return _format_degrees([str(g) for g in groups], 0, ns.degree)

@@ -4,10 +4,16 @@ Faces are tuples of vertex labels sorted by their position in the
 complex's vertex order.  The void complex (no faces at all) and the
 empty complex {∅} are distinct values: the latter has the empty face,
 the former nothing.
+
+Cohomology is read off the cochains outside the closed star of one vertex
+w: st w is a cone, so the pair's long exact sequence gives
+H~^j(Δ) ≅ H^j(Δ, st w) over Z (a coreduction in the sense of Mrozek and
+Batko, 2009, and Kaczynski, Mrozek and Ślusarek, 1998).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -269,23 +275,23 @@ class SimplicialComplex:
 
     # -- cohomology ----------------------------------------------------------
 
-    def _cochain_data(self, reduced: bool):
-        """Ranks and differentials, as sparse rows {row: {column: entry}}."""
+    def _cochain_data(self, reduced: bool, omitted=frozenset()):
+        """Ranks and differentials, as sparse rows {row: {column: entry}},
+        on the faces outside `omitted`, a subcomplex; empty rows are dropped."""
         if self.is_void:
             raise VoidComplex("the void complex has no cochain complex")
         start = -1 if reduced else 0
         by_dim = self._faces_by_dim()
-        faces = [by_dim.get(d, []) for d in range(start, self.dimension + 1)]
+        faces = [
+            [f for f in by_dim.get(d, []) if f not in omitted]
+            for d in range(start, self.dimension + 1)
+        ]
         diffs = []
         for sources, targets in zip(faces, faces[1:]):
             index = {f: i for i, f in enumerate(sources)}
-            diffs.append({
-                t: {
-                    index[target[:l] + target[l + 1 :]]: (-1) ** l
-                    for l in range(len(target))
-                }
-                for t, target in enumerate(targets)
-            })
+            boundaries = ((index.get(t[:l] + t[l + 1 :]) for l in range(len(t))) for t in targets)
+            rows = ({i: (-1) ** l for l, i in enumerate(b) if i is not None} for b in boundaries)
+            diffs.append({t: row for t, row in enumerate(rows) if row})
         return [len(f) for f in faces], diffs
 
     def cochain_complex(self, reduced: bool = False) -> List[IntMatrix]:
@@ -298,9 +304,22 @@ class SimplicialComplex:
         return [_dense(d, ranks[j + 1], ranks[j]) for j, d in enumerate(diffs)]
 
     def cohomology(self, reduced: bool = False) -> List[FinAbGroup]:
-        """H^j for j = 0..dim (reduced: from j = -1)."""
-        ranks, diffs = self._cochain_data(reduced)
-        return cohomology_of_complex(ranks, diffs)
+        """H^j for j = 0..dim (reduced: from j = -1).
+
+        Read off C*(Δ, st w), w the vertex in the most facets (first on
+        ties): st w is a cone, so H~^j(Δ) ≅ H^j(Δ, st w) over Z, torsion
+        included; unreduced, H^0 gains a Z.  Void and {∅} keep the whole complex.
+        """
+        star = set()
+        if self.vertices:
+            in_facets = Counter(v for f in self.facets for v in f)
+            w = max(self.vertices, key=in_facets.__getitem__)
+            star = {f for faces in self._faces_by_dim().values() for f in faces if w in f}
+            star |= {tuple(v for v in f if v != w) for f in star}
+        groups = cohomology_of_complex(*self._cochain_data(reduced, star))
+        if star and not reduced:
+            groups[0] = FinAbGroup(groups[0].free_rank + 1)
+        return groups
 
     def cohomology_with_coefficients(
         self, symbol: str, reduced: bool = False

@@ -528,3 +528,52 @@ def weil_pic_open_ranks(facets):
         h0 += missing
         h1 += missing - inner_points + inner_edges
     return h0, h1
+
+
+def brute_simplicial_cohomology(vertices, facets, reduced):
+    """(free_rank, factors) of H^j of the complex, from j = 0 (reduced: j = -1).
+
+    The complex is spanned by the facets and a singleton per vertex; the
+    full coboundary of every degree is built from `brute_faces`, with
+    faces ordered by their sorted labels, and each group is read off
+    `naive_complex_cohomology`.
+    """
+    faces = brute_faces(list(facets) + [(v,) for v in vertices])
+    top = max(len(f) for f in faces) - 1
+    by_dim = [
+        sorted(tuple(sorted(f)) for f in faces if len(f) == d + 1)
+        for d in range(-1 if reduced else 0, top + 1)
+    ]
+    coboundaries = []
+    for sources, targets in zip(by_dim, by_dim[1:]):
+        index = {f: i for i, f in enumerate(sources)}
+        rows = [[0] * len(sources) for _ in targets]
+        for row, t in zip(rows, targets):
+            for l in range(len(t)):
+                row[index[t[:l] + t[l + 1 :]]] = (-1) ** l
+        coboundaries.append(rows)
+    groups = []
+    for j, faces_j in enumerate(by_dim):
+        d_in = coboundaries[j - 1] if j > 0 and by_dim[j - 1] else []
+        d_out = coboundaries[j] if j < len(coboundaries) else []
+        groups.append(naive_complex_cohomology(d_in, d_out, len(faces_j)))
+    return groups
+
+
+def polygon_cone_class_group(points):
+    """(free_rank, factors) of the class group of the cone over a lattice polygon.
+
+    The cone is spanned by (p, 1) for the given lattice points, which are
+    taken to generate Z^3.  Each edge of the polygon gives a facet with
+    primitive inner normal (n, c), <n, p> + c = 0 along the edge, and the
+    class group is Z^facets modulo the columns of the facet-by-3 matrix of
+    these normals.
+    """
+    edges = set()
+    for (px, py), (qx, qy) in itertools.combinations(points, 2):
+        g = math.gcd(qx - px, qy - py)
+        for n in ((py - qy) // g, (qx - px) // g), ((qy - py) // g, (px - qx) // g):
+            c = -(n[0] * px + n[1] * py)
+            if all(n[0] * x + n[1] * y + c >= 0 for x, y in points):
+                edges.add((n[0], n[1], c))
+    return naive_cokernel([list(e) for e in sorted(edges)])

@@ -59,7 +59,7 @@ from fixtures import (
     xyz_to_infinity,
     zero_dim_facets,
 )
-from oracles import make_rng, random_facets
+from oracles import make_rng, polygon_cone_class_group, random_facets
 
 
 def cx(facets):
@@ -94,6 +94,31 @@ def free_gamma(n):
 
 def Z(r):
     return FinAbGroup(r)
+
+
+def quadric_cone(points):
+    """Generators g_i at the points, g_i + g_j = g_k + g_l whenever p_i + p_j = p_k + p_l."""
+    n = len(points)
+
+    def vector(pair):
+        v = [0] * n
+        for i in pair:
+            v[i] += 1
+        return tuple(v)
+
+    def total(pair):
+        i, j = pair
+        return tuple(a + b for a, b in zip(points[i], points[j]))
+
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    return BinoidPresentation(
+        tuple("g%d" % i for i in range(n)),
+        tuple(
+            Relation(vector(a), vector(b))
+            for a, b in combinations(pairs, 2)
+            if total(a) == total(b)
+        ),
+    )
 
 
 class TestCechComplexType:
@@ -497,22 +522,26 @@ class TestLocalPicardGeneral:
     @pytest.mark.parametrize("d", range(2, 8))
     def test_cone_over_rational_normal_curve(self, d):
         # g_i + g_j = g_k + g_l whenever i + j = k + l; Cl = Z/d classically
-        def vector(pair):
-            v = [0] * (d + 1)
-            for i in pair:
-                v[i] += 1
-            return tuple(v)
-
-        pairs = [(i, j) for i in range(d + 1) for j in range(i, d + 1)]
-        M = BinoidPresentation(
-            tuple("g%d" % i for i in range(d + 1)),
-            tuple(
-                Relation(vector(a), vector(b))
-                for a, b in combinations(pairs, 2)
-                if sum(a) == sum(b)
-            ),
-        )
+        M = quadric_cone([(i,) for i in range(d + 1)])
         expected = FinAbGroup.from_torsion([d])
+        assert class_group(M) == expected
+        assert local_picard_general(M).groups[1] == expected
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0, 0), (1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)],
+            [(1, 0), (2, 0), (3, 1), (3, 2), (2, 3), (1, 3), (0, 2), (0, 1)]
+            + [(1, 1), (2, 1), (1, 2), (2, 2)],
+            [(x, y) for x in range(3) for y in range(3)],
+        ],
+        ids=["hexagon", "octagon", "square"],
+    )
+    def test_cone_over_lattice_polygon(self, points):
+        # every lattice point at height 1, all relations p + q = r + s
+        free, factors = polygon_cone_class_group(points)
+        expected = FinAbGroup(free, factors)
+        M = quadric_cone(points)
         assert class_group(M) == expected
         assert local_picard_general(M).groups[1] == expected
 

@@ -2,13 +2,18 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import binoids.exactalg
+import binoids.simplicial
 from binoids.errors import NotAFace, UnknownVertex, VoidComplex
 from binoids.exactalg import FinAbGroup, GroupExpr
 from binoids.simplicial import SimplicialComplex
 
 from fixtures import FAVOURITE_FACETS, RP2_FACETS, TRIANGLE_BOUNDARY
 from oracles import (
+    brute_faces,
+    brute_simplicial_cohomology,
     make_rng,
     mat_mul,
     modm_cohomology_orders,
@@ -229,6 +234,83 @@ class TestCohomology:
             groups = c.cohomology(reduced=False)
             chi_cohom = sum((-1) ** j * g.free_rank for j, g in enumerate(groups))
             assert chi_faces == chi_cohom
+
+
+@st.composite
+def vertices_and_facets(draw):
+    """Up to nine vertices in shuffled order, some in no facet; zero vertices give {∅}."""
+    n = draw(st.integers(0, 9))
+    if n == 0:
+        return [], [()]
+    labels = draw(st.permutations(range(1, n + 1)))
+    facets = draw(
+        st.lists(
+            st.lists(st.sampled_from(labels), min_size=1, max_size=min(n, 5), unique=True),
+            max_size=n + 2,
+        )
+    )
+    return labels, facets
+
+
+class TestCohomologyAgainstFullCoboundary:
+    @settings(max_examples=80, deadline=None)
+    @given(vertices_and_facets())
+    def test_matches_oracle(self, drawn):
+        labels, facets = drawn
+        c = SimplicialComplex.make(labels, facets)
+        for reduced in (True, False):
+            expected = brute_simplicial_cohomology(labels, facets, reduced)
+            assert c.cohomology(reduced=reduced) == [FinAbGroup(*g) for g in expected]
+
+
+class TestCohomologyOutsideOneStar:
+    """The complex handed to cohomology_of_complex leaves out the star of one vertex."""
+
+    @pytest.fixture
+    def handed(self, monkeypatch):
+        handed, checked = [], []
+        reduce = binoids.simplicial.cohomology_of_complex
+        check = binoids.exactalg._sparse_complex
+
+        def capture(ranks, diffs):
+            groups = reduce(ranks, diffs)
+            assert checked == [list(ranks)]  # d∘d = 0 was checked on it
+            checked.clear()
+            handed.append(list(ranks))
+            return groups
+
+        def count(ranks, diffs):
+            checked.append(list(ranks))
+            return check(ranks, diffs)
+
+        monkeypatch.setattr(binoids.simplicial, "cohomology_of_complex", capture)
+        monkeypatch.setattr(binoids.exactalg, "_sparse_complex", count)
+        return handed
+
+    def test_full_simplex_hands_over_nothing(self, handed):
+        c = SimplicialComplex.from_facets([(1, 2, 3, 4, 5)])
+        assert c.cohomology(reduced=True) == [FinAbGroup(0)] * 6
+        assert c.cohomology(reduced=False) == [FinAbGroup(1)] + [FinAbGroup(0)] * 4
+        assert handed == [[0] * 6, [0] * 5]
+
+    def test_no_face_of_the_star_is_handed_over(self, handed):
+        rng = make_rng(12)
+        for _ in range(25):
+            facets = random_facets(rng)
+            c = SimplicialComplex.from_facets(facets)
+            faces = brute_faces(facets)
+            maximal = [f for f in faces if not any(f < g for g in faces)]
+            vertices = sorted({v for f in facets for v in f})
+            in_facets = [sum(v in f for f in maximal) for v in vertices]
+            w = vertices[in_facets.index(max(in_facets))]
+            outside = [f for f in faces if f | {w} not in faces]
+            for reduced in (True, False):
+                c.cohomology(reduced=reduced)
+                start = -1 if reduced else 0
+                assert handed.pop() == [
+                    sum(len(f) == d + 1 for f in outside)
+                    for d in range(start, c.dimension + 1)
+                ]
 
 
 class TestCoefficients:
