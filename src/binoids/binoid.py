@@ -30,20 +30,16 @@ class Relation:
     rhs: Optional[tuple]
 
     def __post_init__(self):
-        object.__setattr__(self, "lhs", tuple(int(x) for x in self.lhs))
+        object.__setattr__(self, "lhs", tuple(self.lhs))
         if self.rhs is not None:
-            object.__setattr__(self, "rhs", tuple(int(x) for x in self.rhs))
-        for x in self.lhs:
-            if x < 0:
-                raise ValueError("exponents must be nonnegative")
-        if self.rhs is not None:
+            object.__setattr__(self, "rhs", tuple(self.rhs))
             if len(self.rhs) != len(self.lhs):
                 raise ValueError("relation sides over different generators")
-            for x in self.rhs:
-                if x < 0:
-                    raise ValueError("exponents must be nonnegative")
-            if self.rhs == self.lhs:
-                raise ValueError("relation with identical sides")
+        for x in self.lhs + (self.rhs or ()):
+            if not isinstance(x, int) or x < 0:
+                raise ValueError("exponents must be nonnegative integers, not %r" % (x,))
+        if self.rhs == self.lhs:
+            raise ValueError("relation with identical sides")
 
     @property
     def is_infinity(self) -> bool:

@@ -28,7 +28,7 @@ class PreconditionError(BinoidsError):
 # exactalg
 
 class CompositionNonzero(PreconditionError):
-    """The two differentials handed to complex_cohomology do not compose to zero."""
+    """Two consecutive differentials of a cochain complex do not compose to zero."""
 
 
 # simplicial

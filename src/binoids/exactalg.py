@@ -70,7 +70,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], cols: Optional[int] = None) -> "IntMatrix":
-        data = tuple(tuple(int(x) for x in row) for row in rows)
+        data = tuple(map(tuple, rows))
         if data:
             width = len(data[0])
         elif cols is not None:
@@ -606,11 +606,6 @@ def _reduce_complex(ranks: list, diffs: list) -> list:
         factors.append((1,) * units + _remainder_factors(rows))
     factors.append(())
     return [_cohomology(rank, factors[j], factors[j + 1]) for j, rank in enumerate(ranks)]
-
-
-def check_composition(d_in: IntMatrix, d_out: IntMatrix) -> None:
-    """Raise CompositionNonzero unless d_out * d_in = 0, multiplying sparsely."""
-    _sparse_complex([d_in.cols, d_in.rows, d_out.rows], [d_in, d_out])
 
 
 def _cohomology(rank: int, factors_in: tuple, factors_out: tuple) -> FinAbGroup:

@@ -5,6 +5,13 @@ complex's vertex order.  The void complex (no faces at all) and the
 empty complex {∅} are distinct values: the latter has the empty face,
 the former nothing.
 
+Every face question asks one test of the facets.  Each vertex keeps the
+bitmask of the facets containing it; a vertex set is a face exactly when
+the AND of its vertices' masks is nonzero, and that AND is the set of
+facets above it.  Faces grow from this test one later vertex at a time,
+links keep the facets above a face, and crosscuts AND the masks of the
+listed faces.
+
 Cohomology is read off the cochains outside the closed star of one vertex
 w: st w is a cone, so the pair's long exact sequence gives
 H~^j(Δ) ≅ H^j(Δ, st w) over Z (a coreduction in the sense of Mrozek and
@@ -13,7 +20,6 @@ Batko, 2009, and Kaczynski, Mrozek and Ślusarek, 1998).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -77,6 +83,14 @@ def subsets_avoiding(n: int, supports: Sequence[int]) -> list:
     return grow_subsets(n, extend)
 
 
+def _bits(mask: int):
+    """The positions of the set bits of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class SimplicialComplex:
     """Vertex order plus pairwise incomparable facets.
@@ -90,9 +104,8 @@ class SimplicialComplex:
 
     vertices: tuple
     facets: tuple
-    _closure: dict = field(default=None, init=False, repr=False, compare=False)
-    _positions: dict = field(default=None, init=False, repr=False, compare=False)
-    _face_masks: frozenset = field(default=None, init=False, repr=False, compare=False)
+    _incidence: dict = field(default=None, init=False, repr=False, compare=False)
+    _faces: dict = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def make(cls, vertices: Sequence, faces: Iterable[Sequence]) -> "SimplicialComplex":
@@ -158,118 +171,109 @@ class SimplicialComplex:
             return -2
         return max(len(f) for f in self.facets) - 1
 
-    def _position(self, v):
-        if self._positions is None:
-            positions = {u: i for i, u in enumerate(self.vertices)}
-            object.__setattr__(self, "_positions", positions)
+    def _facets_through(self, v) -> int:
+        """The bitmask of the facets containing vertex v."""
+        if self._incidence is None:
+            incidence = dict.fromkeys(self.vertices, 0)
+            for k, f in enumerate(self.facets):
+                for u in f:
+                    incidence[u] |= 1 << k
+            object.__setattr__(self, "_incidence", incidence)
         try:
-            return self._positions[v]
+            return self._incidence[v]
         except KeyError:
             raise UnknownVertex("vertex %r not in complex" % (v,))
 
-    def _mask(self, face) -> int:
-        return sum(1 << self._position(v) for v in face)
-
-    def _faces_as_masks(self) -> frozenset:
-        if self._face_masks is None:
-            masks = frozenset(self._mask(f) for f in self.all_faces())
-            object.__setattr__(self, "_face_masks", masks)
-        return self._face_masks
-
-    def _face_key(self, face):
-        return tuple(self._position(v) for v in face)
+    def _above(self, face: tuple) -> int:
+        """The bitmask of the facets containing `face`: nonzero exactly when
+        `face` is a face, and 0 when it repeats a vertex."""
+        above = (1 << len(self.facets)) - 1
+        for v in face:
+            above &= self._facets_through(v)
+        return above if len(set(face)) == len(face) else 0
 
     def _faces_by_dim(self) -> dict:
-        if self._closure is None:
-            closure = set(self.facets)
-            stack = list(self.facets)
-            while stack:
-                face = stack.pop()
-                for i in range(len(face)):
-                    sub = face[:i] + face[i + 1 :]
-                    if sub not in closure:
-                        closure.add(sub)
-                        stack.append(sub)
+        """{d: {face: _above(face)}} with each dimension in lexicographic order.
+
+        Faces grow, as in `grow_subsets`, one later vertex at a time, but
+        try only the vertices that share a facet with their last one, so the
+        work follows the faces even when most vertex pairs are not edges.
+        """
+        if self._faces is None:
+            vertices = self.vertices
+            through = [self._facets_through(v) for v in vertices]
+            position = {v: i for i, v in enumerate(vertices)}
+            later = [set() for _ in vertices]
+            for f in self.facets:
+                spots = [position[v] for v in f]
+                for i in spots:
+                    later[i].update(j for j in spots if j > i)
+            later = [sorted(s) for s in later]
             by_dim = {}
-            for face in closure:
-                by_dim.setdefault(len(face) - 1, []).append(face)
-            for faces in by_dim.values():
-                faces.sort(key=self._face_key)
-            object.__setattr__(self, "_closure", by_dim)
-        return self._closure
+            grown = [((), (1 << len(self.facets)) - 1)] if self.facets else []
+            for face, above in grown:  # grows while it is read
+                by_dim.setdefault(len(face) - 1, {})[tuple(vertices[i] for i in face)] = above
+                for i in later[face[-1]] if face else range(len(vertices)):
+                    common = above & through[i]
+                    if common:
+                        grown.append((face + (i,), common))
+            object.__setattr__(self, "_faces", by_dim)
+        return self._faces
 
     def faces(self, d: int) -> List[Face]:
         """All faces of dimension d, lexicographically sorted."""
-        return list(self._faces_by_dim().get(d, []))
+        return list(self._faces_by_dim().get(d, ()))
 
     def all_faces(self) -> List[Face]:
-        by_dim = self._faces_by_dim()
-        out = []
-        for d in sorted(by_dim):
-            out.extend(by_dim[d])
-        return out
+        return [f for faces in self._faces_by_dim().values() for f in faces]
 
     def has_face(self, face: Sequence) -> bool:
-        face = tuple(face)
-        mask = self._mask(face)
-        return bin(mask).count("1") == len(face) and mask in self._faces_as_masks()
+        return self._above(tuple(face)) != 0
 
     # -- derived complexes --------------------------------------------------
 
     def link(self, face: Sequence) -> "SimplicialComplex":
         """Faces G disjoint from `face` with face ∪ G in the complex.
 
-        Read off this complex's facets and cached faces that contain `face`,
-        which stay sorted when `face` is removed from them.
+        Its facets are the facets above `face` with `face` removed, which
+        stay sorted and pairwise incomparable; the link grows its own faces.
         """
         face = tuple(face)
-        if not self.has_face(face):
+        above = self._above(face)
+        if not above:
             raise NotAFace("%r is not a face" % (face,))
         if not face:
             return self
-        fset = set(face)
-
-        def strip(faces):
-            return [tuple(v for v in g if v not in fset) for g in faces if fset.issubset(g)]
-
-        closure = {d - len(face): strip(faces) for d, faces in self._faces_by_dim().items()}
-        vertices = tuple(v for (v,) in closure.get(0, ()))
-        linked = SimplicialComplex(vertices, tuple(strip(self.facets)))
-        object.__setattr__(linked, "_closure", closure)
-        return linked
+        facets = tuple(tuple(v for v in self.facets[k] if v not in face) for k in _bits(above))
+        spanned = {v for g in facets for v in g}
+        return SimplicialComplex(tuple(v for v in self.vertices if v in spanned), facets)
 
     def restriction(self, subset: Iterable) -> "SimplicialComplex":
-        """The faces contained in the given vertex subset."""
+        """The faces contained in the given vertex subset, spanned by the
+        facets' intersections with it."""
         subset = list(subset)
         for v in subset:
-            self._position(v)
+            self._facets_through(v)
         sset = set(subset)
-        kept = [f for f in self.all_faces() if set(f) <= sset]
         ordered = [v for v in self.vertices if v in sset]
-        return SimplicialComplex.make(ordered, kept)
+        return SimplicialComplex.make(ordered, [[v for v in f if v in sset] for f in self.facets])
 
     def crosscut(self, listed_faces: Sequence[Sequence]) -> "SimplicialComplex":
         """Complex on 1-based indices of the list; an index set is a face
         exactly when the union of its faces is a face here.
 
-        Index sets are grown one later index at a time and kept only while
-        their union is still a face, so the work follows the size of the
-        result, not the 2^k subsets of the list.
+        Index sets are grown one later index at a time and kept while the
+        facets above their faces still meet, so the work follows the size
+        of the result, not the 2^k subsets of the list.
         """
-        listed = [tuple(sorted(f, key=self._position)) for f in listed_faces]
-        for f in listed:
-            if not self.has_face(f):
+        listed = [tuple(f) for f in listed_faces]
+        above = [self._above(f) for f in listed]
+        for f, common in zip(listed, above):
+            if not common:
                 raise NotAFace("%r is not a face" % (f,))
-        if self.is_void:
-            return SimplicialComplex.void()
-        masks = [self._mask(f) for f in listed]
-        faces = self._faces_as_masks()
-
-        def extend(union, i):
-            union |= masks[i]
-            return union if union in faces else None
-
-        grown = grow_subsets(len(listed), extend)
+        grown = grow_subsets(
+            len(listed), lambda common, i: common & above[i] or None, (1 << len(self.facets)) - 1
+        )
         faces = [tuple(i + 1 for i in subset) for subset, _ in grown if subset]
         return SimplicialComplex.make(range(1, len(listed) + 1), faces)
 
@@ -308,14 +312,14 @@ class SimplicialComplex:
 
         Read off C*(Δ, st w), w the vertex in the most facets (first on
         ties): st w is a cone, so H~^j(Δ) ≅ H^j(Δ, st w) over Z, torsion
-        included; unreduced, H^0 gains a Z.  Void and {∅} keep the whole complex.
+        included; unreduced, H^0 gains a Z.  Void and {∅} keep the whole
+        complex.  The faces of st w are those whose facets meet w's.
         """
         star = set()
         if self.vertices:
-            in_facets = Counter(v for f in self.facets for v in f)
-            w = max(self.vertices, key=in_facets.__getitem__)
-            star = {f for faces in self._faces_by_dim().values() for f in faces if w in f}
-            star |= {tuple(v for v in f if v != w) for f in star}
+            w = max(map(self._facets_through, self.vertices), key=int.bit_count)
+            by_dim = self._faces_by_dim().values()
+            star = {f for faces in by_dim for f, above in faces.items() if above & w}
         groups = cohomology_of_complex(*self._cochain_data(reduced, star))
         if star and not reduced:
             groups[0] = FinAbGroup(groups[0].free_rank + 1)

@@ -24,6 +24,19 @@ from fixtures import FAVOURITE_FACETS, TRIANGLE_BOUNDARY, free_binoid, xy_nz, xy
 from oracles import make_rng, random_facets
 
 
+class TestRelation:
+    def test_non_integer_exponent_is_refused(self):
+        # x + 1.7 y = 4.9 z was once truncated to x + y = 4 z, class group Z/4
+        with pytest.raises(ValueError):
+            Relation((1, 1.7, 0), (0, 0, 4.9))
+        with pytest.raises(ValueError):
+            Relation((0.5, 1), None)
+
+    def test_negative_exponent_is_refused(self):
+        with pytest.raises(ValueError):
+            Relation((1, -1), (0, 2))
+
+
 class TestFromSimplicial:
     def test_triangle_boundary(self):
         M = from_simplicial(SimplicialComplex.from_facets(TRIANGLE_BOUNDARY))

@@ -7,6 +7,7 @@ instead and never import the package.
 
 import json
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,7 @@ from binoids.binoid import (
 )
 from binoids.cech import pic_open_subset
 from binoids.cli import main
-from binoids.errors import NotAFace, NotOpen
+from binoids.errors import NotAFace, NotOpen, UnknownVertex
 from binoids.simplicial import SimplicialComplex
 from binoids.spectrum import (
     compute_spec,
@@ -35,6 +36,7 @@ from binoids.spectrum import (
 
 from fixtures import CONE_RP2_FACETS, cycle_facets
 from oracles import (
+    all_subsets,
     brute_cover_edges,
     brute_crosscut,
     brute_faces,
@@ -174,6 +176,47 @@ class TestOpenSetsAgainstDefinitions:
                 minimal_cover(S, chosen)
 
 
+class TestFaceTestAgainstSubsetScan:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(
+            complexes(),
+            st.sampled_from([SimplicialComplex.void(), SimplicialComplex.empty()]),
+        ),
+        st.data(),
+    )
+    def test_faces_has_face_and_restriction(self, c, data):
+        """The faces grown from the facet masks, the face test on any vertex
+        order and the restriction to a vertex subset, against every subset."""
+        faces = brute_faces(c.facets)
+        position = {v: i for i, v in enumerate(c.vertices)}
+        ordered = sorted(
+            (tuple(sorted(f, key=position.get)) for f in faces),
+            key=lambda f: (len(f), [position[v] for v in f]),
+        )
+        assert c.all_faces() == ordered
+        for d in range(-2, c.dimension + 2):
+            assert c.faces(d) == [f for f in ordered if len(f) == d + 1]
+
+        for subset in all_subsets(c.vertices):
+            assert c.has_face(subset) == c.has_face(subset[::-1]) == (frozenset(subset) in faces)
+        if c.vertices:
+            subset = data.draw(st.sampled_from(all_subsets(c.vertices)))
+            shuffled = tuple(data.draw(st.permutations(subset)))
+            assert c.has_face(shuffled) == (frozenset(subset) in faces)
+            repeated = data.draw(st.sampled_from(c.vertices))
+            assert not c.has_face(shuffled + (repeated, repeated))
+            kept = data.draw(st.lists(st.sampled_from(c.vertices), unique=True))
+        else:
+            kept = []
+        with pytest.raises(UnknownVertex):
+            c.has_face((0,))
+
+        restricted = c.restriction(kept)
+        assert restricted.vertices == tuple(v for v in c.vertices if v in kept)
+        assert restricted.all_faces() == [f for f in ordered if set(f) <= set(kept)]
+
+
 class TestCrosscutAndNerveAgainstSubsetScan:
     @settings(max_examples=60, deadline=None)
     @given(complexes(), st.data())
@@ -279,6 +322,15 @@ class TestScale:
         cover = minimal_cover(S, punctured_spectrum(S))
         assert cover == [(i,) for i in range(16)]
         assert nerve(S, cover) == cycle
+
+    def test_f_vector_of_a_2000_vertex_path(self):
+        path = SimplicialComplex.from_facets([(i, i + 1) for i in range(1, 2000)])
+        assert [len(path.faces(d)) for d in range(-1, 3)] == [1, 2000, 1999, 0]
+
+    def test_f_vector_of_the_7_cross_polytope_boundary(self):
+        boundary = SimplicialComplex.from_facets(cross_polytope_boundary(7))
+        f_vector = [len(boundary.faces(k)) for k in range(-1, 8)]
+        assert f_vector == [2 ** (k + 1) * comb(7, k + 1) for k in range(-1, 7)] + [0]
 
     def test_faces_of_the_16_cycle(self):
         M = from_simplicial(SimplicialComplex.from_facets(cycle_facets(16)))

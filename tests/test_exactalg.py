@@ -242,6 +242,11 @@ class TestInvariantFactors:
             assert invariant_factors(M(rows, cols=n)) == expected
 
 
+    def test_non_integer_entries_are_refused(self):
+        # once truncated to [[2, 0], [0, 3]], whose invariant factors are (1, 6)
+        with pytest.raises(ValueError):
+            invariant_factors(IntMatrix.from_rows([[2.5, 0], [0, 3.9]]))
+
     def test_unit_made_by_fill_in_is_a_pivot(self):
         # the first pivot turns the entry 2 into 1, which must then be taken too
         rows = {0: {0: 1, 1: 1}, 1: {0: 1, 1: 2}}
