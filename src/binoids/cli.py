@@ -172,6 +172,12 @@ def _load_json(text: str) -> SimplicialComplex:
     vertices, facets = payload["vertices"], payload["facets"]
     if not isinstance(vertices, list) or not isinstance(facets, list):
         raise ParseError("'vertices' and 'facets' must be lists")
+    for k, facet in enumerate(facets, 1):
+        if not isinstance(facet, list):
+            raise ParseError("facet %d is not an array" % k)
+    for v in vertices + [v for facet in facets for v in facet]:
+        if isinstance(v, bool) or not isinstance(v, (int, str)):
+            raise ParseError("label %s is neither an integer nor a string" % json.dumps(v))
     try:
         return SimplicialComplex.make(
             vertices, [tuple(f) for f in facets]

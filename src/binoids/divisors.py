@@ -9,7 +9,6 @@ via all the valuations at once.
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd
 from typing import List, Optional, Tuple
 
 from .binoid import BinoidPresentation, DifferenceGroup, difference_group
@@ -25,8 +24,10 @@ def _dot(u: Tuple[int, ...], v: Tuple[int, ...]) -> int:
 def cone_facets(gamma: DifferenceGroup) -> List[Tuple[int, ...]]:
     """Primitive inner normals of the facets of cone(generator images).
 
-    A candidate is the kernel vector of r-1 images; it survives when it is
-    nonnegative on every image and its zero set still spans a hyperplane.
+    A candidate is the kernel vector of r-1 images that span a hyperplane;
+    it survives when it is nonnegative on every image.  It is primitive, as
+    a column of the unimodular V of a Smith form, and its zero set spans the
+    hyperplane, as the r-1 images already do.
     """
     r = gamma.rank
     images = gamma.all_images()
@@ -43,19 +44,12 @@ def cone_facets(gamma: DifferenceGroup) -> List[Tuple[int, ...]]:
         if candidates.cols != 1:
             continue  # images in the subset do not span a hyperplane
         normal = list(candidates.column(0))
-        g = gcd(*normal) if len(normal) > 1 else abs(normal[0])
-        normal = [x // g for x in normal]
         values = [_dot(tuple(normal), img) for img in images]
         if all(v <= 0 for v in values):
             normal = [-x for x in normal]
             values = [-v for v in values]
         if any(v < 0 for v in values):
             continue  # not a supporting hyperplane
-        zero_span = IntMatrix.from_rows(
-            [list(img) for img, v in zip(images, values) if v == 0], cols=r
-        )
-        if len(invariant_factors(zero_span)) != r - 1:
-            continue
         normals.add(tuple(normal))
 
     dual = IntMatrix.from_rows([list(n) for n in normals], cols=r)
@@ -156,17 +150,15 @@ class RegularityReport:
 def regular_in_codim1_check(M: BinoidPresentation) -> RegularityReport:
     """Sufficient criterion for regularity in codimension 1.
 
-    Certifies a prime when some generator or 2-generator sum has valuation
-    exactly 1 and the value-0 generators span a hyperplane.  Failure to
+    Certifies a prime when some generator has valuation exactly 1 and the
+    value-0 generators span a hyperplane.  Values are nonnegative, so no
+    sum of generators has value 1 unless one generator does.  Failure to
     certify is reported as Unknown, never as a negative.
     """
     gamma = difference_group(M)
     vm = valuation_matrix(M)
     n = M.generator_count
     candidates = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    for i, j in combinations(range(n), 2):
-        candidates.append(tuple((j == k) + (i == k) for k in range(n)))
-    candidates += [tuple(2 * (j == i) for j in range(n)) for i in range(n)]
 
     evidence = []
     for prime, row in zip(vm.row_primes, vm.matrix.to_lists()):

@@ -9,8 +9,11 @@ Every face question asks one test of the facets.  Each vertex keeps the
 bitmask of the facets containing it; a vertex set is a face exactly when
 the AND of its vertices' masks is nonzero, and that AND is the set of
 facets above it.  Faces grow from this test one later vertex at a time,
-links keep the facets above a face, and crosscuts AND the masks of the
-listed faces.
+links keep the facets above a face, and `make` keeps a face only when no
+facet kept before it lies above it.  Crosscut complexes and the nerves of
+covers are both the nerve of a family of sets (`nerve_of_sets`): its
+facets are read off the points, each giving the indices of the sets that
+hold it.
 
 Cohomology is read off the cochains outside the closed star of one vertex
 w: st w is a cone, so the pair's long exact sequence gives
@@ -37,33 +40,13 @@ from .exactalg import (
 Face = Tuple
 
 
-def grow_subsets(n: int, extend, start=0) -> list:
-    """Every subset of range(n) that a subset-closed test admits, with its state.
-
-    Subsets are sorted tuples grown from the empty one, which is always
-    kept with state ``start``, by one element larger than their last at a
-    time: ``extend(state, i)`` returns the state of the subset plus i, or
-    None when that subset fails the test.  As the test is closed under
-    subsets, every admitted subset is reached through admitted ones, and
-    the work is about n calls of ``extend`` per admitted subset.
-
-    >>> sorted(s for s, _ in grow_subsets(3, lambda size, i: size + 1 if size < 2 else None))
-    [(), (0,), (0, 1), (0, 2), (1,), (1, 2), (2,)]
-    """
-    found = [((), start)]
-    for subset, state in found:  # grows while it is read
-        for i in range(subset[-1] + 1 if subset else 0, n):
-            following = extend(state, i)
-            if following is not None:
-                found.append((subset + (i,), following))
-    return found
-
-
 def subsets_avoiding(n: int, supports: Sequence[int]) -> list:
     """The subsets of range(n) containing no support, each with its bitmask.
 
     Supports are bitmasks.  The subsets are the faces of the complex whose
-    non-faces are the supports, found in about n times their number of steps.
+    non-faces are the supports.  They grow from the empty one by one element
+    larger than their last at a time, each reached through faces, so they
+    are found in about n times their number of steps.
 
     >>> sorted(face for face, _ in subsets_avoiding(3, [0b011]))
     [(), (0,), (0, 2), (1,), (1, 2), (2,)]
@@ -73,14 +56,13 @@ def subsets_avoiding(n: int, supports: Sequence[int]) -> list:
     by_top = {}
     for s in supports:
         by_top.setdefault(s.bit_length() - 1, []).append(s)
-
-    def extend(face, i):
-        face |= 1 << i
-        if any(not s & ~face for s in by_top.get(i, ())):
-            return None
-        return face
-
-    return grow_subsets(n, extend)
+    found = [((), 0)]
+    for face, mask in found:  # grows while it is read
+        for i in range(face[-1] + 1 if face else 0, n):
+            grown = mask | 1 << i
+            if all(s & ~grown for s in by_top.get(i, ())):
+                found.append((face + (i,), grown))
+    return found
 
 
 def _bits(mask: int):
@@ -112,8 +94,10 @@ class SimplicialComplex:
         """Normalize: sort faces by vertex position, keep the maximal ones,
         and turn uncovered vertices into singleton facets.
 
-        Faces are visited largest first, each compared only with the
-        maximal faces kept so far."""
+        Faces are visited largest first.  Each vertex keeps the bitmask of
+        the facets kept so far that contain it, and a face is kept exactly
+        when the AND of its vertices' masks is 0: no kept facet lies above it.
+        """
         vertices = tuple(vertices)
         if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex labels")
@@ -131,12 +115,15 @@ class SimplicialComplex:
         for v in vertices:
             if v not in covered:
                 normalized.add((v,))
-        kept, kept_masks = [], []
+        kept, through = [], dict.fromkeys(vertices, 0)
         for f in sorted(normalized, key=len, reverse=True):
-            mask = sum(1 << position[v] for v in f)
-            if all(mask & ~k for k in kept_masks):
+            above = (1 << len(kept)) - 1
+            for v in f:
+                above &= through[v]
+            if not above:
+                for v in f:
+                    through[v] |= 1 << len(kept)
                 kept.append(f)
-                kept_masks.append(mask)
         maximal = sorted(kept, key=lambda f: tuple(position[v] for v in f))
         return cls(vertices, tuple(maximal))
 
@@ -195,9 +182,9 @@ class SimplicialComplex:
     def _faces_by_dim(self) -> dict:
         """{d: {face: _above(face)}} with each dimension in lexicographic order.
 
-        Faces grow, as in `grow_subsets`, one later vertex at a time, but
-        try only the vertices that share a facet with their last one, so the
-        work follows the faces even when most vertex pairs are not edges.
+        Faces grow one later vertex at a time, trying only the vertices
+        that share a facet with their last one, so the work follows the
+        faces even when most vertex pairs are not edges.
         """
         if self._faces is None:
             vertices = self.vertices
@@ -262,20 +249,15 @@ class SimplicialComplex:
         """Complex on 1-based indices of the list; an index set is a face
         exactly when the union of its faces is a face here.
 
-        Index sets are grown one later index at a time and kept while the
-        facets above their faces still meet, so the work follows the size
-        of the result, not the 2^k subsets of the list.
+        That is the nerve of the sets of facets above the listed faces, so
+        each facet here gives one candidate: the listed faces it contains.
         """
         listed = [tuple(f) for f in listed_faces]
         above = [self._above(f) for f in listed]
         for f, common in zip(listed, above):
             if not common:
                 raise NotAFace("%r is not a face" % (f,))
-        grown = grow_subsets(
-            len(listed), lambda common, i: common & above[i] or None, (1 << len(self.facets)) - 1
-        )
-        faces = [tuple(i + 1 for i in subset) for subset, _ in grown if subset]
-        return SimplicialComplex.make(range(1, len(listed) + 1), faces)
+        return nerve_of_sets(above, len(self.facets))
 
     # -- cohomology ----------------------------------------------------------
 
@@ -335,3 +317,22 @@ class SimplicialComplex:
             following = groups[j + 1] if j + 1 < len(groups) else TRIVIAL_GROUP
             out.append(coefficient_cohomology(here, following, symbol))
         return out
+
+
+def nerve_of_sets(sets: Sequence[int], points: int) -> SimplicialComplex:
+    """The nerve of a family of sets, on 1-based indices of the family.
+
+    ``sets[j-1]`` is the bitmask of the points of range(points) in set j.
+    An index set is a face when its sets share a point, so every face lies
+    in {j : p in set j} for some point p, and these candidates, one per
+    point, span the nerve.  Indices of empty sets are not vertices.
+
+    >>> nerve_of_sets([0b011, 0b110, 0b100, 0], 3).facets
+    ((1, 2), (2, 3))
+    """
+    candidates = [[] for _ in range(points)]
+    for j, s in enumerate(sets, 1):
+        for p in _bits(s):
+            candidates[p].append(j)
+    vertices = [j for j, s in enumerate(sets, 1) if s]
+    return SimplicialComplex.make(vertices, [c for c in candidates if c])

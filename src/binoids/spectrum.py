@@ -11,7 +11,7 @@ from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .binoid import BinoidPresentation
 from .errors import NotInSpec, NotOpen, NotPositive
-from .simplicial import SimplicialComplex, grow_subsets, subsets_avoiding
+from .simplicial import SimplicialComplex, nerve_of_sets, subsets_avoiding
 
 
 @dataclass(frozen=True, order=True)
@@ -233,20 +233,15 @@ def nerve(S: SpecPoset, cover: Sequence[Sequence[int]]) -> SimplicialComplex:
     """Nerve of a list of basic opens, on 1-based vertices indexing the list.
 
     A set of indices spans a face when the corresponding opens intersect;
-    indices whose open is empty are dropped.  Index sets are grown one
-    later index at a time while their opens still intersect, so the work
-    follows the number of faces, not the 2^k subsets of the cover.
+    indices whose open is empty are dropped.  Each open is the set of primes
+    it holds, so each prime gives one candidate face: the opens holding it.
     """
     prime_masks = S._generator_masks()
     opens = []
     for support in cover:
         avoid = _mask(set(support))
         opens.append(_mask(k for k, m in enumerate(prime_masks) if not m & avoid))
-    everything = (1 << len(prime_masks)) - 1
-    grown = grow_subsets(len(opens), lambda common, i: common & opens[i] or None, everything)
-    faces = [tuple(i + 1 for i in subset) for subset, _ in grown if subset]
-    vertices = [i + 1 for i, U in enumerate(opens) if U]
-    return SimplicialComplex.make(vertices, faces)
+    return nerve_of_sets(opens, len(prime_masks))
 
 
 def connected_components(S: SpecPoset, opens: Iterable[PrimeIdeal]) -> int:

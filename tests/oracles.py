@@ -455,6 +455,15 @@ def brute_minimal_nonfaces(vertices, facets):
     return out
 
 
+def brute_maximal(vertices, faces):
+    """The maximal sets among the faces and the singletons of the vertices
+    no face holds, as frozensets."""
+    sets = {frozenset(f) for f in faces}
+    covered = set().union(*sets)
+    sets |= {frozenset([v]) for v in vertices if v not in covered}
+    return {s for s in sets if not any(s < t for t in sets)}
+
+
 def brute_crosscut(facets, listed):
     """Nonempty 1-based index sets of `listed` whose union is a face."""
     faces = brute_faces(facets)

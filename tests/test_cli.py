@@ -178,6 +178,23 @@ class TestParsing:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ('{"vertices": ["a", "b", "c"], "facets": ["abc"]}', "facet 1 is not an array"),
+            ('{"vertices": [1.0, 2], "facets": [[2]]}', "label 1.0 is neither"),
+            ('{"vertices": [true, 2], "facets": [[2]]}', "label true is neither"),
+            ('{"vertices": [[1], 2], "facets": [[2]]}', "label [1] is neither"),
+        ],
+        ids=["string-facet", "float-label", "bool-label", "list-label"],
+    )
+    def test_json_facets_are_arrays_of_int_or_string_labels(
+        self, capsys, tmp_path, document, message
+    ):
+        code, out, err = invoke(capsys, "picard", write(tmp_path, document))
+        assert (code, out) == (2, "")
+        assert message in err
+
 
 class TestSpecVerb:
     def test_text_output(self, capsys, tmp_path):

@@ -42,6 +42,7 @@ from oracles import (
     brute_faces,
     brute_heights,
     brute_link,
+    brute_maximal,
     brute_minimal_nonfaces,
     brute_nerve,
     brute_spectrum,
@@ -174,6 +175,27 @@ class TestOpenSetsAgainstDefinitions:
         if chosen != U:  # the chosen primes alone miss something below them
             with pytest.raises(NotOpen):
                 minimal_cover(S, chosen)
+
+
+class TestMakeAgainstMaximalSets:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_make_keeps_the_maximal_faces(self, data):
+        """Faces repeated (also reordered), the empty face and uncovered
+        vertices, on labels declared out of sorted order."""
+        n = data.draw(st.integers(0, 8))
+        labels = data.draw(st.permutations(range(1, n + 1)))
+        face = st.lists(st.sampled_from(labels), max_size=n, unique=True) if n else st.just([])
+        faces = data.draw(st.lists(face, max_size=10))
+        if faces:
+            repeated = data.draw(st.lists(st.sampled_from(faces), max_size=3))
+            faces += [data.draw(st.permutations(f)) for f in repeated]
+        c = SimplicialComplex.make(labels, faces)
+        assert c.vertices == tuple(labels)
+        assert set(map(frozenset, c.facets)) == brute_maximal(labels, faces)
+        position = {v: i for i, v in enumerate(labels)}
+        keys = [[position[v] for v in f] for f in c.facets]
+        assert all(k == sorted(k) for k in keys) and keys == sorted(keys)
 
 
 class TestFaceTestAgainstSubsetScan:

@@ -3,19 +3,24 @@
 import doctest
 import importlib
 import pathlib
+import pkgutil
 
 import pytest
 
+import binoids
+
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
-# the modules whose docstrings carry examples
-MODULES = ["binoids.exactalg", "binoids.simplicial", "binoids.binoid", "binoids.cech"]
+MODULES = ["binoids"] + [m.name for m in pkgutil.iter_modules(binoids.__path__, "binoids.")]
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_module_doctests(name):
-    result = doctest.testmod(importlib.import_module(name))
-    assert result.attempted > 0 and result.failed == 0
+    assert doctest.testmod(importlib.import_module(name)).failed == 0
+
+
+def test_module_docstrings_carry_examples():
+    assert sum(doctest.testmod(importlib.import_module(n)).attempted for n in MODULES) > 0
 
 
 def test_readme_python_blocks():

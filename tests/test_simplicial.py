@@ -165,6 +165,9 @@ class TestCrosscut:
         with pytest.raises(NotAFace):
             favourite().crosscut([(1, 4)])
 
+    def test_empty_list_is_void(self):
+        assert favourite().crosscut([]) == SimplicialComplex.void()
+
 
 class TestCochainComplex:
     def test_single_vertex_reduced(self):

@@ -234,6 +234,14 @@ class TestNerve:
         S = favourite_spec()
         assert nerve(S, [(0,)]).facets == ((1,),)
 
+    def test_empty_opens_are_not_vertices(self):
+        S = favourite_spec()
+        # no prime avoids every generator, so D(a+b+c+d) is empty
+        assert nerve(S, []) == SimplicialComplex.void()
+        assert nerve(S, [(0, 1, 2, 3)]) == SimplicialComplex.void()
+        N = nerve(S, [(0, 1, 2, 3), (0,)])
+        assert (N.vertices, N.facets) == ((2,), ((2,),))
+
 
 class TestConnectedComponents:
     def test_two_branches(self):
