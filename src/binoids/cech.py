@@ -2,7 +2,9 @@
 
 Simplicial binoids get two independent routes: the per-vertex splitting of
 the coordinate-cover complex, and the closed formula summing reduced link
-cohomology.  General integral binoids get a direct computation on the
+cohomology, read off relative cochains on the complex's own faces with one
+block per vertex (`SimplicialComplex._cochain_data`, not `_cech_complex`).
+General integral binoids get a direct computation on the
 minimal cover; for a cancellative binoid the units of a localization M_F
 are the lattice spanned by the generators of the face generated by F.
 
@@ -31,13 +33,13 @@ from .errors import (
     VoidComplex,
 )
 from .exactalg import (
-    TRIVIAL_GROUP,
     FinAbGroup,
     GroupExpr,
     IntMatrix,
     _dense,
     _reduce_complex,
     _sparse_complex,
+    cohomology_of_complex,
     column_lattice_basis,
     solve_columns,
 )
@@ -157,17 +159,28 @@ def picard_complex_simplicial(delta: SimplicialComplex) -> CechComplex:
 def local_picard_formula(delta: SimplicialComplex) -> List[FinAbGroup]:
     """H^j of the unit sheaf via reduced link cohomology, degrees 0..dim.
 
-    Each vertex contributes its link's reduced (j-1)-st cohomology to
-    degree j; everything above the dimension vanishes.
+    H^j = ⊕_v H~^(j-1)(lk v), and each summand is read off Δ's own faces:
+    by excision and the cone st w_v, H~^(j-1)(lk v) ≅ H^j(Δ, dl v ∪ st w_v),
+    where dl v is the deletion of v and w_v the vertex sharing the most
+    facets with v (first in vertex order on ties).  The cochains of this
+    pair are the faces F ∋ v with no facet above F through w_v; as cells
+    (F, v) of every v they form one block complex, reduced at once.
+
+    >>> delta = SimplicialComplex.from_facets([(1, 2, 3), (3, 4)])
+    >>> [str(g) for g in local_picard_formula(delta)]
+    ['0', 'Z', '0']
     """
     if delta.is_void or not delta.vertices:
         raise VoidComplex("need a complex with at least one vertex")
-    out = [TRIVIAL_GROUP] * (delta.dimension + 1)
-    for v in delta.vertices:
-        reduced = delta.link((v,)).cohomology(reduced=True)
-        for j in range(min(len(reduced), len(out))):
-            out[j] = out[j].direct_sum(reduced[j])
-    return out
+    # the facets through both v and w_v: edges come in lexicographic order, so
+    # v meets its neighbours in vertex order and keeps the first best one
+    shared = dict.fromkeys(delta.vertices, 0)
+    for edge, above in delta._faces_by_dim().get(1, {}).items():
+        for v in edge:
+            if above.bit_count() > shared[v].bit_count():
+                shared[v] = above
+    cells = lambda face, above: [v for v in face if not above & shared[v]]
+    return cohomology_of_complex(*delta._cochain_data(0, cells))
 
 
 def local_picard_cech(delta: SimplicialComplex) -> List[FinAbGroup]:

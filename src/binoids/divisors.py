@@ -83,26 +83,32 @@ def valuation_matrix(M: BinoidPresentation) -> ValuationMatrix:
     S = compute_spec(M)
     height_one = [p for p in S.primes if height(S, p) == 1]
     normals = cone_facets(gamma)
-    if len(normals) != len(height_one):
-        raise FacetPrimeMismatch(
-            f"{len(normals)} facets against {len(height_one)} height-1 primes"
-        )
     images = gamma.all_images()
-    by_prime = {}
+    by_prime, repeated = {}, None
     for normal in normals:
         values = tuple(_dot(normal, img) for img in images)
         key = PrimeIdeal(tuple(i for i, v in enumerate(values) if v > 0))
-        if key in by_prime:
-            raise FacetPrimeMismatch(
-                "two facets select the same prime %s" % prime_label(S, key)
-            )
-        by_prime[key] = (normal, values)
-    for p in height_one:
-        if p not in by_prime:
-            raise FacetPrimeMismatch(
-                "facet supports do not match the height-1 primes: "
-                "no facet selects %s" % prime_label(S, p)
-            )
+        if key in by_prime and repeated is None:
+            repeated = key
+        by_prime.setdefault(key, (normal, values))
+    missing = next((p for p in height_one if p not in by_prime), None)
+    if len(normals) != len(height_one):
+        counts = f"{len(normals)} facets against {len(height_one)} height-1 primes"
+        if missing is not None:
+            raise FacetPrimeMismatch(f"{counts}: no facet selects {prime_label(S, missing)}")
+        surplus = repeated or next(k for k in by_prime if k not in height_one)
+        raise FacetPrimeMismatch(
+            f"{counts}: a surplus facet selects {prime_label(S, surplus)}"
+        )
+    if repeated is not None:
+        raise FacetPrimeMismatch(
+            "two facets select the same prime %s" % prime_label(S, repeated)
+        )
+    if missing is not None:
+        raise FacetPrimeMismatch(
+            "facet supports do not match the height-1 primes: "
+            "no facet selects %s" % prime_label(S, missing)
+        )
     ordered = sorted(height_one, key=lambda p: p.generator_subset)
     return ValuationMatrix(
         IntMatrix.from_rows([list(by_prime[p][1]) for p in ordered], cols=len(images)),

@@ -18,7 +18,10 @@ hold it.
 Cohomology is read off the cochains outside the closed star of one vertex
 w: st w is a cone, so the pair's long exact sequence gives
 H~^j(Δ) ≅ H^j(Δ, st w) over Z (a coreduction in the sense of Mrozek and
-Batko, 2009, and Kaczynski, Mrozek and Ślusarek, 1998).
+Batko, 2009, and Kaczynski, Mrozek and Ślusarek, 1998).  One builder,
+`_cochain_data`, lays out every simplicial cochain complex on labelled
+cells (F, v) of the cached faces: this one with a single label, and the
+link formula's relative complexes with one block per vertex v.
 """
 
 from __future__ import annotations
@@ -261,24 +264,39 @@ class SimplicialComplex:
 
     # -- cohomology ----------------------------------------------------------
 
-    def _cochain_data(self, reduced: bool, omitted=frozenset()):
-        """Ranks and differentials, as sparse rows {row: {column: entry}},
-        on the faces outside `omitted`, a subcomplex; empty rows are dropped."""
+    def _cochain_data(self, start: int, labels):
+        """Ranks and differentials, as sparse rows {row: {column: entry}}, on
+        labelled cells; empty rows are dropped.
+
+        Degree d holds a cell (F, v) for each face F of dimension d, from
+        d = start, and each label v in labels(F, _above(F)), in face order.
+        Target (t, v) meets source (t minus t[l], v) with sign (-1)^l, so
+        the cells of one label span a block of their own.
+        """
         if self.is_void:
             raise VoidComplex("the void complex has no cochain complex")
-        start = -1 if reduced else 0
         by_dim = self._faces_by_dim()
-        faces = [
-            [f for f in by_dim.get(d, []) if f not in omitted]
-            for d in range(start, self.dimension + 1)
-        ]
-        diffs = []
-        for sources, targets in zip(faces, faces[1:]):
-            index = {f: i for i, f in enumerate(sources)}
-            boundaries = ((index.get(t[:l] + t[l + 1 :]) for l in range(len(t))) for t in targets)
-            rows = ({i: (-1) ** l for l, i in enumerate(b) if i is not None} for b in boundaries)
-            diffs.append({t: row for t, row in enumerate(rows) if row})
-        return [len(f) for f in faces], diffs
+        ranks, diffs, index = [], [], {}
+        for d in range(start, self.dimension + 1):
+            here, rows, rank = {}, {}, 0
+            for t, above in by_dim.get(d, {}).items():
+                cells = labels(t, above)
+                if not cells:
+                    continue
+                here[t] = columns = {}
+                for v in cells:
+                    columns[v] = rank
+                    rank += 1
+                subs = [(index.get(t[:l] + t[l + 1 :]), (-1) ** l) for l in range(len(t))]
+                for v, r in columns.items():
+                    row = {s[v]: sign for s, sign in subs if s and v in s}
+                    if row:
+                        rows[r] = row
+            if d > start:
+                diffs.append(rows)
+            ranks.append(rank)
+            index = here
+        return ranks, diffs
 
     def cochain_complex(self, reduced: bool = False) -> List[IntMatrix]:
         """Differentials of the (reduced) integer cochain complex.
@@ -286,7 +304,7 @@ class SimplicialComplex:
         Faces are ordered lexicographically; the coefficient of a vertex
         omitted at position l is (-1)^l.
         """
-        ranks, diffs = self._cochain_data(reduced)
+        ranks, diffs = self._cochain_data(-1 if reduced else 0, lambda face, above: (None,))
         return [_dense(d, ranks[j + 1], ranks[j]) for j, d in enumerate(diffs)]
 
     def cohomology(self, reduced: bool = False) -> List[FinAbGroup]:
@@ -295,15 +313,12 @@ class SimplicialComplex:
         Read off C*(Δ, st w), w the vertex in the most facets (first on
         ties): st w is a cone, so H~^j(Δ) ≅ H^j(Δ, st w) over Z, torsion
         included; unreduced, H^0 gains a Z.  Void and {∅} keep the whole
-        complex.  The faces of st w are those whose facets meet w's.
+        complex.  A face lies in st w when a facet above it holds w.
         """
-        star = set()
-        if self.vertices:
-            w = max(map(self._facets_through, self.vertices), key=int.bit_count)
-            by_dim = self._faces_by_dim().values()
-            star = {f for faces in by_dim for f, above in faces.items() if above & w}
-        groups = cohomology_of_complex(*self._cochain_data(reduced, star))
-        if star and not reduced:
+        w = max(map(self._facets_through, self.vertices), key=int.bit_count, default=0)
+        outside = lambda face, above: () if above & w else (None,)
+        groups = cohomology_of_complex(*self._cochain_data(-1 if reduced else 0, outside))
+        if w and not reduced:
             groups[0] = FinAbGroup(groups[0].free_rank + 1)
         return groups
 

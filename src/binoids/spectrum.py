@@ -73,7 +73,9 @@ class SpecPoset:
 
         A prime q just below p is the largest prime inside p minus some
         generator of p outside q, so the lower covers of p are the maximal
-        ones among at most |p| interiors.
+        ones among at most |p| interiors.  A p minus g that is prime is its
+        own interior.  Without element relations every other p minus g
+        holds no prime, so the primes among them are all the covers.
         """
         if self._hasse is None:
             element_masks, infinity_masks = _relation_masks(self.presentation)
@@ -81,15 +83,15 @@ class SpecPoset:
             where = {m: i for i, m in enumerate(masks)}
             covers, heights = [], []
             for p, mask in zip(self.primes, masks):  # smaller primes come first
-                below = {
-                    _interior(mask & ~(1 << g), element_masks, infinity_masks)
-                    for g in p.generator_subset
-                }
-                below.discard(None)
-                lower = [
-                    where[q] for q in below if not any(q != r and not q & ~r for r in below)
-                ]
-                lower.sort()
+                below = {mask & ~(1 << g) for g in p.generator_subset}
+                if element_masks:
+                    below = {
+                        q if q in where else _interior(q, element_masks, infinity_masks)
+                        for q in below
+                    }
+                    below.discard(None)
+                    below = [q for q in below if not any(q != r and not q & ~r for r in below)]
+                lower = sorted(where[q] for q in below if q in where)
                 covers.append(tuple(lower))
                 heights.append(max((heights[c] + 1 for c in lower), default=0))
             object.__setattr__(self, "_hasse", (tuple(covers), tuple(heights)))

@@ -3,6 +3,8 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import binoids.cech
+import binoids.exactalg
 from binoids.binoid import (
     BinoidPresentation,
     DifferenceGroup,
@@ -59,7 +61,13 @@ from fixtures import (
     xyz_to_infinity,
     zero_dim_facets,
 )
-from oracles import make_rng, polygon_cone_class_group, random_facets
+from oracles import (
+    brute_link,
+    brute_simplicial_cohomology,
+    make_rng,
+    polygon_cone_class_group,
+    random_facets,
+)
 
 
 def cx(facets):
@@ -253,6 +261,95 @@ class TestLocalPicardFormula:
             assert groups[0].invariant_factors == ()
             if len(groups) > 1:
                 assert groups[1].invariant_factors == ()
+
+
+# vertex labels in shuffled order with facets that may leave some out, and
+# cones over RP^2 relabelled: isolated vertices have the link {∅}, and the
+# apex of the cone has the link RP^2 with its Z/2
+formula_inputs = st.one_of(
+    st.integers(1, 8).flatmap(
+        lambda n: st.tuples(
+            st.permutations(range(1, n + 1)),
+            st.lists(
+                st.sets(st.integers(1, n), min_size=1, max_size=4).map(sorted),
+                max_size=n + 1,
+            ),
+        )
+    ),
+    st.permutations(range(1, 8)).map(
+        lambda order: (
+            list(order),
+            [[order[v - 1] for v in f] for f in CONE_RP2_FACETS],
+        )
+    ),
+)
+
+
+class TestLocalPicardFormulaAgainstLinks:
+    @settings(max_examples=80, deadline=None)
+    @given(formula_inputs)
+    def test_direct_sum_of_brute_link_cohomology(self, drawn):
+        labels, facets = drawn
+        delta = SimplicialComplex.make(labels, facets)
+        spanned = list(facets) + [(v,) for v in labels]
+        expected = [TRIVIAL_GROUP] * (delta.dimension + 1)
+        for v in labels:
+            link = brute_link(spanned, {v})
+            link_facets = [tuple(sorted(g)) for g in link if not any(g < h for h in link)]
+            link_vertices = sorted(set().union(*link))
+            reduced = brute_simplicial_cohomology(link_vertices, link_facets, reduced=True)
+            for j, group in enumerate(reduced):  # H~^(j-1)(lk v) lands in degree j
+                expected[j] = expected[j].direct_sum(FinAbGroup(*group))
+        assert local_picard_formula(delta) == expected
+
+
+class TestLocalPicardFormulaComplex:
+    """The formula hands one complex, outside dl v ∪ st w_v for every v, to
+    cohomology_of_complex, and builds no link."""
+
+    @pytest.fixture
+    def handed(self, monkeypatch):
+        handed, checked = [], []
+        reduce = binoids.cech.cohomology_of_complex
+        check = binoids.exactalg._sparse_complex
+
+        def capture(ranks, diffs):
+            groups = reduce(ranks, diffs)
+            assert checked == [list(ranks)]  # d∘d = 0 was checked on it
+            checked.clear()
+            handed.append(list(ranks))
+            return groups
+
+        def count(ranks, diffs):
+            checked.append(list(ranks))
+            return check(ranks, diffs)
+
+        def no_link(self, face):
+            raise AssertionError("link() called")
+
+        monkeypatch.setattr(binoids.cech, "cohomology_of_complex", capture)
+        monkeypatch.setattr(binoids.exactalg, "_sparse_complex", count)
+        monkeypatch.setattr(SimplicialComplex, "link", no_link)
+        return handed
+
+    def test_octahedron(self, handed):
+        # each vertex keeps, of its link (a 4-cycle), the vertex and the two
+        # edges outside the star of the vertex sharing the most facets with it
+        facets = [tuple(i + 3 * s for i, s in zip(range(1, 4), signs))
+                  for signs in product((0, 1), repeat=3)]
+        assert local_picard_formula(cx(facets)) == [TRIVIAL_GROUP, TRIVIAL_GROUP, Z(6)]
+        assert handed == [[0, 6, 12]]
+
+    def test_cone_over_projective_plane(self, handed):
+        groups = local_picard_formula(cx(CONE_RP2_FACETS))
+        assert groups == [TRIVIAL_GROUP] * 3 + [FinAbGroup(0, (2,))]
+        assert handed == [[0, 0, 5, 5]]
+
+    def test_ties_go_to_the_first_vertex(self, handed):
+        # 3 shares one facet with each of 1, 2 and 4; w_3 = 1 leaves only
+        # (3, 4), where w_3 = 4 would leave (1, 3), (2, 3) and (1, 2, 3)
+        assert local_picard_formula(cx(FAVOURITE_FACETS)) == [TRIVIAL_GROUP, Z(1), TRIVIAL_GROUP]
+        assert handed == [[0, 1, 0]]
 
 
 class TestLocalPicardCech:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from binoids import divisors
 from binoids.binoid import (
     BinoidPresentation,
     DifferenceGroup,
@@ -144,6 +145,25 @@ class TestValuationMatrix:
     def test_mismatch_detected(self):
         with pytest.raises(FacetPrimeMismatch):
             valuation_matrix(non_cancellative())
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda ns: ns[1:], "3 facets against 4 height-1 primes: no facet selects <x,w>"),
+            (
+                lambda ns: ns + ns[:1],
+                "5 facets against 4 height-1 primes: a surplus facet selects <x,w>",
+            ),
+            (lambda ns: ns[:3] + ns[:1], "two facets select the same prime <x,w>"),
+        ],
+    )
+    def test_mismatch_names_a_prime(self, monkeypatch, change, message):
+        # the facet (0, 0, 1) selects <x,w>; drop it, or count it twice
+        normals = change(cone_facets(difference_group(xyzw())))
+        monkeypatch.setattr(divisors, "cone_facets", lambda gamma: normals)
+        with pytest.raises(FacetPrimeMismatch) as raised:
+            valuation_matrix(xyzw())
+        assert str(raised.value) == message
 
 
 class TestClassGroup:
