@@ -18,7 +18,7 @@ from .errors import (
     Torsion,
     VoidComplex,
 )
-from .exactalg import IntMatrix, smith_normal_form
+from .exactalg import IntMatrix, _smith
 from .simplicial import SimplicialComplex, subsets_avoiding
 
 
@@ -241,12 +241,10 @@ def difference_group(M: BinoidPresentation) -> DifferenceGroup:
     lattice = IntMatrix.from_rows(
         [[col[i] for col in columns] for i in range(n)], cols=len(columns)
     )
-    dec = smith_normal_form(lattice)
-    diag = dec.diagonal()
+    U, S, _ = _smith(lattice, v=False)
+    diag = tuple(S[i][i] for i in range(min(n, len(columns))))
     if any(d not in (0, 1) for d in diag):
         raise Torsion("difference group has torsion: diagonal %s" % (diag,))
     free_rows = [i for i in range(n) if i >= len(diag) or diag[i] == 0]
-    images = IntMatrix.from_rows(
-        [dec.U.row(i) for i in free_rows], cols=n
-    )
+    images = IntMatrix.from_rows([U[i] for i in free_rows], cols=n)
     return DifferenceGroup(len(free_rows), images, lattice)

@@ -4,9 +4,9 @@ Simplicial binoids get two independent routes: the per-vertex splitting of
 the coordinate-cover complex, and the closed formula summing reduced link
 cohomology, read off relative cochains on the complex's own faces with one
 block per vertex (`SimplicialComplex._cochain_data`, not `_cech_complex`).
-General integral binoids get a direct computation on the
-minimal cover; for a cancellative binoid the units of a localization M_F
-are the lattice spanned by the generators of the face generated by F.
+General integral binoids get a direct computation on the minimal cover;
+for a cancellative binoid the units of a localization M_F are the lattice
+spanned by the generators outside p_F, one Smith form per distinct p_F.
 
 One constructor, `_cech_complex`, lays out the Čech complex of all three
 covers: the coordinate cover of a simplicial binoid, the minimal cover of
@@ -37,11 +37,11 @@ from .exactalg import (
     GroupExpr,
     IntMatrix,
     _dense,
+    _divide,
+    _lattice,
     _reduce_complex,
     _sparse_complex,
     cohomology_of_complex,
-    column_lattice_basis,
-    solve_columns,
 )
 from .simplicial import SimplicialComplex
 from .spectrum import (
@@ -284,23 +284,26 @@ def units_of_localization(
     p_F is the largest of them.  For a cancellative binoid the units of M_F
     are spanned by the images of the generators outside p_F.
     """
-    return _units_of_localization(compute_spec(M), gamma, face)
-
-
-def _units_of_localization(
-    S: SpecPoset, gamma: DifferenceGroup, face: Sequence[int]
-) -> UnitSubgroup:
     face = tuple(sorted(face))
+    prime = _largest_avoiding(compute_spec(M), face)
+    return UnitSubgroup(gamma, _unit_lattice(gamma, prime)[0], face)
+
+
+def _largest_avoiding(S: SpecPoset, face: Sequence[int]) -> Tuple[int, ...]:
+    """p_F, the union of the primes disjoint from the face F."""
     avoiding = [p for p in S.primes if not set(p.generator_subset) & set(face)]
     if not avoiding:
         raise DegenerateLocalization(
-            "no prime avoids the face %s: the localization is zero" % (list(face),)
+            "no prime avoids the face %s: the localization is zero" % (sorted(face),)
         )
-    largest = avoiding[-1].generator_subset
-    outside = [i for i in range(gamma.images.cols) if i not in largest]
+    return avoiding[-1].generator_subset
+
+
+def _unit_lattice(gamma: DifferenceGroup, prime: Tuple[int, ...]):
+    """(B, U, d) of `_lattice` on the images of the generators outside the prime."""
+    outside = [i for i in range(gamma.images.cols) if i not in prime]
     images = [[row[i] for i in outside] for row in gamma.images.entries]
-    basis = column_lattice_basis(IntMatrix.from_rows(images, cols=len(outside)))
-    return UnitSubgroup(gamma, basis, face)
+    return _lattice(IntMatrix.from_rows(images, cols=len(outside)))
 
 
 def _check_cancellative(S: SpecPoset, gamma: DifferenceGroup) -> None:
@@ -344,9 +347,11 @@ def local_picard_general(M: BinoidPresentation) -> LocalPicardResult:
     """Unit-sheaf Čech cohomology on the minimal cover of the punctured spectrum.
 
     Every intersection of basic opens of an integral binoid is nonempty,
-    so the index complex is a full simplex.  J in K gives p_K in p_J, so
-    the unit group over J lies in the one over K and the restriction maps
-    are solvable in the recorded bases; degree 1 is the local Picard group.
+    so the index complex is a full simplex.  The units over J depend only
+    on p_J: each distinct p_J gets one Smith form U*A*V = S of the images
+    A outside it, and the basis B = A*V[:, :r].  J in K gives p_K in p_J, so
+    U_K*B_K = S_r turns the restriction into S_r^-1*U_K*B_J, the identity
+    when p_J = p_K.  Degree 1 is the local Picard group.
     """
     gamma = difference_group(M)
     S = compute_spec(M)
@@ -356,19 +361,18 @@ def local_picard_general(M: BinoidPresentation) -> LocalPicardResult:
     simplices = [
         list(combinations(range(len(cover)), size)) for size in range(1, len(cover) + 1)
     ]
-    units = {
-        J: _units_of_localization(S, gamma, {i for j in J for i in cover[j]})
-        for k_simplices in simplices
-        for J in k_simplices
-    }
+    faces = {J: {i for j in J for i in cover[j]} for k_simplices in simplices for J in k_simplices}
+    largest = {J: _largest_avoiding(S, face) for J, face in faces.items()}
+    lattices = {p: _unit_lattice(gamma, p) for p in set(largest.values())}
 
     def restriction(sub, K):
-        block = solve_columns(units[K].basis, units[sub].basis)
-        return [
-            (a, b, x) for a, row in enumerate(block.entries) for b, x in enumerate(row) if x
-        ]
+        B, U, d = lattices[largest[K]]
+        if largest[sub] == largest[K]:
+            return [(a, a, 1) for a in range(B.cols)]
+        block = _divide(U, d, lattices[largest[sub]][0])
+        return [(a, b, x) for a, row in enumerate(block) for b, x in enumerate(row) if x]
 
-    cech = _cech_complex(simplices, lambda J: range(units[J].rank), restriction)
+    cech = _cech_complex(simplices, lambda J: range(lattices[largest[J]][0].cols), restriction)
     return LocalPicardResult(tuple(cech.cohomology()), cech, tuple(cover))
 
 

@@ -9,11 +9,12 @@ via all the valuations at once.
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import gcd
 from typing import List, Optional, Tuple
 
 from .binoid import BinoidPresentation, DifferenceGroup, difference_group
 from .errors import FacetPrimeMismatch, NotFullDimensional, NotPointed
-from .exactalg import FinAbGroup, IntMatrix, cokernel, invariant_factors, kernel_basis
+from .exactalg import FinAbGroup, IntMatrix, cokernel, invariant_factors
 from .spectrum import PrimeIdeal, compute_spec, height, prime_label
 
 
@@ -21,13 +22,33 @@ def _dot(u: Tuple[int, ...], v: Tuple[int, ...]) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
+def _determinant(rows: list) -> int:
+    """The determinant of a square matrix, by fraction-free (Bareiss) elimination.
+
+    Every entry stays an integer minor of the input, so each division by
+    the previous pivot is exact.
+    """
+    a, sign, previous = [list(row) for row in rows], 1, 1
+    for k in range(len(a)):
+        swap = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if swap is None:
+            return 0
+        if swap > k:
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, len(a)):
+            for j in range(k + 1, len(a)):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // previous
+        previous = a[k][k]
+    return sign * previous
+
+
 def cone_facets(gamma: DifferenceGroup) -> List[Tuple[int, ...]]:
     """Primitive inner normals of the facets of cone(generator images).
 
-    A candidate is the kernel vector of r-1 images that span a hyperplane;
-    it survives when it is nonnegative on every image.  It is primitive, as
-    a column of the unimodular V of a Smith form, and its zero set spans the
-    hyperplane, as the r-1 images already do.
+    A candidate is the vector of signed (r-1)-minors of r-1 images over the
+    gcd of the minors: primitive, orthogonal to the r-1 images and zero
+    unless they span a hyperplane.  It survives when it is nonnegative on
+    every image; its zero set spans the hyperplane, as the images already do.
     """
     r = gamma.rank
     images = gamma.all_images()
@@ -38,19 +59,19 @@ def cone_facets(gamma: DifferenceGroup) -> List[Tuple[int, ...]]:
         return []  # the zero cone has no facets
 
     normals = set()
-    for subset in combinations(range(len(images)), r - 1):
-        wall = IntMatrix.from_rows([list(images[i]) for i in subset], cols=r)
-        candidates = kernel_basis(wall)
-        if candidates.cols != 1:
-            continue  # images in the subset do not span a hyperplane
-        normal = list(candidates.column(0))
-        values = [_dot(tuple(normal), img) for img in images]
+    for wall in combinations(images, r - 1):
+        minors = [(-1) ** k * _determinant([v[:k] + v[k + 1 :] for v in wall]) for k in range(r)]
+        g = gcd(*minors)
+        if not g:
+            continue  # images in the wall do not span a hyperplane
+        normal = tuple(x // g for x in minors)
+        values = [_dot(normal, img) for img in images]
         if all(v <= 0 for v in values):
-            normal = [-x for x in normal]
+            normal = tuple(-x for x in normal)
             values = [-v for v in values]
         if any(v < 0 for v in values):
             continue  # not a supporting hyperplane
-        normals.add(tuple(normal))
+        normals.add(normal)
 
     dual = IntMatrix.from_rows([list(n) for n in normals], cols=r)
     if len(invariant_factors(dual)) < r:

@@ -1,10 +1,10 @@
 """Exact integer linear algebra.
 
-Smith normal form with unimodular certificates (for kernels, lattice
-bases and exact solving), cokernels, cohomology of complexes of free
-abelian groups, and universal-coefficient evaluation for symbolic
-coefficient groups.  All arithmetic uses Python's arbitrary-precision
-integers; nothing here ever touches floats.
+Smith normal form with unimodular certificates (for lattice bases and
+exact solving), cokernels, cohomology of complexes of free abelian
+groups, and universal-coefficient evaluation for symbolic coefficient
+groups.  All arithmetic uses Python's arbitrary-precision integers;
+nothing here ever touches floats.
 
 Cohomology needs no certificates.  For free groups
 Z^a --d_in--> Z^b --d_out--> Z^c,
@@ -19,8 +19,8 @@ costs refreshed lazily as entries come off a heap; each such pivot splits
 off a factor 1 (Dumas, Saunders and Villard, "On efficient sparse integer
 matrix Smith normal forms", 2001).  Boundary matrices
 are mostly reduced this way.  Second, the block left without unit
-entries goes to the dense Smith normal form, of which only the
-diagonal is read.
+entries goes to the dense Smith normal form, which tracks neither
+transform: only its diagonal is read.
 
 `cohomology_of_complex` takes the differentials as sparse rows (or
 IntMatrix), checks d_(j+1) * d_j = 0 sparsely once per consecutive pair
@@ -270,31 +270,32 @@ class GroupExpr:
 # Smith normal form
 
 
-def _smith(A: IntMatrix):
-    """Lists (U, S, V) with U*A*V = S.
+def _smith(A: IntMatrix, u: bool = True, v: bool = True):
+    """Lists (U, S, V) with U*A*V = S; U (V) is [] unless u (v) asks for it.
 
     Pivot choice: smallest nonzero absolute value in the remaining
     submatrix, which keeps intermediate entries modest at this scale.
     """
     m, n = A.rows, A.cols
     S = A.to_lists()
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if u else []
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if v else []
+    S_U = (S, U) if u else (S,)
 
     def row_op(dst, src, q):
-        S[dst] = [a + q * b for a, b in zip(S[dst], S[src])]
-        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
+        for T in S_U:
+            T[dst] = [a + q * b for a, b in zip(T[dst], T[src])]
 
     def col_op(dst, src, q):
-        for i in range(m):
-            S[i][dst] += q * S[i][src]
-        for i in range(n):
-            V[i][dst] += q * V[i][src]
+        for row in S:
+            row[dst] += q * row[src]
+        for row in V:
+            row[dst] += q * row[src]
 
     def swap_rows(i, j):
         if i != j:
-            S[i], S[j] = S[j], S[i]
-            U[i], U[j] = U[j], U[i]
+            for T in S_U:
+                T[i], T[j] = T[j], T[i]
 
     def swap_cols(i, j):
         if i != j:
@@ -304,8 +305,8 @@ def _smith(A: IntMatrix):
                 row[i], row[j] = row[j], row[i]
 
     def negate_row(i):
-        S[i] = [-a for a in S[i]]
-        U[i] = [-a for a in U[i]]
+        for T in S_U:
+            T[i] = [-a for a in T[i]]
 
     def smallest_pivot(t):
         best = None
@@ -439,7 +440,7 @@ def _remainder_factors(rows: dict) -> tuple:
         return ()
     rest = sorted({j for row in rows.values() for j in row})
     block = tuple(tuple(row.get(j, 0) for j in rest) for row in rows.values())
-    _, S, _ = _smith(IntMatrix(len(block), len(rest), block))
+    _, S, _ = _smith(IntMatrix(len(block), len(rest), block), u=False, v=False)
     return tuple(S[i][i] for i in range(min(len(block), len(rest))) if S[i][i])
 
 
@@ -488,61 +489,48 @@ def cokernel(A: IntMatrix) -> FinAbGroup:
     return FinAbGroup(A.rows - len(factors), tuple(d for d in factors if d > 1))
 
 
-def kernel_basis(A: IntMatrix) -> IntMatrix:
-    """Columns forming a lattice basis of ker(A: Z^cols -> Z^rows)."""
-    _, S, V = _smith(A)
-    m, n = A.rows, A.cols
-    cols = [j for j in range(n) if j >= min(m, n) or S[j][j] == 0]
-    data = tuple(tuple(V[i][j] for j in cols) for i in range(n))
-    return IntMatrix(n, len(cols), data)
+def _lattice(A: IntMatrix):
+    """(B, U, d): B = A*V[:, :r] spans the columns of A, and U*B = S[:, :r].
+
+    U*A*V = S gives A*V = U^-1*S, whose first r = rank columns are the
+    nonzero invariant factors d_1..d_r times columns of the unimodular U^-1.
+    """
+    U, S, V = _smith(A)
+    d = [S[i][i] for i in range(min(A.rows, A.cols)) if S[i][i]]
+    return A * IntMatrix.from_rows([row[: len(d)] for row in V], cols=len(d)), U, d
 
 
 def column_lattice_basis(A: IntMatrix) -> IntMatrix:
-    """A basis (as columns) of the subgroup of Z^rows spanned by A's columns.
+    """A basis (as columns) of the subgroup of Z^rows spanned by A's columns."""
+    return _lattice(A)[0]
 
-    U*A*V = S gives A*V = U^-1*S, whose first rank columns are the nonzero
-    invariant factors times columns of the unimodular U^-1.
+
+def _divide(U: list, d: list, C: IntMatrix) -> list:
+    """The rows of Z with S*Z = U*C, for S the diagonal d_1..d_r over zero rows.
+
+    Raises ValueError, as no integer Z exists, when a d_i does not divide
+    row i of U*C or a row of U*C below r is not zero.
     """
-    _, S, V = _smith(A)
-    r = sum(1 for i in range(min(A.rows, A.cols)) if S[i][i] != 0)
-    data = tuple(
-        tuple(sum(a * V[t][k] for t, a in enumerate(row)) for k in range(r))
-        for row in A.entries
-    )
-    return IntMatrix(A.rows, r, data)
+    cols = [C.column(j) for j in range(C.cols)]
+    UC = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in U]
+    if any(any(y) for y in UC[len(d) :]) or any(x % s for y, s in zip(UC, d) for x in y):
+        raise ValueError("no integer solution")
+    return [[x // s for x in y] for y, s in zip(UC, d)]
 
 
 def solve_columns(B: IntMatrix, C: IntMatrix) -> IntMatrix:
     """The unique integer X with B*X = C, for B of full column rank.
 
-    Raises ValueError when no integer solution exists.
+    U*B*V = S turns B*X = C into S*Z = U*C with X = V*Z.  Raises ValueError
+    when B's rank is short of its column count or no integer solution exists.
     """
-    U_, S_, V_ = _smith(B)
-    m, k = B.rows, B.cols
-    a = C.cols
-    if C.rows != m:
+    if C.rows != B.rows:
         raise ValueError("shape mismatch")
-    UC = [
-        [sum(U_[i][t] * C.entry(t, j) for t in range(m)) for j in range(a)]
-        for i in range(m)
-    ]
-    Z = [[0] * a for _ in range(k)]
-    for i in range(m):
-        s = S_[i][i] if i < k else 0
-        for j in range(a):
-            if s != 0:
-                if UC[i][j] % s:
-                    raise ValueError("no integer solution")
-                Z[i][j] = UC[i][j] // s
-            elif UC[i][j] != 0:
-                raise ValueError("no integer solution")
-    if k > m or any(S_[i][i] == 0 for i in range(k)):
+    U, S, V = _smith(B)
+    d = [S[i][i] for i in range(min(B.rows, B.cols)) if S[i][i]]
+    if len(d) < B.cols:
         raise ValueError("matrix does not have full column rank")
-    X = [
-        [sum(V_[i][t] * Z[t][j] for t in range(k)) for j in range(a)]
-        for i in range(k)
-    ]
-    return IntMatrix.from_rows(X, cols=a)
+    return IntMatrix.from_rows(V, cols=B.cols) * IntMatrix.from_rows(_divide(U, d, C), cols=C.cols)
 
 
 def _sparse_complex(ranks: list, diffs: list) -> list:

@@ -586,3 +586,36 @@ def polygon_cone_class_group(points):
             if all(n[0] * x + n[1] * y + c >= 0 for x, y in points):
                 edges.add((n[0], n[1], c))
     return naive_cokernel([list(e) for e in sorted(edges)])
+
+
+def brute_cone_facets(images):
+    """Sorted primitive inner facet normals of the cone over the given images.
+
+    images is a nonempty list of vectors of one length r.  Every r - 1 of
+    them whose kernel (read off `naive_snf`) is a line give a candidate,
+    kept when it is one-signed on all images.  Returns the string
+    "NotFullDimensional" when the images do not span Q^r and "NotPointed"
+    when the normals do not, i.e. when the cone contains a line.
+    """
+    r = len(images[0])
+    if len([d for d in naive_diagonal([list(v) for v in images], cols=r) if d]) < r:
+        return "NotFullDimensional"
+    if r == 0:
+        return []
+    normals = set()
+    for wall in itertools.combinations(images, r - 1):
+        _, S, V = naive_snf([list(v) for v in wall], cols=r)
+        if not all(S[i][i] for i in range(r - 1)):
+            continue  # the wall spans less than a hyperplane
+        normal = [V[i][r - 1] for i in range(r)]
+        g = math.gcd(*normal)
+        normal = [x // g for x in normal]
+        values = [sum(a * b for a, b in zip(normal, v)) for v in images]
+        if all(x <= 0 for x in values):
+            normal = [-x for x in normal]
+        elif any(x < 0 for x in values):
+            continue
+        normals.add(tuple(normal))
+    if len([d for d in naive_diagonal([list(n) for n in normals], cols=r) if d]) < r:
+        return "NotPointed"
+    return sorted(normals)

@@ -1,7 +1,8 @@
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import binoids.cech
 import binoids.exactalg
@@ -33,6 +34,9 @@ from binoids.errors import (
     NotIntegral,
     NotMonomialPresentation,
     NotOpen,
+    NotPointed,
+    NotPositive,
+    Torsion,
     VoidComplex,
 )
 from binoids.exactalg import (
@@ -64,7 +68,9 @@ from fixtures import (
 from oracles import (
     brute_link,
     brute_simplicial_cohomology,
+    identity_rows,
     make_rng,
+    mat_mul,
     polygon_cone_class_group,
     random_facets,
 )
@@ -616,7 +622,7 @@ class TestLocalPicardGeneral:
         )
         assert local_picard_general(M).groups[1] == FinAbGroup(0, (4,))
 
-    @pytest.mark.parametrize("d", range(2, 8))
+    @pytest.mark.parametrize("d", range(2, 13))
     def test_cone_over_rational_normal_curve(self, d):
         # g_i + g_j = g_k + g_l whenever i + j = k + l; Cl = Z/d classically
         M = quadric_cone([(i,) for i in range(d + 1)])
@@ -641,6 +647,64 @@ class TestLocalPicardGeneral:
         M = quadric_cone(points)
         assert class_group(M) == expected
         assert local_picard_general(M).groups[1] == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            st.builds(
+                BinoidPresentation,
+                st.just(("a", "b", "c")),
+                st.lists(
+                    st.tuples(*[st.tuples(*[st.integers(0, 3)] * 3)] * 2)
+                    .filter(lambda sides: sides[0] != sides[1])
+                    .map(lambda sides: Relation(*sides)),
+                    max_size=2,
+                ).map(tuple),
+            ),
+            st.lists(st.integers(0, 6), min_size=2, max_size=5, unique=True).map(
+                lambda xs: quadric_cone([(x,) for x in xs])
+            ),
+            # points of a 4 x 4 grid, most often not all of a polygon's lattice
+            # points, so that faces may span lattices with invariant factors > 1
+            st.lists(st.sampled_from(list(product(range(4), repeat=2))), min_size=3, max_size=5,
+                     unique=True).map(quadric_cone),
+        ),
+        st.integers(0, 2),
+    )
+    # the triangle without (1, 1): a restriction divides by an invariant factor 2
+    @example(quadric_cone([(0, 0), (0, 1), (0, 2), (1, 0), (2, 0)]), 0)
+    def test_restriction_blocks_solve_the_bases(self, M, k):
+        # every restriction X from J into K solves B_K * X = B_J, and it is
+        # the identity when J and K have the same largest avoiding prime
+        M = smash_free(M, k) if k else M
+        handed = {}
+        build = binoids.cech._cech_complex
+
+        def capture(simplices, coordinates, restriction):
+            handed.update(simplices=simplices, restriction=restriction)
+            return build(simplices, coordinates, restriction)
+
+        with mock.patch.object(binoids.cech, "_cech_complex", capture):
+            try:
+                result = local_picard_general(M)
+            except (NotCancellative, NotPointed, NotPositive, Torsion):
+                assume(False)  # outside the hypotheses of the Čech route
+        gamma, primes = difference_group(M), compute_spec(M).primes
+        face = lambda J: {i for j in J for i in result.cover[j]}
+        largest = lambda J: {
+            i for p in primes if not set(p.generator_subset) & face(J) for i in p.generator_subset
+        }
+        simplices = [J for k_simplices in handed["simplices"] for J in k_simplices]
+        bases = {J: units_of_localization(M, gamma, face(J)).basis for J in simplices}
+        for J, K in product(simplices, repeat=2):
+            if not set(J) < set(K):
+                continue
+            X = [[0] * bases[J].cols for _ in range(bases[K].cols)]
+            for a, b, x in handed["restriction"](J, K):
+                X[a][b] = x
+            assert mat_mul(bases[K].to_lists(), X) == bases[J].to_lists()
+            if largest(J) == largest(K):
+                assert X == identity_rows(bases[K].cols)
 
     def test_inclusion_blocks_injective(self):
         result = local_picard_general(xyzw())

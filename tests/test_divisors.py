@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from binoids import divisors
 from binoids.binoid import (
@@ -20,6 +21,7 @@ from binoids.errors import FacetPrimeMismatch, NotFullDimensional, NotPointed
 from binoids.exactalg import FinAbGroup, IntMatrix, cokernel, smith_normal_form
 
 from fixtures import free_binoid, xy_nz, xyzw
+from oracles import brute_cone_facets
 
 
 def value_rows(M):
@@ -34,6 +36,21 @@ def value_rows(M):
             )
         )
     return rows
+
+
+@st.composite
+def cone_images(draw):
+    """Images of rank 1-4: drawn ones (nonnegative half the time, so that
+    most cones are pointed), then repeats, multiples and sums of them."""
+    r = draw(st.integers(1, 4))
+    low = draw(st.sampled_from([-3, 0]))
+    vector = st.tuples(*[st.integers(low, 3)] * r)
+    images = draw(st.lists(vector, min_size=r, max_size=r + 3))
+    for _ in range(draw(st.integers(0, 3))):
+        u, v = draw(st.sampled_from(images)), draw(st.sampled_from(images))
+        k = draw(st.integers(1, 3))
+        images.append(draw(st.sampled_from([u, tuple(k * a for a in u), tuple(map(sum, zip(u, v)))])))
+    return draw(st.permutations(images))
 
 
 def non_cancellative():
@@ -94,6 +111,17 @@ class TestConeFacets:
         )
         with pytest.raises(NotPointed):
             cone_facets(gamma)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cone_images())
+    def test_matches_brute_force_oracle(self, images):
+        r = len(images[0])
+        columns = IntMatrix.from_rows([[v[i] for v in images] for i in range(r)], cols=len(images))
+        try:
+            got = cone_facets(DifferenceGroup(r, columns, IntMatrix.zero(len(images), 0)))
+        except (NotFullDimensional, NotPointed) as e:
+            got = type(e).__name__
+        assert got == brute_cone_facets(images)
 
     def test_deterministic(self):
         gamma = difference_group(xyzw())

@@ -16,6 +16,7 @@ from binoids.exactalg import (
     complex_cohomology,
     invariant_factors,
     smith_normal_form,
+    solve_columns,
 )
 
 from oracles import (
@@ -25,6 +26,7 @@ from oracles import (
     naive_complex_cohomology,
     naive_diagonal,
     random_cochain_complex,
+    random_unimodular,
     random_zero_composition,
     same_column_lattice,
 )
@@ -276,6 +278,47 @@ class TestColumnLatticeBasis:
         assert not same_column_lattice([[1], [0]], [[0], [1]])
 
 
+class TestSolveColumns:
+    def test_recovers_the_solution(self):
+        rng = random.Random(1207)
+        for _ in range(200):
+            k = rng.randint(0, 4)
+            m, a = k + rng.randint(0, 3), rng.randint(0, 3)
+            # k columns of a unimodular matrix, each scaled: full column rank
+            T, _ = random_unimodular(rng, m)
+            scales = [rng.choice([1, 1, 2, -3]) for _ in range(k)]
+            B = [[row[j] * scales[j] for j in range(k)] for row in T]
+            X = [[rng.randint(-4, 4) for _ in range(a)] for _ in range(k)]
+            C = mat_mul(B, X) if k else [[0] * a for _ in range(m)]
+            assert solve_columns(M(B, cols=k), M(C, cols=a)).to_lists() == X
+
+    @pytest.mark.parametrize(
+        "B, C",
+        [
+            ([[2], [0]], [[1], [0]]),  # the diagonal does not divide
+            ([[2], [0]], [[0], [1]]),  # a row below the rank is not zero
+            ([[1, 1], [1, 1]], [[1], [1]]),  # rank short of the columns
+            ([[1, 0]], [[1]]),  # more columns than rows
+            ([[1], [0]], [[1]]),  # shapes differ
+        ],
+    )
+    def test_raises_without_a_unique_integer_solution(self, B, C):
+        with pytest.raises(ValueError):
+            solve_columns(M(B), M(C))
+
+
+class TestSmithTransforms:
+    def test_untracked_transforms_change_nothing_else(self):
+        rng = random.Random(1208)
+        for _ in range(100):
+            m, n = rng.randint(0, 5), rng.randint(0, 5)
+            A = M([[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)], cols=n)
+            U, S, V = exactalg._smith(A)
+            assert exactalg._smith(A, v=False) == (U, S, [])
+            assert exactalg._smith(A, u=False) == ([], S, V)
+            assert exactalg._smith(A, u=False, v=False) == ([], S, [])
+
+
 class TestCohomologyOfComplex:
     def test_matches_positionwise_oracle(self):
         rng = random.Random(1205)
@@ -361,13 +404,14 @@ class TestComplexWideCancellation:
         shapes = []
         smith = exactalg._smith
 
-        def recording(A):
-            shapes.append((A.rows, A.cols))
-            return smith(A)
+        def recording(A, **transforms):
+            shapes.append((A.rows, A.cols, transforms))
+            return smith(A, **transforms)
 
         monkeypatch.setattr(exactalg, "_smith", recording)
         assert [str(g) for g in cohomology_of_complex([1, 2, 1], diffs)] == groups
-        assert shapes == [(1, 1)]
+        # only the diagonal is read, so neither transform is tracked
+        assert shapes == [(1, 1, {"u": False, "v": False})]
 
     def test_sparse_rows_checked(self):
         with pytest.raises(ValueError):
