@@ -23,7 +23,6 @@ from .binoid import (
     BinoidPresentation,
     DifferenceGroup,
     difference_group,
-    from_simplicial,
     radical_complex,
 )
 from .divisors import cone_facets
@@ -52,6 +51,7 @@ from .spectrum import (
     nerve,
     prime_label,
     punctured_spectrum,
+    spectrum_of_complex,
 )
 
 
@@ -209,12 +209,13 @@ def constant_cohomology(target, opens: Optional[Set[PrimeIdeal]] = None) -> List
 def pic_open_subset(delta: SimplicialComplex, opens: Set[PrimeIdeal]) -> List[FinAbGroup]:
     """Unit-sheaf Čech cohomology of an open subset of a simplicial spectrum.
 
-    The minimal cover consists of basic opens D(G_i) for faces G_i; the
-    crosscut complex indexes the intersections, and the degree-k group is
-    one Z^(union of faces) per crosscut k-face.  Degree 1 is Pic of the
-    open set.
+    The open set is given by its primes, as in `spectrum_of_complex(delta)`,
+    whose positions index ``delta.vertices``.  The minimal cover consists of
+    basic opens D(G_i) for faces G_i; the crosscut complex indexes the
+    intersections, and the degree-k group is one Z^(union of faces) per
+    crosscut k-face.  Degree 1 is Pic of the open set.
     """
-    return _pic_open_subset(compute_spec(from_simplicial(delta)), delta, opens)
+    return _pic_open_subset(spectrum_of_complex(delta), delta, opens)
 
 
 def _pic_open_subset(

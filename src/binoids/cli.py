@@ -29,12 +29,12 @@ from .exactalg import TRIVIAL_GROUP
 from .simplicial import SimplicialComplex
 from .spectrum import (
     compute_spec,
-    height,
     minimal_cover,
     nerve,
     prime_label,
     primes_of_height_at_most,
     punctured_spectrum,
+    spectrum_of_complex,
     to_dot,
 )
 
@@ -283,20 +283,23 @@ def _as_complex(obj) -> SimplicialComplex:
     return obj if isinstance(obj, SimplicialComplex) else as_simplicial(obj)
 
 
+def _spectrum(obj):
+    if isinstance(obj, SimplicialComplex):
+        return spectrum_of_complex(obj)
+    return compute_spec(_as_binoid(obj))
+
+
 def _run_spec(ns, obj):
-    S = compute_spec(_as_binoid(obj))
+    S = _spectrum(obj)
     if ns.dot or ns.verb == "dot":
         return to_dot(S)
     if ns.json:
-        names = S.presentation.generator_names
+        names = S.generator_names
         payload = {
             "generators": list(names),
             "primes": [
-                {
-                    "generators": [names[i] for i in p.generator_subset],
-                    "height": height(S, p),
-                }
-                for p in S.primes
+                {"generators": [names[i] for i in p.generator_subset], "height": h}
+                for p, h in zip(S.primes, S._hasse_diagram()[1])
             ],
         }
         return _dump(payload)
@@ -317,8 +320,8 @@ def _run_picard_general(ns, obj):
     return _format_degrees([str(g) for g in result.groups], 0, ns.degree)
 
 
-def _cover_nerve(M: BinoidPresentation):
-    S = compute_spec(M)
+def _cover_nerve(obj):
+    S = _spectrum(obj)
     cover = minimal_cover(S, punctured_spectrum(S))
     return S, cover, nerve(S, cover)
 
@@ -327,7 +330,7 @@ def _run_cohomology(ns, obj):
     if isinstance(obj, SimplicialComplex):
         delta = obj
     else:
-        _, _, delta = _cover_nerve(_as_binoid(obj))
+        _, _, delta = _cover_nerve(obj)
     groups = delta.cohomology(reduced=ns.reduced)
     start = -1 if ns.reduced else 0
     if ns.json:
@@ -358,7 +361,7 @@ def _run_class_group(ns, obj):
 
 def _run_pic_open(ns, obj):
     delta = _as_complex(obj)
-    S = compute_spec(from_simplicial(delta))
+    S = spectrum_of_complex(delta)
     weil = primes_of_height_at_most(S, 1) & punctured_spectrum(S)
     groups = _pic_open_subset(S, delta, weil)
     if ns.json:
@@ -367,9 +370,8 @@ def _run_pic_open(ns, obj):
 
 
 def _run_nerve(ns, obj):
-    M = _as_binoid(obj)
-    _, cover, N = _cover_nerve(M)
-    names = M.generator_names
+    S, cover, N = _cover_nerve(obj)
+    names = S.generator_names
     supports = [[names[i] for i in sup] for sup in cover]
     if ns.json:
         payload = _complex_payload(N)

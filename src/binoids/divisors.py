@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 from .binoid import BinoidPresentation, DifferenceGroup, difference_group
 from .errors import FacetPrimeMismatch, NotFullDimensional, NotPointed
 from .exactalg import FinAbGroup, IntMatrix, cokernel, invariant_factors
-from .spectrum import PrimeIdeal, compute_spec, height, prime_label
+from .spectrum import PrimeIdeal, compute_spec, prime_label
 
 
 def _dot(u: Tuple[int, ...], v: Tuple[int, ...]) -> int:
@@ -102,7 +102,7 @@ def valuation_matrix(M: BinoidPresentation) -> ValuationMatrix:
     """
     gamma = difference_group(M)
     S = compute_spec(M)
-    height_one = [p for p in S.primes if height(S, p) == 1]
+    height_one = [p for p, h in zip(S.primes, S._hasse_diagram()[1]) if h == 1]
     normals = cone_facets(gamma)
     images = gamma.all_images()
     by_prime, repeated = {}, None

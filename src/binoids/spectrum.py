@@ -3,14 +3,16 @@
 A subset of the generators spans a prime ideal exactly when every element
 relation has both or neither side supported on it and every infinity
 relation is supported on it.  The spectrum is the resulting union-closed
-family, ordered by inclusion.
+family, ordered by inclusion.  For the binoid of a simplicial complex the
+primes are the complements of its faces, so `spectrum_of_complex` reads
+them off the faces the complex already holds, with no presentation.
 """
 
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .binoid import BinoidPresentation
-from .errors import NotInSpec, NotOpen, NotPositive
+from .errors import NotInSpec, NotOpen, NotPositive, VoidComplex
 from .simplicial import SimplicialComplex, nerve_of_sets, subsets_avoiding
 
 
@@ -36,12 +38,14 @@ class PrimeIdeal:
 class SpecPoset:
     """All prime ideals of a presentation, sorted by size then lexicographically.
 
-    The position index, the generator bitmasks and the Hasse diagram with
-    the heights are built on first use and kept.
+    The relation supports are kept as `_relation_masks` gives them (none for
+    a complex).  The position index, the generator bitmasks and the Hasse
+    diagram with the heights are built on first use and kept.
     """
 
-    presentation: BinoidPresentation
+    generator_names: tuple
     primes: Tuple[PrimeIdeal, ...]
+    _relations: tuple = field(default=((), ()), repr=False, compare=False)
     _index: dict = field(default=None, init=False, repr=False, compare=False)
     _masks: tuple = field(default=None, init=False, repr=False, compare=False)
     _hasse: tuple = field(default=None, init=False, repr=False, compare=False)
@@ -78,7 +82,7 @@ class SpecPoset:
         holds no prime, so the primes among them are all the covers.
         """
         if self._hasse is None:
-            element_masks, infinity_masks = _relation_masks(self.presentation)
+            element_masks, infinity_masks = self._relations
             masks = self._generator_masks()
             where = {m: i for i, m in enumerate(masks)}
             covers, heights = [], []
@@ -152,8 +156,9 @@ def compute_spec(M: BinoidPresentation) -> SpecPoset:
     Without element relations (simplicial and monomial presentations) the
     primes are the complements of the faces of the complex whose non-faces
     are the relation supports, and those faces are grown one later
-    generator at a time, in about n steps per prime.  With element
-    relations every one of the 2^n generator subsets is tested against the
+    generator at a time, in about n steps per prime; `spectrum_of_complex`
+    reads them off a complex at hand instead.  With element relations
+    every one of the 2^n generator subsets is tested against the
     criterion; that scan, and the 2^|cover| opens of
     ``cech.local_picard_general``, are the exponential steps that remain.
     """
@@ -169,7 +174,25 @@ def compute_spec(M: BinoidPresentation) -> SpecPoset:
         full = (1 << n) - 1
         masks = [full & ~face for _, face in subsets_avoiding(n, infinity_masks)]
     primes = [PrimeIdeal(tuple(_mask_members(m))) for m in masks]
-    return SpecPoset(M, tuple(sorted(primes, key=_sort_key)))
+    primes.sort(key=_sort_key)
+    return SpecPoset(M.generator_names, tuple(primes), (element_masks, infinity_masks))
+
+
+def spectrum_of_complex(delta: SimplicialComplex) -> SpecPoset:
+    """The spectrum of the binoid of a complex: one prime per face F, the
+    positions in ``delta.vertices`` outside F, sorted as `compute_spec` sorts.
+
+    >>> S = spectrum_of_complex(SimplicialComplex.from_facets([("a", "b"), ("c",)]))
+    >>> [prime_label(S, p) for p in S.primes]
+    ['<c>', '<a,b>', '<a,c>', '<b,c>', '<a,b,c>']
+    """
+    if delta.is_void or not delta.vertices:
+        raise VoidComplex("need a complex with at least one vertex")
+    bit = {v: 1 << i for i, v in enumerate(delta.vertices)}
+    full = (1 << len(bit)) - 1
+    masks = (full & ~sum(bit[v] for v in face) for face in delta.all_faces())
+    primes = sorted((PrimeIdeal(tuple(_mask_members(m))) for m in masks), key=_sort_key)
+    return SpecPoset(delta.vertices, tuple(primes))
 
 
 def height(S: SpecPoset, prime: PrimeIdeal) -> int:
@@ -185,7 +208,7 @@ def primes_of_height_at_most(S: SpecPoset, bound: int) -> Set[PrimeIdeal]:
 
 def punctured_spectrum(S: SpecPoset) -> Set[PrimeIdeal]:
     """Every prime except the maximal ideal of the positive presentation."""
-    full = tuple(range(S.presentation.generator_count))
+    full = tuple(range(len(S.generator_names)))
     return {p for p in S.primes if p.generator_subset != full}
 
 
@@ -197,7 +220,7 @@ def minimal_neighborhood(S: SpecPoset, prime: PrimeIdeal) -> Tuple[int, ...]:
     """
     S.position_of(prime)
     inside = set(prime.generator_subset)
-    return tuple(i for i in range(S.presentation.generator_count) if i not in inside)
+    return tuple(i for i in range(len(S.generator_names)) if i not in inside)
 
 
 def open_subset(S: SpecPoset, support: Sequence[int]) -> Set[PrimeIdeal]:
@@ -272,7 +295,7 @@ def prime_label(S: SpecPoset, prime: PrimeIdeal) -> str:
     """Display form of a prime: generator names between angle brackets."""
     if not prime.generator_subset:
         return "<inf>"
-    names = S.presentation.generator_names
+    names = S.generator_names
     return "<" + ",".join(str(names[i]) for i in prime.generator_subset) + ">"
 
 

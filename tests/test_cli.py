@@ -730,6 +730,24 @@ class TestPreconditionDiagnostics:
         assert err == "error: %s\n" % message
 
 
+class TestComplexWithoutVertices:
+    """The spectrum verbs refuse the void complex and {∅}, which have no vertex."""
+
+    NO_VERTEX = (3, "", "error: need a complex with at least one vertex\n")
+
+    @pytest.mark.parametrize("verb", ["spec", "dot", "nerve", "pic-open"])
+    @pytest.mark.parametrize(
+        "text", ["vertices:\n", '{"vertices": [], "facets": [[]]}\n'], ids=["void", "empty"]
+    )
+    def test_exits_3(self, capsys, tmp_path, verb, text):
+        assert invoke(capsys, verb, write(tmp_path, text)) == self.NO_VERTEX
+
+    def test_pic_open_of_an_all_infinity_presentation(self, capsys, tmp_path):
+        """Every generator is sent to ∞, so the complex is {∅}."""
+        text = "generators: x y\nrelation: x = inf\nrelation: y = inf\n"
+        assert invoke(capsys, "pic-open", write(tmp_path, text)) == self.NO_VERTEX
+
+
 class TestFlagValidation:
     def test_unknown_verb(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "frobnicate", write(tmp_path, XY_2Z))

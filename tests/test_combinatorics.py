@@ -19,7 +19,7 @@ from binoids.binoid import (
     from_simplicial,
     radical_complex,
 )
-from binoids.cech import pic_open_subset
+from binoids.cech import _pic_open_subset, pic_open_subset
 from binoids.cli import main
 from binoids.errors import NotAFace, NotOpen, UnknownVertex
 from binoids.simplicial import SimplicialComplex
@@ -31,10 +31,11 @@ from binoids.spectrum import (
     nerve,
     primes_of_height_at_most,
     punctured_spectrum,
+    spectrum_of_complex,
     to_dot,
 )
 
-from fixtures import CONE_RP2_FACETS, cycle_facets
+from fixtures import CONE_RP2_FACETS, cycle_facets, path_facets, star_facets
 from oracles import (
     all_subsets,
     brute_cover_edges,
@@ -63,6 +64,17 @@ def complexes(draw, max_vertices=9):
         )
     )
     return SimplicialComplex.make(labels, facets)
+
+
+@st.composite
+def complexes_with_isolated_vertices(draw):
+    """A complex on at most seven vertices, with up to three more vertices in
+    no facet declared at drawn places in its shuffled vertex order."""
+    c = draw(complexes(7))
+    labels = list(c.vertices)
+    for extra in range(draw(st.integers(0, 3))):
+        labels.insert(draw(st.integers(0, len(labels))), 100 + extra)
+    return SimplicialComplex.make(labels, c.facets)
 
 
 @st.composite
@@ -99,7 +111,11 @@ def spec_tuples(S):
 
 def check_spectrum_against_oracles(M):
     S = compute_spec(M)
-    primes = brute_spectrum(M.generator_count, *supports(M))
+    check_poset_against_oracles(S, brute_spectrum(M.generator_count, *supports(M)))
+    return S
+
+
+def check_poset_against_oracles(S, primes):
     assert spec_tuples(S) == primes
     heights = brute_heights(primes)
     assert [height(S, p) for p in S.primes] == [heights[p] for p in primes]
@@ -110,7 +126,6 @@ def check_spectrum_against_oracles(M):
     )
     arrows = [line for line in to_dot(S).splitlines() if "->" in line]
     assert arrows == ["  p%d -> p%d;" % edge for edge in edges]
-    return S
 
 
 class TestSpectrumAgainstSubsetScan:
@@ -144,6 +159,27 @@ class TestSpectrumAgainstSubsetScan:
     @given(integral_presentations())
     def test_element_relations(self, M):
         check_spectrum_against_oracles(M)
+
+    @settings(max_examples=80, deadline=None)
+    @given(complexes_with_isolated_vertices())
+    def test_faces_of_a_complex(self, c):
+        """Read off the faces, the spectrum is the presentation's, and the
+        Weil locus of either gives the same Picard groups of open sets."""
+        S = spectrum_of_complex(c)
+        T = compute_spec(from_simplicial(c))
+        assert S == T and S.generator_names == T.generator_names == c.vertices
+        assert S._generator_masks() == T._generator_masks()
+        assert S._hasse_diagram() == T._hasse_diagram()
+        assert to_dot(S) == to_dot(T)
+        supports = [set(s) for s in brute_minimal_nonfaces(c.vertices, c.facets)]
+        check_poset_against_oracles(S, brute_spectrum(len(c.vertices), [], supports))
+
+        weil = [primes_of_height_at_most(X, 1) & punctured_spectrum(X) for X in (S, T)]
+        assert weil[0] == weil[1]
+        groups = pic_open_subset(c, weil[1])
+        assert groups == _pic_open_subset(T, c, weil[1])
+        ranks = [g.free_rank for g in groups] + [0, 0]  # the list stops at the top degree
+        assert tuple(ranks[:2]) == weil_pic_open_ranks(c.facets)
 
 
 class TestOpenSetsAgainstDefinitions:
@@ -353,6 +389,23 @@ class TestScale:
         boundary = SimplicialComplex.from_facets(cross_polytope_boundary(7))
         f_vector = [len(boundary.faces(k)) for k in range(-1, 8)]
         assert f_vector == [2 ** (k + 1) * comb(7, k + 1) for k in range(-1, 7)] + [0]
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("family", ["cycle", "path", "star"])
+    def test_spec_and_pic_open_of_graphs(self, capsys, tmp_path, family, n):
+        """One prime per face of a graph on n vertices, and Pic of its Weil
+        locus, which is Pic itself: Z^n on C_n, Z^(n-2) on a path or a star."""
+        facets = {"cycle": cycle_facets, "path": path_facets, "star": star_facets}[family](n)
+        path = tmp_path / "graph.cplx"
+        lines = ["vertices: " + " ".join(map(str, range(1, n + 1)))]
+        path.write_text("\n".join(lines + ["facet: %d %d" % f for f in facets]) + "\n")
+        assert main(["spec", str(path), "--json"]) == 0
+        heights = [p["height"] for p in json.loads(capsys.readouterr().out)["primes"]]
+        assert len(heights) == (2 * n + 1 if family == "cycle" else 2 * n)
+        assert sorted(heights) == [0] * len(facets) + [1] * n + [2]
+        assert main(["pic-open", str(path)]) == 0
+        rank = n if family == "cycle" else n - 2
+        assert capsys.readouterr().out == "H^0 = 0, H^1 = Z^%d\n" % rank
 
     def test_faces_of_the_16_cycle(self):
         M = from_simplicial(SimplicialComplex.from_facets(cycle_facets(16)))
