@@ -19,7 +19,7 @@ from .errors import (
     VoidComplex,
 )
 from .exactalg import IntMatrix, _smith
-from .simplicial import SimplicialComplex, subsets_avoiding
+from .simplicial import SimplicialComplex, _bits
 
 
 @dataclass(frozen=True)
@@ -156,14 +156,24 @@ def from_simplicial(complex_: SimplicialComplex) -> BinoidPresentation:
 
 
 def _complex_from_nonface_supports(names: tuple, supports: list) -> SimplicialComplex:
-    n = len(names)
-    masks = [sum(1 << i for i in s) for s in supports]
-    faces = [tuple(names[i] for i in face) for face, _ in subsets_avoiding(n, masks)]
-    if not faces:
-        return SimplicialComplex.void()
-    covered = {v for f in faces for v in f}
-    vertices = [v for v in names if v in covered]
-    return SimplicialComplex.make(vertices, faces)
+    """The complex on `names` whose non-faces are the sets holding a support.
+
+    Its facets come by Berge dualization: starting from the full vertex
+    set, each distinct support splits every facet holding it into the
+    facets missing one of its vertices.  The facets not holding it stay
+    maximal, so only the split ones are filtered.  An empty support leaves
+    no face: the void complex.
+    """
+    facets = [(1 << len(names)) - 1]
+    for s in dict.fromkeys(sum(1 << i for i in sup) for sup in supports):
+        if not s:
+            return SimplicialComplex.void()
+        kept = [f for f in facets if s & ~f]
+        split = {f & ~(1 << i) for f in facets if not s & ~f for i in _bits(s)}
+        maximal = lambda g: all(g & ~f for f in kept) and all(g == h or g & ~h for h in split)
+        facets = kept + list(filter(maximal, split))
+    vertices = [v for i, v in enumerate(names) if any(f >> i & 1 for f in facets)]
+    return SimplicialComplex.make(vertices, [[names[i] for i in _bits(f)] for f in facets])
 
 
 def as_simplicial(M: BinoidPresentation) -> SimplicialComplex:

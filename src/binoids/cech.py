@@ -99,15 +99,18 @@ class CechComplex:
         }
 
 
-def _cech_complex(simplices, coordinates, restriction) -> CechComplex:
+def _cech_complex(simplices, coordinates, restriction=None) -> CechComplex:
     """The Čech complex of groups Z^coordinates(J) over an index complex.
 
     simplices[k] lists the k-simplices J (tuples); coordinates(J) labels
     the basis of the group at J; restriction(sub, K) yields the (row,
     column, entry) triples of the nonzero entries of the map from the
-    group at a facet sub of K into the group at K.  The differential sums
-    (-1)^l times the map from the facet dropping K[l]; as these facets
-    differ, their blocks never overlap.
+    group at a facet sub of K into the group at K.  restriction=None means
+    that each coordinate of sub maps to the same coordinate of K, as on
+    the coordinate cover and the minimal cover of an open subset; every
+    coordinate of K then gets its row from one position map per K.  The
+    differential sums (-1)^l times the map from the facet dropping K[l];
+    as these facets differ, their blocks never overlap.
     """
     labels, offsets = [], {}
     for k_simplices in simplices:
@@ -120,23 +123,19 @@ def _cech_complex(simplices, coordinates, restriction) -> CechComplex:
     for k in range(1, len(simplices)):
         rows = {}
         for K in simplices[k]:
-            for l in range(len(K)):
-                sub = K[:l] + K[l + 1 :]
-                sign = (-1) ** l
+            subs = [(K[:l] + K[l + 1 :], (-1) ** l) for l in range(len(K))]
+            if restriction is None:
+                target = {c: {} for c in coordinates(K)}
+                for sub, sign in subs:
+                    for b, c in enumerate(coordinates(sub), offsets[sub]):
+                        target[c][b] = sign
+                rows.update((a, row) for a, row in enumerate(target.values(), offsets[K]) if row)
+                continue
+            for sub, sign in subs:
                 for a, b, x in restriction(sub, K):
                     rows.setdefault(offsets[K] + a, {})[offsets[sub] + b] = sign * x
         diffs.append(rows)
     return CechComplex(tuple(labels), tuple(diffs))
-
-
-def _same_coordinate(coordinates):
-    """The restriction sending each coordinate of sub to the same one of K."""
-
-    def restriction(sub, K):
-        position = {c: a for a, c in enumerate(coordinates(K))}
-        return [(position[c], b, 1) for b, c in enumerate(coordinates(sub))]
-
-    return restriction
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +152,7 @@ def picard_complex_simplicial(delta: SimplicialComplex) -> CechComplex:
     if delta.is_void or not delta.vertices:
         raise VoidComplex("need a complex with at least one vertex")
     simplices = [delta.faces(d) for d in range(delta.dimension + 1)]
-    return _cech_complex(simplices, tuple, _same_coordinate(tuple))
+    return _cech_complex(simplices, tuple)
 
 
 def local_picard_formula(delta: SimplicialComplex) -> List[FinAbGroup]:
@@ -232,8 +231,7 @@ def _pic_open_subset(
         for k_simplices in simplices
         for J in k_simplices
     }
-    restriction = _same_coordinate(unions.__getitem__)
-    return _cech_complex(simplices, unions.__getitem__, restriction).cohomology()
+    return _cech_complex(simplices, unions.__getitem__).cohomology()
 
 
 def stanley_reisner_cohomology(

@@ -12,15 +12,18 @@ Z^a --d_in--> Z^b --d_out--> Z^c,
     ker d_out / im d_in = Z^(b - rk d_in - rk d_out) + torsion(coker d_in),
 
 and the rank and the cokernel torsion are read off the nonzero invariant
-factors.  `invariant_factors` finds them in two phases.  First, on a
-dict-of-rows copy, it eliminates entries equal to ±1, least fill-in
-(row nonzeros - 1) * (column nonzeros - 1) first (Markowitz, 1957), with
-costs refreshed lazily as entries come off a heap; each such pivot splits
-off a factor 1 (Dumas, Saunders and Villard, "On efficient sparse integer
-matrix Smith normal forms", 2001).  Boundary matrices
-are mostly reduced this way.  Second, the block left without unit
-entries goes to the dense Smith normal form, which tracks neither
-transform: only its diagonal is read.
+factors.  `invariant_factors` finds them in three steps, the first two on
+a dict-of-rows copy, each pivot ±1 splitting off a factor 1 (Dumas,
+Saunders and Villard, "On efficient sparse integer matrix Smith normal
+forms", 2001).  First the free pivots: a unit entry alone in its row or
+in its column is cancelled with no fill-in, and that can leave others
+alone, so they are taken off a worklist (the coreduction of Mrozek and
+Batko, "Coreduction homology algorithm", 2009, applied to a matrix).
+Boundary matrices are mostly reduced this way.  Second, the unit entries
+left come off a heap, least fill-in (row nonzeros - 1) * (column
+nonzeros - 1) first (Markowitz, 1957), with costs refreshed lazily.
+Third, the block left without unit entries goes to the dense Smith
+normal form, which tracks neither transform: only its diagonal is read.
 
 `cohomology_of_complex` takes the differentials as sparse rows (or
 IntMatrix), checks d_(j+1) * d_j = 0 sparsely once per consecutive pair
@@ -382,37 +385,66 @@ def _sparse_rows(A: IntMatrix) -> dict:
 def _eliminate(rows: dict) -> list:
     """Cancel the unit entries of the matrix with these sparse rows.
 
-    Unit pivots are taken in order of least fill-in, re-costed when popped.
-    `rows` is reduced in place to the block they leave, which has no entry
-    ±1; the pivots are returned as (row, column) pairs, each one invariant
-    factor 1.
+    Free pivots come first: a unit entry alone in its row or in its column
+    is cancelled with no fill-in, and cancelling it can leave other entries
+    alone, so lone rows and columns are taken off a worklist whenever it
+    holds one (the coreduction of Mrozek and Batko, 2009, on a matrix); a
+    lone entry other than ±1 is never a pivot.  Once the worklist first
+    runs dry, the unit entries left go on a heap and come off in order of
+    least fill-in (Markowitz), re-costed when popped.  `rows` is reduced in
+    place to the block they leave, which has no entry ±1 and is left for
+    the dense Smith normal form; the pivots are returned as (row, column)
+    pairs, each one invariant factor 1.
     """
     cols = {}
     for i, row in rows.items():
         for j in row:
             cols.setdefault(j, set()).add(i)
-    # a key per unit entry, maybe stale: pushed back when popped if its cost grew
-    heap = [
-        ((len(row) - 1) * (len(cols[j]) - 1), i, j)
-        for i, row in rows.items()
-        for j, x in row.items()
-        if x == 1 or x == -1
-    ]
-    heapq.heapify(heap)
-    pivots = []
-    while heap:
-        cost, p, q = heapq.heappop(heap)
-        prow = rows.get(p)
-        if prow is None or prow.get(q) not in (1, -1):
-            continue
-        now = (len(prow) - 1) * (len(cols[q]) - 1)
-        if now > cost:
-            heapq.heappush(heap, (now, p, q))
+    lone_rows = [i for i, row in rows.items() if len(row) == 1]
+    lone_cols = [j for j, above in cols.items() if len(above) == 1]
+    pivots, heap = [], None
+    while True:
+        if lone_rows:
+            p = lone_rows.pop()
+            if len(rows.get(p, ())) != 1:
+                continue
+            (q,) = rows[p]
+        elif lone_cols:
+            q = lone_cols.pop()
+            if len(cols.get(q, ())) != 1:
+                continue
+            (p,) = cols[q]
+        else:
+            if heap is None:
+                # a key per unit entry left, maybe stale: pushed back when popped if its cost grew
+                heap = [
+                    ((len(row) - 1) * (len(cols[j]) - 1), i, j)
+                    for i, row in rows.items()
+                    for j, x in row.items()
+                    if x == 1 or x == -1
+                ]
+                heapq.heapify(heap)
+            if not heap:
+                break
+            cost, p, q = heapq.heappop(heap)
+            if rows.get(p, {}).get(q) not in (1, -1):
+                continue
+            now = (len(rows[p]) - 1) * (len(cols[q]) - 1)
+            if now > cost:
+                heapq.heappush(heap, (now, p, q))
+                continue
+        prow = rows[p]
+        if prow[q] != 1 and prow[q] != -1:
             continue
         del rows[p]
         for j in prow:
-            cols[j].discard(p)
+            above = cols[j]
+            above.discard(p)
+            if len(above) == 1:
+                lone_cols.append(j)
         sign = prow.pop(q)
+        # a free pivot leaves prow empty or column q without other rows, so
+        # only a pivot off the heap makes fill-in
         for i in cols.pop(q):
             row = rows[i]
             f = row.pop(q) * sign
@@ -428,7 +460,9 @@ def _eliminate(rows: dict) -> list:
                 else:
                     del row[j]
                     cols[j].discard(i)
-            if not row:
+            if len(row) == 1:
+                lone_rows.append(i)
+            elif not row:
                 del rows[i]
         pivots.append((p, q))
     return pivots
@@ -468,9 +502,9 @@ def _nonzero_product_row(inner: dict, outer: dict) -> Optional[int]:
 def invariant_factors(A: IntMatrix) -> tuple:
     """The nonzero invariant factors of A, each dividing the next.
 
-    Unit pivots are eliminated sparsely, in order of least fill-in, and
-    the block they leave goes to the dense Smith normal form (see the
-    module docstring).
+    Unit pivots are eliminated sparsely, free ones first and then in order
+    of least fill-in, and the block they leave goes to the dense Smith
+    normal form (see the module docstring).
 
     >>> invariant_factors(IntMatrix.from_rows([[1, -1], [0, 2]]))
     (1, 2)

@@ -185,9 +185,9 @@ class SimplicialComplex:
     def _faces_by_dim(self) -> dict:
         """{d: {face: _above(face)}} with each dimension in lexicographic order.
 
-        Faces grow one later vertex at a time, trying only the vertices
-        that share a facet with their last one, so the work follows the
-        faces even when most vertex pairs are not edges.
+        Faces grow, with their labels, one later vertex at a time, trying
+        only the vertices that share a facet with their last one, so the
+        work follows the faces even when most vertex pairs are not edges.
         """
         if self._faces is None:
             vertices = self.vertices
@@ -198,15 +198,16 @@ class SimplicialComplex:
                 spots = [position[v] for v in f]
                 for i in spots:
                     later[i].update(j for j in spots if j > i)
-            later = [sorted(s) for s in later]
+            # the empty face, at position -1, may grow by any vertex
+            later = [sorted(s) for s in later] + [range(len(vertices))]
             by_dim = {}
-            grown = [((), (1 << len(self.facets)) - 1)] if self.facets else []
-            for face, above in grown:  # grows while it is read
-                by_dim.setdefault(len(face) - 1, {})[tuple(vertices[i] for i in face)] = above
-                for i in later[face[-1]] if face else range(len(vertices)):
+            grown = [((), -1, (1 << len(self.facets)) - 1)] if self.facets else []
+            for face, last, above in grown:  # grows while it is read
+                by_dim.setdefault(len(face) - 1, {})[face] = above
+                for i in later[last]:
                     common = above & through[i]
                     if common:
-                        grown.append((face + (i,), common))
+                        grown.append((face + (vertices[i],), i, common))
             object.__setattr__(self, "_faces", by_dim)
         return self._faces
 

@@ -39,15 +39,16 @@ class SpecPoset:
     """All prime ideals of a presentation, sorted by size then lexicographically.
 
     The relation supports are kept as `_relation_masks` gives them (none for
-    a complex).  The position index, the generator bitmasks and the Hasse
-    diagram with the heights are built on first use and kept.
+    a complex), and the primes' generator bitmasks as the enumeration found
+    them.  The position index, the Hasse diagram with the heights and any
+    bitmasks not given are built on first use and kept.
     """
 
     generator_names: tuple
     primes: Tuple[PrimeIdeal, ...]
     _relations: tuple = field(default=((), ()), repr=False, compare=False)
+    _masks: tuple = field(default=None, repr=False, compare=False)
     _index: dict = field(default=None, init=False, repr=False, compare=False)
-    _masks: tuple = field(default=None, init=False, repr=False, compare=False)
     _hasse: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def _positions(self) -> dict:
@@ -173,9 +174,7 @@ def compute_spec(M: BinoidPresentation) -> SpecPoset:
     else:
         full = (1 << n) - 1
         masks = [full & ~face for _, face in subsets_avoiding(n, infinity_masks)]
-    primes = [PrimeIdeal(tuple(_mask_members(m))) for m in masks]
-    primes.sort(key=_sort_key)
-    return SpecPoset(M.generator_names, tuple(primes), (element_masks, infinity_masks))
+    return _spec_poset(M.generator_names, masks, (element_masks, infinity_masks))
 
 
 def spectrum_of_complex(delta: SimplicialComplex) -> SpecPoset:
@@ -190,9 +189,15 @@ def spectrum_of_complex(delta: SimplicialComplex) -> SpecPoset:
         raise VoidComplex("need a complex with at least one vertex")
     bit = {v: 1 << i for i, v in enumerate(delta.vertices)}
     full = (1 << len(bit)) - 1
-    masks = (full & ~sum(bit[v] for v in face) for face in delta.all_faces())
-    primes = sorted((PrimeIdeal(tuple(_mask_members(m))) for m in masks), key=_sort_key)
-    return SpecPoset(delta.vertices, tuple(primes))
+    masks = [full & ~sum(bit[v] for v in face) for face in delta.all_faces()]
+    return _spec_poset(delta.vertices, masks)
+
+
+def _spec_poset(names: tuple, masks: list, relations=((), ())) -> SpecPoset:
+    """The poset of the primes with these generator bitmasks, which it keeps."""
+    primes = {m: PrimeIdeal(tuple(_mask_members(m))) for m in masks}
+    order = sorted(primes, key=lambda m: _sort_key(primes[m]))
+    return SpecPoset(names, tuple(map(primes.get, order)), relations, tuple(order))
 
 
 def height(S: SpecPoset, prime: PrimeIdeal) -> int:

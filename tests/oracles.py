@@ -464,6 +464,40 @@ def brute_maximal(vertices, faces):
     return {s for s in sets if not any(s < t for t in sets)}
 
 
+def coordinate_cover_cech(vertices, facets):
+    """The Čech complex of the unit sheaf on the coordinate cover, by definition.
+
+    Degree j has one Z per pair (F, v), F a j-face and v in F; faces are
+    tuples in the order of `vertices`, taken in lexicographic order of
+    their positions, and v runs through F in order.  The differential into
+    degree j + 1 has (-1)^l at row (F, v) and column (F minus F[l], v) for
+    every l with F[l] != v.  Returns the labels per degree and the
+    differentials as lists of rows; uncovered vertices are 0-faces.
+    """
+    position = {v: i for i, v in enumerate(vertices)}
+    key = lambda f: [position[v] for v in f]
+    faces = brute_faces(list(facets) + [(v,) for v in vertices]) - {frozenset()}
+    top = max(map(len, faces))
+    labels = [
+        [(F, v) for F in sorted((tuple(sorted(f, key=position.get)) for f in faces if len(f) == k),
+                                key=key)
+         for v in F]
+        for k in range(1, top + 1)
+    ]
+    diffs = []
+    for source, target in zip(labels, labels[1:]):
+        column = {label: c for c, label in enumerate(source)}
+        rows = []
+        for F, v in target:
+            row = [0] * len(source)
+            for l, u in enumerate(F):
+                if u != v:
+                    row[column[(F[:l] + F[l + 1 :], v)]] = (-1) ** l
+            rows.append(row)
+        diffs.append(rows)
+    return labels, diffs
+
+
 def brute_crosscut(facets, listed):
     """Nonempty 1-based index sets of `listed` whose union is a face."""
     faces = brute_faces(facets)

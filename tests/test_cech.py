@@ -67,6 +67,7 @@ from fixtures import (
 )
 from oracles import (
     brute_link,
+    coordinate_cover_cech,
     brute_simplicial_cohomology,
     identity_rows,
     make_rng,
@@ -189,6 +190,20 @@ class TestPicardComplexSimplicial:
     def test_void_complex(self):
         with pytest.raises(VoidComplex):
             picard_complex_simplicial(SimplicialComplex.void())
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_layout_matches_the_definition(self, data):
+        """Labels and differentials on vertices declared out of sorted order,
+        some of them in no facet."""
+        n = data.draw(st.integers(1, 7))
+        labels = data.draw(st.permutations(range(1, n + 1)))
+        face = st.lists(st.sampled_from(labels), min_size=1, max_size=min(n, 5), unique=True)
+        facets = data.draw(st.lists(face, max_size=n + 2))
+        c = picard_complex_simplicial(SimplicialComplex.make(labels, facets))
+        expected_labels, expected_diffs = coordinate_cover_cech(labels, facets)
+        assert [list(degree) for degree in c.labels_by_degree] == expected_labels
+        assert [d.to_lists() for d in c.differentials] == expected_diffs
 
     def test_composition_zero_on_randoms(self):
         rng = make_rng(21)

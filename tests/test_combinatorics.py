@@ -35,7 +35,7 @@ from binoids.spectrum import (
     to_dot,
 )
 
-from fixtures import CONE_RP2_FACETS, cycle_facets, path_facets, star_facets
+from fixtures import CONE_RP2_FACETS, cycle_facets, free_binoid, path_facets, star_facets
 from oracles import (
     all_subsets,
     brute_cover_edges,
@@ -182,6 +182,42 @@ class TestSpectrumAgainstSubsetScan:
         assert tuple(ranks[:2]) == weil_pic_open_ranks(c.facets)
 
 
+class TestComplexFromSupports:
+    """`as_simplicial` and `radical_complex` against the maximal faces of a subset scan."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_against_maximal_subsets_avoiding_the_supports(self, data):
+        """Repeated, nested, singleton and empty supports, and exponents
+        above 1 for the radical, on generators named out of sorted order."""
+        n = data.draw(st.integers(0, 7))
+        names = tuple("x%d" % i for i in data.draw(st.permutations(range(n))))
+        support = st.sets(st.integers(0, n - 1), max_size=n) if n else st.just(set())
+        sups = data.draw(st.lists(support, max_size=8))
+        exponent = st.integers(1, 3)
+        vector = lambda s: tuple(data.draw(exponent) if i in s else 0 for i in range(n))
+        squarefree = BinoidPresentation(
+            names, tuple(Relation(tuple(int(i in s) for i in range(n)), None) for s in sups)
+        )
+        monomial = BinoidPresentation(names, tuple(Relation(vector(s), None) for s in sups))
+
+        faces = [f for f in all_subsets(range(n)) if not any(s <= set(f) for s in sups)]
+        for c in (as_simplicial(squarefree), radical_complex(monomial)):
+            if not faces:  # an empty support: not even the empty face
+                assert c == SimplicialComplex.void()
+                continue
+            covered = {i for f in faces for i in f}
+            vertices = [names[i] for i in sorted(covered)]
+            assert c.vertices == tuple(vertices)
+            expected = brute_maximal(vertices, [[names[i] for i in f] for f in faces])
+            assert set(map(frozenset, c.facets)) == expected
+
+    def test_free_binoid_on_16_generators_is_one_simplex(self):
+        c = as_simplicial(free_binoid(16))
+        assert c.facets == (free_binoid(16).generator_names,)
+        assert radical_complex(free_binoid(16)) == c
+
+
 class TestOpenSetsAgainstDefinitions:
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(complexes(7), monomial_presentations(), integral_presentations()), st.data())
@@ -273,6 +309,27 @@ class TestFaceTestAgainstSubsetScan:
         restricted = c.restriction(kept)
         assert restricted.vertices == tuple(v for v in c.vertices if v in kept)
         assert restricted.all_faces() == [f for f in ordered if set(f) <= set(kept)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(
+            complexes(),
+            complexes_with_isolated_vertices(),
+            st.just(SimplicialComplex.empty()),
+        )
+    )
+    def test_faces_by_dim_keys_order_and_masks(self, c):
+        """Per dimension, the faces in order of their positions, each with
+        the bitmask of the facets above it."""
+        position = {v: i for i, v in enumerate(c.vertices)}
+        expected = {}
+        for f in sorted(brute_faces(c.facets), key=lambda f: (len(f), sorted(map(position.get, f)))):
+            above = sum(1 << k for k, g in enumerate(c.facets) if f <= set(g))
+            expected.setdefault(len(f) - 1, {})[tuple(sorted(f, key=position.get))] = above
+        got = c._faces_by_dim()
+        assert list(got) == list(expected)
+        for d, faces in expected.items():
+            assert list(got[d].items()) == list(faces.items())
 
 
 class TestCrosscutAndNerveAgainstSubsetScan:

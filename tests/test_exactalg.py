@@ -25,6 +25,7 @@ from oracles import (
     minor_gcd_invariant_factors,
     naive_complex_cohomology,
     naive_diagonal,
+    naive_snf,
     random_cochain_complex,
     random_unimodular,
     random_zero_composition,
@@ -255,6 +256,90 @@ class TestInvariantFactors:
         assert len(exactalg._eliminate(rows)) == 2
         assert rows == {}
         assert invariant_factors(M([[1, 1], [1, 2]])) == (1, 1)
+
+
+def record_heaps(monkeypatch):
+    """The number of entries each elimination puts on its heap at first."""
+    sizes = []
+    heapify = exactalg.heapq.heapify
+
+    def recording(heap):
+        sizes.append(len(heap))
+        heapify(heap)
+
+    monkeypatch.setattr(exactalg.heapq, "heapify", recording)
+    return sizes
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Up to 9 x 9, about half the entries 0 and the rest in -3..3."""
+    m, n = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    entry = st.one_of(st.just(0), st.integers(-3, 3))
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)), n
+
+
+class TestFreePivots:
+    """Unit entries alone in their row or column are cancelled before the heap."""
+
+    def test_lone_non_units_go_to_the_dense_remainder(self, monkeypatch):
+        # row 0 holds only a 2 and column 1 only a -3; the lone unit of
+        # column 3 is cancelled and leaves column 2 alone with a 2
+        rows = {0: {0: 2}, 1: {1: -3, 2: 2}, 2: {2: 1, 3: 1}}
+        heaps = record_heaps(monkeypatch)
+        assert exactalg._eliminate(rows) == [(2, 3)]
+        assert rows == {0: {0: 2}, 1: {1: -3, 2: 2}}
+        assert heaps == [0]
+
+        shapes = []
+        smith = exactalg._smith
+
+        def recording(A, **transforms):
+            shapes.append((A.rows, A.cols))
+            return smith(A, **transforms)
+
+        monkeypatch.setattr(exactalg, "_smith", recording)
+        dense = [[2, 0, 0, 0], [0, -3, 2, 0], [0, 0, 1, 1]]
+        assert invariant_factors(M(dense)) == (1, 1, 2)
+        assert tuple(d for d in naive_diagonal(dense) if d) == (1, 1, 2)
+        assert shapes == [(2, 3)]
+
+    def test_each_free_pivot_frees_the_next(self, monkeypatch):
+        # a bidiagonal chain whose only free unit is at its foot; row n
+        # keeps column 0 from being alone until the chain reaches it
+        n = 6
+        rows = {i: {i: 1, i + 1: -1} for i in range(n - 1)}
+        rows[n - 1] = {n - 1: 1}
+        rows[n] = {0: 2}
+        heaps = record_heaps(monkeypatch)
+        assert exactalg._eliminate(rows) == [(i, i) for i in reversed(range(n))]
+        assert rows == {}
+        assert heaps == [0]
+
+    def test_block_without_free_pivots_goes_through_the_heap(self, monkeypatch):
+        # no row or column is alone; the first pivot makes two units by
+        # fill-in, and the second of them, from the heap, leaves -3
+        rows = {0: {0: 1, 1: 1, 2: 1}, 1: {0: 1, 1: 2, 2: 3}, 2: {0: 1, 1: 3, 2: 2}}
+        heaps = record_heaps(monkeypatch)
+        assert exactalg._eliminate(rows) == [(0, 0), (1, 1)]
+        assert rows == {2: {2: -3}}
+        assert heaps == [5]
+
+    @settings(max_examples=200, deadline=None)
+    @given(sparse_matrices())
+    def test_random_sparse_matrices(self, drawn):
+        dense, n = drawn
+        _, S, _ = naive_snf(dense, cols=n)
+        expected = tuple(S[i][i] for i in range(min(len(dense), n)) if S[i][i])
+        assert invariant_factors(M(dense, cols=n)) == expected
+
+        rows = exactalg._sparse_rows(M(dense, cols=n))
+        pivots = exactalg._eliminate(rows)
+        assert all(x not in (1, -1) for row in rows.values() for x in row.values())
+        pivot_rows, pivot_cols = {p for p, _ in pivots}, {q for _, q in pivots}
+        assert len(pivot_rows) == len(pivot_cols) == len(pivots)
+        assert not pivot_rows & set(rows)
+        assert not pivot_cols & {j for row in rows.values() for j in row}
 
 
 class TestColumnLatticeBasis:

@@ -7,6 +7,7 @@ from binoids.errors import NotInSpec, NotOpen, NotPositive
 from binoids.simplicial import SimplicialComplex
 from binoids.spectrum import (
     PrimeIdeal,
+    SpecPoset,
     compute_spec,
     connected_components,
     height,
@@ -14,6 +15,7 @@ from binoids.spectrum import (
     minimal_neighborhood,
     nerve,
     open_subset,
+    spectrum_of_complex,
     to_dot,
 )
 
@@ -89,6 +91,19 @@ class TestComputeSpec:
             for a in sets:
                 for b in sets:
                     assert tuple(sorted(set(a) | set(b))) in sets
+
+    def test_masks_kept_from_the_enumeration(self):
+        """Both routes hand over each prime's bitmask; a poset built from the
+        primes alone derives the same ones and is equal, with the same repr."""
+        rng = make_rng(15)
+        for _ in range(20):
+            c = SimplicialComplex.from_facets(random_facets(rng, 6))
+            for S in (compute_spec(from_simplicial(c)), compute_spec(xyzw()), spectrum_of_complex(c)):
+                kept = S._generator_masks()
+                assert kept == tuple(sum(1 << i for i in p) for p in S.primes)
+                bare = SpecPoset(S.generator_names, S.primes)
+                assert bare == S and repr(bare) == repr(S)
+                assert bare._generator_masks() == kept
 
     def test_face_prime_bijection(self):
         rng = make_rng(14)
