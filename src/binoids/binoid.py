@@ -69,6 +69,11 @@ class Relation:
         return frozenset(i for i, x in enumerate(self.rhs) if x)
 
 
+def _support(vector) -> int:
+    """The bitmask of the positions where an exponent vector is nonzero."""
+    return sum(1 << i for i, x in enumerate(vector) if x)
+
+
 @dataclass(frozen=True)
 class BinoidPresentation:
     """Generator names in order, plus relations as exponent vectors.
@@ -156,7 +161,7 @@ def from_simplicial(complex_: SimplicialComplex) -> BinoidPresentation:
 
 
 def _complex_from_nonface_supports(names: tuple, supports: list) -> SimplicialComplex:
-    """The complex on `names` whose non-faces are the sets holding a support.
+    """The complex on `names` whose non-faces are the sets holding a support mask.
 
     Its facets come by Berge dualization: starting from the full vertex
     set, each distinct support splits every facet holding it into the
@@ -165,7 +170,7 @@ def _complex_from_nonface_supports(names: tuple, supports: list) -> SimplicialCo
     no face: the void complex.
     """
     facets = [(1 << len(names)) - 1]
-    for s in dict.fromkeys(sum(1 << i for i in sup) for sup in supports):
+    for s in dict.fromkeys(supports):
         if not s:
             return SimplicialComplex.void()
         kept = [f for f in facets if s & ~f]
@@ -188,11 +193,12 @@ def as_simplicial(M: BinoidPresentation) -> SimplicialComplex:
             raise NotSimplicialPresentation(
                 "element relation present: %s" % rel.text(M.generator_names)
             )
-        if any(x > 1 for x in rel.lhs):
+        support = _support(rel.lhs)
+        if sum(rel.lhs) != support.bit_count():  # some exponent is above 1
             raise NotSimplicialPresentation(
                 "relation is not squarefree: %s" % rel.text(M.generator_names)
             )
-        supports.append(rel.lhs_support())
+        supports.append(support)
     return _complex_from_nonface_supports(M.generator_names, supports)
 
 
@@ -205,7 +211,7 @@ def radical_complex(M: BinoidPresentation) -> SimplicialComplex:
                 "all relations must send a monomial to infinity, not %s"
                 % rel.text(M.generator_names)
             )
-        supports.append(rel.lhs_support())
+        supports.append(_support(rel.lhs))
     return _complex_from_nonface_supports(M.generator_names, supports)
 
 

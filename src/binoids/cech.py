@@ -46,6 +46,7 @@ from .simplicial import SimplicialComplex
 from .spectrum import (
     PrimeIdeal,
     SpecPoset,
+    _mask,
     compute_spec,
     minimal_cover,
     nerve,
@@ -289,13 +290,14 @@ def units_of_localization(
 
 
 def _largest_avoiding(S: SpecPoset, face: Sequence[int]) -> Tuple[int, ...]:
-    """p_F, the union of the primes disjoint from the face F."""
-    avoiding = [p for p in S.primes if not set(p.generator_subset) & set(face)]
-    if not avoiding:
-        raise DegenerateLocalization(
-            "no prime avoids the face %s: the localization is zero" % (sorted(face),)
-        )
-    return avoiding[-1].generator_subset
+    """p_F, the union of the primes disjoint from the face F: the last of them."""
+    avoid = _mask(face)
+    for p, mask in zip(reversed(S.primes), reversed(S._generator_masks())):
+        if not mask & avoid:
+            return p.generator_subset
+    raise DegenerateLocalization(
+        "no prime avoids the face %s: the localization is zero" % (sorted(face),)
+    )
 
 
 def _unit_lattice(gamma: DifferenceGroup, prime: Tuple[int, ...]):
@@ -317,7 +319,7 @@ def _check_cancellative(S: SpecPoset, gamma: DifferenceGroup) -> None:
     zero_sets = [{i for i, v in enumerate(row) if v == 0} for row in values.entries]
     everything = set(range(gamma.images.cols))
     for p in S.primes:
-        outside = everything - set(p.generator_subset)
+        outside = everything - set(p)
         face = everything.intersection(*(z for z in zero_sets if outside <= z))
         if face != outside:
             raise NotCancellative(

@@ -298,7 +298,7 @@ def _run_spec(ns, obj):
         payload = {
             "generators": list(names),
             "primes": [
-                {"generators": [names[i] for i in p.generator_subset], "height": h}
+                {"generators": [names[i] for i in p], "height": h}
                 for p, h in zip(S.primes, S._hasse_diagram()[1])
             ],
         }

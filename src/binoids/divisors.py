@@ -130,7 +130,7 @@ def valuation_matrix(M: BinoidPresentation) -> ValuationMatrix:
             "facet supports do not match the height-1 primes: "
             "no facet selects %s" % prime_label(S, missing)
         )
-    ordered = sorted(height_one, key=lambda p: p.generator_subset)
+    ordered = sorted(height_one)
     return ValuationMatrix(
         IntMatrix.from_rows([list(by_prime[p][1]) for p in ordered], cols=len(images)),
         tuple(ordered),

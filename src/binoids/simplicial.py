@@ -94,13 +94,8 @@ class SimplicialComplex:
 
     @classmethod
     def make(cls, vertices: Sequence, faces: Iterable[Sequence]) -> "SimplicialComplex":
-        """Normalize: sort faces by vertex position, keep the maximal ones,
-        and turn uncovered vertices into singleton facets.
-
-        Faces are visited largest first.  Each vertex keeps the bitmask of
-        the facets kept so far that contain it, and a face is kept exactly
-        when the AND of its vertices' masks is 0: no kept facet lies above it.
-        """
+        """Check and normalize: sort faces by vertex position, keep the
+        maximal ones, and turn uncovered vertices into singleton facets."""
         vertices = tuple(vertices)
         if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex labels")
@@ -118,17 +113,7 @@ class SimplicialComplex:
         for v in vertices:
             if v not in covered:
                 normalized.add((v,))
-        kept, through = [], dict.fromkeys(vertices, 0)
-        for f in sorted(normalized, key=len, reverse=True):
-            above = (1 << len(kept)) - 1
-            for v in f:
-                above &= through[v]
-            if not above:
-                for v in f:
-                    through[v] |= 1 << len(kept)
-                kept.append(f)
-        maximal = sorted(kept, key=lambda f: tuple(position[v] for v in f))
-        return cls(vertices, tuple(maximal))
+        return _keep_maximal(vertices, normalized)
 
     @classmethod
     def from_facets(cls, facets: Iterable[Sequence]) -> "SimplicialComplex":
@@ -350,5 +335,27 @@ def nerve_of_sets(sets: Sequence[int], points: int) -> SimplicialComplex:
     for j, s in enumerate(sets, 1):
         for p in _bits(s):
             candidates[p].append(j)
-    vertices = [j for j, s in enumerate(sets, 1) if s]
-    return SimplicialComplex.make(vertices, [c for c in candidates if c])
+    vertices = tuple(j for j, s in enumerate(sets, 1) if s)
+    return _keep_maximal(vertices, [tuple(c) for c in candidates if c])
+
+
+def _keep_maximal(vertices: tuple, faces: Iterable[tuple]) -> SimplicialComplex:
+    """The complex whose facets are the maximal ones among faces sorted by
+    vertex position and covering the vertices.
+
+    Faces are visited largest first.  Each vertex keeps the bitmask of the
+    facets kept so far that contain it, and a face is kept exactly when
+    the AND of its vertices' masks is 0: no kept facet lies above it.
+    """
+    position = {v: i for i, v in enumerate(vertices)}
+    kept, through = [], dict.fromkeys(vertices, 0)
+    for f in sorted(faces, key=len, reverse=True):
+        above = (1 << len(kept)) - 1
+        for v in f:
+            above &= through[v]
+        if not above:
+            for v in f:
+                through[v] |= 1 << len(kept)
+            kept.append(f)
+    maximal = sorted(kept, key=lambda f: tuple(position[v] for v in f))
+    return SimplicialComplex(vertices, tuple(maximal))

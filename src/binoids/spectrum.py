@@ -6,32 +6,38 @@ relation is supported on it.  The spectrum is the resulting union-closed
 family, ordered by inclusion.  For the binoid of a simplicial complex the
 primes are the complements of its faces, so `spectrum_of_complex` reads
 them off the faces the complex already holds, with no presentation.
+Without element relations the work follows that face poset: each prime
+is its parent face's with one generator cut out, and the primes just
+above p are the p ∪ {g}, g outside p, one Hasse edge per (face, vertex).
 """
 
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from .binoid import BinoidPresentation
+from .binoid import BinoidPresentation, _support
 from .errors import NotInSpec, NotOpen, NotPositive, VoidComplex
-from .simplicial import SimplicialComplex, nerve_of_sets, subsets_avoiding
+from .simplicial import SimplicialComplex, _bits, nerve_of_sets, subsets_avoiding
 
 
-@dataclass(frozen=True, order=True)
-class PrimeIdeal:
-    """A prime ideal, recorded by the sorted generator indices it contains."""
+class PrimeIdeal(tuple):
+    """A prime ideal: the tuple of the sorted generator indices it contains,
+    which it equals, hashes and orders as.
 
-    generator_subset: Tuple[int, ...]
+    >>> PrimeIdeal((2, 0)), PrimeIdeal((2, 0)) == (0, 2)
+    (PrimeIdeal(generator_subset=(0, 2)), True)
+    """
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "generator_subset", tuple(sorted(self.generator_subset))
-        )
+    __slots__ = ()
 
-    def __iter__(self):
-        return iter(self.generator_subset)
+    def __new__(cls, generator_subset=()):
+        return super().__new__(cls, sorted(generator_subset))
 
-    def __len__(self):
-        return len(self.generator_subset)
+    @property
+    def generator_subset(self) -> Tuple[int, ...]:
+        return tuple(self)
+
+    def __repr__(self):
+        return "PrimeIdeal(generator_subset=%r)" % (tuple(self),)
 
 
 @dataclass(frozen=True)
@@ -58,6 +64,8 @@ class SpecPoset:
         return self._index
 
     def position_of(self, prime: PrimeIdeal) -> int:
+        if not isinstance(prime, PrimeIdeal):
+            raise NotInSpec(f"{prime!r} is not a PrimeIdeal")
         positions = self._positions()
         if prime not in positions:
             raise NotInSpec(f"{prime.generator_subset} is not a prime ideal here")
@@ -69,50 +77,56 @@ class SpecPoset:
     def _generator_masks(self) -> tuple:
         """Per position, the prime's generators as a bitmask."""
         if self._masks is None:
-            masks = tuple(_mask(p.generator_subset) for p in self.primes)
+            masks = tuple(map(_mask, self.primes))
             object.__setattr__(self, "_masks", masks)
         return self._masks
 
     def _hasse_diagram(self) -> tuple:
         """Per position, the positions of the primes it covers, and its height.
 
-        A prime q just below p is the largest prime inside p minus some
-        generator of p outside q, so the lower covers of p are the maximal
-        ones among at most |p| interiors.  A p minus g that is prime is its
-        own interior.  Without element relations every other p minus g
-        holds no prime, so the primes among them are all the covers.
+        Without element relations the primes just above p are the p ∪ {g},
+        g outside p (a poset built bare skips those it lacks); visiting the
+        primes smallest first and handing each to the primes above it keeps
+        every cover list sorted and every height final before it is read.
+        With element relations a prime q just below p is the largest prime
+        inside p minus some generator of p outside q, so the lower covers
+        of p are the maximal ones among at most |p| interiors.
         """
         if self._hasse is None:
             element_masks, infinity_masks = self._relations
             masks = self._generator_masks()
             where = {m: i for i, m in enumerate(masks)}
-            covers, heights = [], []
-            for p, mask in zip(self.primes, masks):  # smaller primes come first
-                below = {mask & ~(1 << g) for g in p.generator_subset}
-                if element_masks:
+            if element_masks:
+                covers, heights = [], []
+                for p, mask in zip(self.primes, masks):  # smaller primes come first
                     below = {
                         q if q in where else _interior(q, element_masks, infinity_masks)
-                        for q in below
+                        for q in (mask & ~(1 << g) for g in p)
                     }
                     below.discard(None)
                     below = [q for q in below if not any(q != r and not q & ~r for r in below)]
-                lower = sorted(where[q] for q in below if q in where)
-                covers.append(tuple(lower))
-                heights.append(max((heights[c] + 1 for c in lower), default=0))
-            object.__setattr__(self, "_hasse", (tuple(covers), tuple(heights)))
+                    lower = sorted(where[q] for q in below if q in where)
+                    covers.append(tuple(lower))
+                    heights.append(max((heights[c] + 1 for c in lower), default=0))
+            else:
+                full = (1 << len(self.generator_names)) - 1
+                covers, heights = [[] for _ in masks], [0] * len(masks)
+                for i, mask in enumerate(masks):
+                    up, outside = heights[i] + 1, full & ~mask
+                    while outside:
+                        g = outside & -outside  # the lowest generator left
+                        outside ^= g
+                        j = where.get(mask | g)
+                        if j is not None:
+                            covers[j].append(i)
+                            if heights[j] < up:
+                                heights[j] = up
+            object.__setattr__(self, "_hasse", (tuple(map(tuple, covers)), tuple(heights)))
         return self._hasse
-
-
-def _sort_key(prime: PrimeIdeal):
-    return (len(prime.generator_subset), prime.generator_subset)
 
 
 def _mask(generators) -> int:
     return sum(1 << i for i in generators)
-
-
-def _mask_members(mask: int) -> List[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _relation_masks(M: BinoidPresentation):
@@ -120,13 +134,13 @@ def _relation_masks(M: BinoidPresentation):
     element_masks = []
     infinity_masks = []
     for rel in M.relations:
-        lhs = _mask(rel.lhs_support())
+        lhs = _support(rel.lhs)
         if not lhs:
             raise NotPositive("relation with empty left-hand support")
         if rel.is_infinity:
             infinity_masks.append(lhs)
         else:
-            rhs = _mask(rel.rhs_support())
+            rhs = _support(rel.rhs)
             if not rhs:
                 raise NotPositive("relation with empty right-hand support")
             element_masks.append((lhs, rhs))
@@ -166,20 +180,21 @@ def compute_spec(M: BinoidPresentation) -> SpecPoset:
     n = M.generator_count
     element_masks, infinity_masks = _relation_masks(M)
     if element_masks:
-        masks = [
-            m for m in range(1 << n)
+        grown = [
+            (m, tuple(_bits(m))) for m in range(1 << n)
             if all(bool(m & lhs) == bool(m & rhs) for lhs, rhs in element_masks)
             and all(m & f for f in infinity_masks)
         ]
     else:
-        full = (1 << n) - 1
-        masks = [full & ~face for _, face in subsets_avoiding(n, infinity_masks)]
-    return _spec_poset(M.generator_names, masks, (element_masks, infinity_masks))
+        faces = (face for face, _ in subsets_avoiding(n, infinity_masks))
+        grown = _complements(n, faces, range(n))
+    return _spec_poset(M.generator_names, grown, (element_masks, infinity_masks))
 
 
 def spectrum_of_complex(delta: SimplicialComplex) -> SpecPoset:
     """The spectrum of the binoid of a complex: one prime per face F, the
-    positions in ``delta.vertices`` outside F, sorted as `compute_spec` sorts.
+    positions in ``delta.vertices`` outside F, grown from the prime of F
+    minus its last vertex and sorted as `compute_spec` sorts.
 
     >>> S = spectrum_of_complex(SimplicialComplex.from_facets([("a", "b"), ("c",)]))
     >>> [prime_label(S, p) for p in S.primes]
@@ -187,17 +202,35 @@ def spectrum_of_complex(delta: SimplicialComplex) -> SpecPoset:
     """
     if delta.is_void or not delta.vertices:
         raise VoidComplex("need a complex with at least one vertex")
-    bit = {v: 1 << i for i, v in enumerate(delta.vertices)}
-    full = (1 << len(bit)) - 1
-    masks = [full & ~sum(bit[v] for v in face) for face in delta.all_faces()]
-    return _spec_poset(delta.vertices, masks)
+    position = {v: i for i, v in enumerate(delta.vertices)}
+    grown = _complements(len(position), delta.all_faces(), position)
+    return _spec_poset(delta.vertices, grown)
 
 
-def _spec_poset(names: tuple, masks: list, relations=((), ())) -> SpecPoset:
-    """The poset of the primes with these generator bitmasks, which it keeps."""
-    primes = {m: PrimeIdeal(tuple(_mask_members(m))) for m in masks}
-    order = sorted(primes, key=lambda m: _sort_key(primes[m]))
-    return SpecPoset(names, tuple(map(primes.get, order)), relations, tuple(order))
+def _complements(n: int, faces: Iterable[tuple], position) -> Iterable[tuple]:
+    """(bitmask, sorted positions) of the complement in range(n) of each face.
+
+    Each face follows its parent, the face minus its last vertex v; the
+    parent lies below v, so v is cut out of its complement at v - len(parent).
+    """
+    grown = {}
+    for face in faces:
+        if face:
+            mask, rest = grown[face[:-1]]
+            v = position[face[-1]]
+            k = v - len(face) + 1
+            grown[face] = (mask ^ 1 << v, rest[:k] + rest[k + 1 :])
+        else:
+            grown[face] = ((1 << n) - 1, tuple(range(n)))
+    return grown.values()
+
+
+def _spec_poset(names: tuple, grown: Iterable[tuple], relations=((), ())) -> SpecPoset:
+    """The poset of the (bitmask, sorted generators) pairs, ordered by size
+    and then generators; it keeps the bitmasks."""
+    pairs = sorted(grown, key=lambda pair: (len(pair[1]), pair[1]))
+    primes = tuple(tuple.__new__(PrimeIdeal, generators) for _, generators in pairs)
+    return SpecPoset(names, primes, relations, tuple(mask for mask, _ in pairs))
 
 
 def height(S: SpecPoset, prime: PrimeIdeal) -> int:
@@ -214,7 +247,7 @@ def primes_of_height_at_most(S: SpecPoset, bound: int) -> Set[PrimeIdeal]:
 def punctured_spectrum(S: SpecPoset) -> Set[PrimeIdeal]:
     """Every prime except the maximal ideal of the positive presentation."""
     full = tuple(range(len(S.generator_names)))
-    return {p for p in S.primes if p.generator_subset != full}
+    return {p for p in S.primes if p != full}
 
 
 def minimal_neighborhood(S: SpecPoset, prime: PrimeIdeal) -> Tuple[int, ...]:
@@ -224,14 +257,14 @@ def minimal_neighborhood(S: SpecPoset, prime: PrimeIdeal) -> Tuple[int, ...]:
     exactly the primes contained in it.
     """
     S.position_of(prime)
-    inside = set(prime.generator_subset)
+    inside = set(prime)
     return tuple(i for i in range(len(S.generator_names)) if i not in inside)
 
 
 def open_subset(S: SpecPoset, support: Sequence[int]) -> Set[PrimeIdeal]:
     """Primes avoiding every generator in ``support`` (the set D(f))."""
     avoid = set(support)
-    return {p for p in S.primes if avoid.isdisjoint(p.generator_subset)}
+    return {p for p in S.primes if avoid.isdisjoint(p)}
 
 
 def _check_open(S: SpecPoset, opens: Iterable[PrimeIdeal]) -> Set[int]:
@@ -266,12 +299,13 @@ def nerve(S: SpecPoset, cover: Sequence[Sequence[int]]) -> SimplicialComplex:
     indices whose open is empty are dropped.  Each open is the set of primes
     it holds, so each prime gives one candidate face: the opens holding it.
     """
-    prime_masks = S._generator_masks()
+    last_first = S._generator_masks()[::-1]
     opens = []
     for support in cover:
         avoid = _mask(set(support))
-        opens.append(_mask(k for k, m in enumerate(prime_masks) if not m & avoid))
-    return nerve_of_sets(opens, len(prime_masks))
+        # one binary digit per prime, the last first: 1 when it avoids the support
+        opens.append(int("0" + "".join(["0" if m & avoid else "1" for m in last_first]), 2))
+    return nerve_of_sets(opens, len(last_first))
 
 
 def connected_components(S: SpecPoset, opens: Iterable[PrimeIdeal]) -> int:
@@ -298,10 +332,10 @@ def connected_components(S: SpecPoset, opens: Iterable[PrimeIdeal]) -> int:
 
 def prime_label(S: SpecPoset, prime: PrimeIdeal) -> str:
     """Display form of a prime: generator names between angle brackets."""
-    if not prime.generator_subset:
+    if not prime:
         return "<inf>"
     names = S.generator_names
-    return "<" + ",".join(str(names[i]) for i in prime.generator_subset) + ">"
+    return "<" + ",".join([str(names[i]) for i in prime]) + ">"
 
 
 def to_dot(S: SpecPoset) -> str:

@@ -182,6 +182,44 @@ class TestSpectrumAgainstSubsetScan:
         assert tuple(ranks[:2]) == weil_pic_open_ranks(c.facets)
 
 
+class TestUpwardWalk:
+    """Without element relations the primes are the complements of faces, so
+    p ∪ {g} is a prime for every prime p and generator g outside it (what the
+    Hasse diagram's upward walk relies on), and there is one cover edge per
+    face F and vertex of F, Σ_F |F| edges."""
+
+    @staticmethod
+    def check(S, primes):
+        n = len(S.generator_names)
+        assert [tuple(p) for p in S.primes] == primes
+        family = {frozenset(p) for p in primes}
+        assert all(p | {g} in family for p in family for g in range(n) if g not in p)
+        assert sum(map(len, S._hasse_diagram()[0])) == sum(n - len(p) for p in primes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(complexes_with_isolated_vertices())
+    def test_complexes(self, c):
+        faces = brute_faces(c.facets)
+        primes = sorted(
+            (tuple(i for i, v in enumerate(c.vertices) if v not in f) for f in faces),
+            key=lambda p: (len(p), p),
+        )
+        for S in (spectrum_of_complex(c), compute_spec(from_simplicial(c))):
+            self.check(S, primes)
+            assert sum(map(len, S._hasse_diagram()[0])) == sum(map(len, faces))
+
+    @settings(max_examples=60, deadline=None)
+    @given(monomial_presentations())
+    def test_monomial(self, M):
+        self.check(compute_spec(M), brute_spectrum(M.generator_count, *supports(M)))
+
+    def test_cycle_of_128_vertices(self):
+        S = spectrum_of_complex(SimplicialComplex.from_facets(cycle_facets(128)))
+        assert len(S.primes) == 1 + 128 + 128
+        assert sum(map(len, S._hasse_diagram()[0])) == 384
+        assert max(S._hasse_diagram()[1]) == 2
+
+
 class TestComplexFromSupports:
     """`as_simplicial` and `radical_complex` against the maximal faces of a subset scan."""
 

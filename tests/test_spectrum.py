@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -49,6 +51,68 @@ def prime_sets(S):
 
 def favourite_spec():
     return compute_spec(from_simplicial(SimplicialComplex.from_facets(FAVOURITE_FACETS)))
+
+
+class TestPrimeIdeal:
+    """A prime is the sorted tuple of its generators; it equals, hashes and
+    orders as that plain tuple does."""
+
+    def test_constructor_sorts_and_repr_is_kept(self):
+        assert repr(PrimeIdeal([3, 0, 2])) == "PrimeIdeal(generator_subset=(0, 2, 3))"
+        assert repr(PrimeIdeal()) == "PrimeIdeal(generator_subset=())"
+        assert repr(PrimeIdeal(generator_subset=(1,))) == "PrimeIdeal(generator_subset=(1,))"
+
+    def test_generator_subset_is_a_plain_tuple(self):
+        p = PrimeIdeal((2, 1))
+        assert type(p.generator_subset) is tuple and p.generator_subset == (1, 2)
+
+    def test_iteration_length_and_order(self):
+        p = PrimeIdeal((2, 1))
+        assert list(p) == [1, 2] and len(p) == 2 and not PrimeIdeal()
+        primes = [PrimeIdeal((1,)), PrimeIdeal((0, 2)), PrimeIdeal(()), PrimeIdeal((0,))]
+        assert sorted(primes) == [PrimeIdeal(()), PrimeIdeal((0,)), PrimeIdeal((0, 2)), PrimeIdeal((1,))]
+        assert PrimeIdeal((0, 2)) < PrimeIdeal((1,)) and PrimeIdeal((0,)) < PrimeIdeal((0, 1))
+
+    def test_pickle_and_copy_round_trips(self):
+        p = PrimeIdeal((4, 1))
+        copies = [pickle.loads(pickle.dumps(p, k)) for k in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for q in copies + [copy.copy(p), copy.deepcopy(p)]:
+            assert type(q) is PrimeIdeal and q == p and repr(q) == repr(p)
+
+    def test_equal_to_and_hashed_as_the_plain_tuple(self):
+        p = PrimeIdeal((1, 0))
+        assert p == (0, 1) and hash(p) == hash((0, 1))
+        assert {p: "x"}[(0, 1)] == "x" and (0, 1) in {p}
+
+    def test_immutable(self):
+        p = PrimeIdeal((0,))
+        with pytest.raises(AttributeError):
+            p.generator_subset = (1,)
+        with pytest.raises(AttributeError):
+            p.extra = 1
+
+
+class TestOnlyPrimeIdealsAreInSpec:
+    """A plain tuple equals the PrimeIdeal of the same generators but is not
+    in the spectrum; every lookup agrees with `in` and names it."""
+
+    def test_plain_tuple_is_refused_by_every_lookup(self):
+        S = compute_spec(free_binoid(2))
+        assert PrimeIdeal((0,)) in S and (0,) not in S
+        calls = [
+            lambda: S.position_of((0,)),
+            lambda: height(S, (0,)),
+            lambda: minimal_neighborhood(S, (0,)),
+            lambda: minimal_cover(S, {(0,)}),
+        ]
+        for call in calls:
+            with pytest.raises(NotInSpec, match=r"^\(0,\) is not a PrimeIdeal$"):
+                call()
+
+    def test_prime_of_another_spectrum_keeps_its_message(self):
+        S = compute_spec(xy_nz(3))
+        with pytest.raises(NotInSpec, match=r"^\(0,\) is not a prime ideal here$"):
+            S.position_of(PrimeIdeal((0,)))
 
 
 class TestComputeSpec:
