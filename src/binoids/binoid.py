@@ -8,9 +8,7 @@ here works on the vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple
-
+from ._record import Record, setfield
 from .errors import (
     NotIntegral,
     NotMonomialPresentation,
@@ -22,24 +20,24 @@ from .exactalg import IntMatrix, _smith
 from .simplicial import SimplicialComplex, _bits
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(Record):
     """lhs = rhs with rhs None meaning ∞; both sides are exponent vectors."""
 
-    lhs: tuple
-    rhs: Optional[tuple]
+    _fields = ("lhs", "rhs")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lhs", tuple(self.lhs))
-        if self.rhs is not None:
-            object.__setattr__(self, "rhs", tuple(self.rhs))
-            if len(self.rhs) != len(self.lhs):
+    def __init__(self, lhs: tuple, rhs: tuple | None):
+        lhs = tuple(lhs)
+        if rhs is not None:
+            rhs = tuple(rhs)
+            if len(rhs) != len(lhs):
                 raise ValueError("relation sides over different generators")
-        for x in self.lhs + (self.rhs or ()):
+        for x in lhs + (rhs or ()):
             if not isinstance(x, int) or x < 0:
                 raise ValueError("exponents must be nonnegative integers, not %r" % (x,))
-        if self.rhs == self.lhs:
+        if rhs == lhs:
             raise ValueError("relation with identical sides")
+        setfield(self, "lhs", lhs)
+        setfield(self, "rhs", rhs)
 
     @property
     def is_infinity(self) -> bool:
@@ -74,8 +72,7 @@ def _support(vector) -> int:
     return sum(1 << i for i, x in enumerate(vector) if x)
 
 
-@dataclass(frozen=True)
-class BinoidPresentation:
+class BinoidPresentation(Record):
     """Generator names in order, plus relations as exponent vectors.
 
     >>> M = BinoidPresentation(("x", "y", "z"), (Relation((1, 1, 0), (0, 0, 2)),))
@@ -83,18 +80,18 @@ class BinoidPresentation:
     2
     """
 
-    generator_names: tuple
-    relations: tuple
+    _fields = ("generator_names", "relations")
 
-    def __post_init__(self):
-        object.__setattr__(self, "generator_names", tuple(self.generator_names))
-        object.__setattr__(self, "relations", tuple(self.relations))
-        if len(set(self.generator_names)) != len(self.generator_names):
+    def __init__(self, generator_names: tuple, relations: tuple):
+        generator_names, relations = tuple(generator_names), tuple(relations)
+        if len(set(generator_names)) != len(generator_names):
             raise ValueError("duplicate generator names")
-        n = len(self.generator_names)
-        for rel in self.relations:
+        n = len(generator_names)
+        for rel in relations:
             if len(rel.lhs) != n:
                 raise ValueError("relation arity does not match generators")
+        setfield(self, "generator_names", generator_names)
+        setfield(self, "relations", relations)
 
     @property
     def generator_count(self) -> int:
@@ -104,8 +101,7 @@ class BinoidPresentation:
         return not any(rel.is_infinity for rel in self.relations)
 
 
-@dataclass(frozen=True)
-class DifferenceGroup:
+class DifferenceGroup(Record):
     """Γ ≅ Z^rank with the chosen images of the generators.
 
     images has one column per generator; relation_lattice has one column
@@ -113,9 +109,12 @@ class DifferenceGroup:
     torsion check in difference_group.
     """
 
-    rank: int
-    images: IntMatrix
-    relation_lattice: IntMatrix
+    _fields = ("rank", "images", "relation_lattice")
+
+    def __init__(self, rank: int, images: IntMatrix, relation_lattice: IntMatrix):
+        setfield(self, "rank", rank)
+        setfield(self, "images", images)
+        setfield(self, "relation_lattice", relation_lattice)
 
     def image_of(self, index: int) -> tuple:
         return self.images.column(index)

@@ -15,10 +15,12 @@ a general integral binoid.  Each caller only names the index simplices,
 the basis of the group at each and the restriction maps.
 """
 
-from dataclasses import dataclass, field
-from itertools import combinations
-from typing import List, Optional, Sequence, Set, Tuple
+from __future__ import annotations
 
+from collections.abc import Sequence
+from itertools import combinations
+
+from ._record import Record, setfield
 from .binoid import (
     BinoidPresentation,
     DifferenceGroup,
@@ -49,43 +51,41 @@ from .spectrum import (
     _mask,
     compute_spec,
     minimal_cover,
-    nerve,
     prime_label,
     punctured_spectrum,
     spectrum_of_complex,
 )
 
 
-@dataclass(frozen=True, init=False)
-class CechComplex:
+class CechComplex(Record):
     """Cochain complex of free groups with a label per coordinate.
 
     Labels in degree j are pairs (face or cover subset, coordinate); the
     differentials carry the alternating-sign restriction maps.  They are
     given as IntMatrix or as sparse rows {row: {column: nonzero entry}},
-    kept as sparse rows, and checked once, here, to compose to zero.
+    kept as sparse rows, and checked once, here, to compose to zero; a
+    nonzero composition is reported with the degree and label of its row.
     """
 
-    labels_by_degree: Tuple[Tuple, ...]
-    _rows: Tuple[dict, ...] = field(repr=False)
+    _fields = ("labels_by_degree", "_rows")
 
     def __init__(self, labels_by_degree, differentials):
         labels = tuple(tuple(degree) for degree in labels_by_degree)
-        rows = _sparse_complex([len(degree) for degree in labels], list(differentials))
-        object.__setattr__(self, "labels_by_degree", labels)
-        object.__setattr__(self, "_rows", tuple(rows))
+        rows = _sparse_complex([len(degree) for degree in labels], list(differentials), labels)
+        setfield(self, "labels_by_degree", labels)
+        setfield(self, "_rows", tuple(rows))
 
     @property
-    def ranks(self) -> Tuple[int, ...]:
+    def ranks(self) -> tuple[int, ...]:
         return tuple(len(degree) for degree in self.labels_by_degree)
 
     @property
-    def differentials(self) -> Tuple[IntMatrix, ...]:
+    def differentials(self) -> tuple[IntMatrix, ...]:
         """The differentials as dense matrices, built on each call."""
         ranks = self.ranks
         return tuple(_dense(d, ranks[j + 1], ranks[j]) for j, d in enumerate(self._rows))
 
-    def cohomology(self) -> List[FinAbGroup]:
+    def cohomology(self) -> list[FinAbGroup]:
         return _reduce_complex(list(self.ranks), list(self._rows))
 
     def to_json(self) -> dict:
@@ -156,7 +156,7 @@ def picard_complex_simplicial(delta: SimplicialComplex) -> CechComplex:
     return _cech_complex(simplices, tuple)
 
 
-def local_picard_formula(delta: SimplicialComplex) -> List[FinAbGroup]:
+def local_picard_formula(delta: SimplicialComplex) -> list[FinAbGroup]:
     """H^j of the unit sheaf via reduced link cohomology, degrees 0..dim.
 
     H^j = ⊕_v H~^(j-1)(lk v), and each summand is read off Δ's own faces:
@@ -183,7 +183,7 @@ def local_picard_formula(delta: SimplicialComplex) -> List[FinAbGroup]:
     return cohomology_of_complex(*delta._cochain_data(0, cells))
 
 
-def local_picard_cech(delta: SimplicialComplex) -> List[FinAbGroup]:
+def local_picard_cech(delta: SimplicialComplex) -> list[FinAbGroup]:
     """Same groups as local_picard_formula, by running the Čech complex.
 
     >>> delta = SimplicialComplex.from_facets([(1, 2, 3), (3, 4)])
@@ -193,20 +193,7 @@ def local_picard_cech(delta: SimplicialComplex) -> List[FinAbGroup]:
     return picard_complex_simplicial(delta).cohomology()
 
 
-def constant_cohomology(target, opens: Optional[Set[PrimeIdeal]] = None) -> List[FinAbGroup]:
-    """Integer cohomology of a complex, or of an open set via its cover nerve.
-
-    For a spectrum the open set defaults to the punctured spectrum.
-    """
-    if isinstance(target, SimplicialComplex):
-        return target.cohomology()
-    if opens is None:
-        opens = punctured_spectrum(target)
-    cover = minimal_cover(target, opens)
-    return nerve(target, cover).cohomology()
-
-
-def pic_open_subset(delta: SimplicialComplex, opens: Set[PrimeIdeal]) -> List[FinAbGroup]:
+def pic_open_subset(delta: SimplicialComplex, opens: set[PrimeIdeal]) -> list[FinAbGroup]:
     """Unit-sheaf Čech cohomology of an open subset of a simplicial spectrum.
 
     The open set is given by its primes, as in `spectrum_of_complex(delta)`,
@@ -219,8 +206,8 @@ def pic_open_subset(delta: SimplicialComplex, opens: Set[PrimeIdeal]) -> List[Fi
 
 
 def _pic_open_subset(
-    S: SpecPoset, delta: SimplicialComplex, opens: Set[PrimeIdeal]
-) -> List[FinAbGroup]:
+    S: SpecPoset, delta: SimplicialComplex, opens: set[PrimeIdeal]
+) -> list[FinAbGroup]:
     supports = minimal_cover(S, opens)
     position = {v: i for i, v in enumerate(delta.vertices)}
     faces = [tuple(delta.vertices[i] for i in sup) for sup in supports]
@@ -237,7 +224,7 @@ def _pic_open_subset(
 
 def stanley_reisner_cohomology(
     delta: SimplicialComplex, symbol: str = "K*"
-) -> List[Tuple[GroupExpr, FinAbGroup]]:
+) -> list[tuple[GroupExpr, FinAbGroup]]:
     """Unit-sheaf cohomology over a Stanley-Reisner algebra, degree by degree.
 
     Each degree splits into a constant part with coefficients in the unit
@@ -255,41 +242,7 @@ def stanley_reisner_cohomology(
 # general integral binoids
 
 
-@dataclass(frozen=True)
-class UnitSubgroup:
-    """Units of a localization M_F, as a sublattice of the difference group."""
-
-    ambient: DifferenceGroup
-    basis: IntMatrix  # columns are independent generators in Gamma-coordinates
-    face: Tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return self.basis.cols
-
-    def to_json(self) -> dict:
-        return {
-            "face": list(self.face),
-            "rank": self.rank,
-            "basis": self.basis.to_lists(),
-        }
-
-
-def units_of_localization(
-    M: BinoidPresentation, gamma: DifferenceGroup, face: Sequence[int]
-) -> UnitSubgroup:
-    """Subgroup of the difference group inverted by localizing at a face.
-
-    The primes disjoint from F form a union-closed family, so their union
-    p_F is the largest of them.  For a cancellative binoid the units of M_F
-    are spanned by the images of the generators outside p_F.
-    """
-    face = tuple(sorted(face))
-    prime = _largest_avoiding(compute_spec(M), face)
-    return UnitSubgroup(gamma, _unit_lattice(gamma, prime)[0], face)
-
-
-def _largest_avoiding(S: SpecPoset, face: Sequence[int]) -> Tuple[int, ...]:
+def _largest_avoiding(S: SpecPoset, face: Sequence[int]) -> tuple[int, ...]:
     """p_F, the union of the primes disjoint from the face F: the last of them."""
     avoid = _mask(face)
     for p, mask in zip(reversed(S.primes), reversed(S._generator_masks())):
@@ -300,7 +253,7 @@ def _largest_avoiding(S: SpecPoset, face: Sequence[int]) -> Tuple[int, ...]:
     )
 
 
-def _unit_lattice(gamma: DifferenceGroup, prime: Tuple[int, ...]):
+def _unit_lattice(gamma: DifferenceGroup, prime: tuple[int, ...]):
     """(B, U, d) of `_lattice` on the images of the generators outside the prime."""
     outside = [i for i in range(gamma.images.cols) if i not in prime]
     images = [[row[i] for i in outside] for row in gamma.images.entries]
@@ -328,13 +281,17 @@ def _check_cancellative(S: SpecPoset, gamma: DifferenceGroup) -> None:
             )
 
 
-@dataclass(frozen=True)
-class LocalPicardResult:
+class LocalPicardResult(Record):
     """Čech output on the minimal cover: groups, complex, and cover supports."""
 
-    groups: Tuple[FinAbGroup, ...]
-    cech: CechComplex
-    cover: Tuple[Tuple[int, ...], ...]
+    _fields = ("groups", "cech", "cover")
+
+    def __init__(
+        self, groups: tuple[FinAbGroup, ...], cech: CechComplex, cover: tuple[tuple[int, ...], ...]
+    ):
+        setfield(self, "groups", groups)
+        setfield(self, "cech", cech)
+        setfield(self, "cover", cover)
 
     def to_json(self) -> dict:
         return {
@@ -381,16 +338,28 @@ def local_picard_general(M: BinoidPresentation) -> LocalPicardResult:
 # monomial algebras
 
 
-@dataclass(frozen=True)
-class MonomialReport:
+class MonomialReport(Record):
     """Reduced-part cohomology of a monomial algebra, radical or not."""
 
-    presentation: BinoidPresentation
-    complex: SimplicialComplex
-    is_radical: bool
-    degrees: Tuple[Tuple[GroupExpr, FinAbGroup], ...]
-    nonvanishing_h1: bool
-    unipotent_part: str = "NOT COMPUTED"
+    _fields = (
+        "presentation", "complex", "is_radical", "degrees", "nonvanishing_h1", "unipotent_part"
+    )
+
+    def __init__(
+        self,
+        presentation: BinoidPresentation,
+        complex: SimplicialComplex,
+        is_radical: bool,
+        degrees: tuple[tuple[GroupExpr, FinAbGroup], ...],
+        nonvanishing_h1: bool,
+        unipotent_part: str = "NOT COMPUTED",
+    ):
+        setfield(self, "presentation", presentation)
+        setfield(self, "complex", complex)
+        setfield(self, "is_radical", is_radical)
+        setfield(self, "degrees", degrees)
+        setfield(self, "nonvanishing_h1", nonvanishing_h1)
+        setfield(self, "unipotent_part", unipotent_part)
 
     def to_json(self) -> dict:
         return {

@@ -4,11 +4,12 @@ Exit codes: 0 success, 2 parse error, 3 precondition error.  All syntax
 lives here; the library modules only ever see built values.
 """
 
+from __future__ import annotations
+
 import argparse
 import functools
 import json
 import sys
-from typing import List, Optional, Tuple
 
 from .binoid import (
     BinoidPresentation,
@@ -55,7 +56,7 @@ def _label(token: str):
         return token
 
 
-def _content_lines(text: str) -> List[Tuple[int, str, str]]:
+def _content_lines(text: str) -> list[tuple[int, str, str]]:
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -222,7 +223,7 @@ def load_input(path: str):
 # output
 
 
-def _format_degrees(entries: List[str], start: int = 0, degree: Optional[int] = None) -> str:
+def _format_degrees(entries: list[str], start: int = 0, degree: int | None = None) -> str:
     """One `H^j = ...` per degree; everything beyond the list is trivial."""
     if degree is not None:
         position = degree - start
@@ -472,7 +473,7 @@ def _validate(ns):
             raise ParseError("--degree must be at least %d" % floor)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     try:
         ns = _parser().parse_args(argv)
         _validate(ns)

@@ -7,18 +7,19 @@ the cokernel of the map sending the difference group to the divisor group
 via all the valuations at once.
 """
 
-from dataclasses import dataclass
+from __future__ import annotations
+
 from itertools import combinations
 from math import gcd
-from typing import List, Optional, Tuple
 
+from ._record import Record, setfield
 from .binoid import BinoidPresentation, DifferenceGroup, difference_group
 from .errors import FacetPrimeMismatch, NotFullDimensional, NotPointed
 from .exactalg import FinAbGroup, IntMatrix, cokernel, invariant_factors
 from .spectrum import PrimeIdeal, compute_spec, prime_label
 
 
-def _dot(u: Tuple[int, ...], v: Tuple[int, ...]) -> int:
+def _dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
@@ -42,7 +43,7 @@ def _determinant(rows: list) -> int:
     return sign * previous
 
 
-def cone_facets(gamma: DifferenceGroup) -> List[Tuple[int, ...]]:
+def cone_facets(gamma: DifferenceGroup) -> list[tuple[int, ...]]:
     """Primitive inner normals of the facets of cone(generator images).
 
     A candidate is the vector of signed (r-1)-minors of r-1 images over the
@@ -79,13 +80,20 @@ def cone_facets(gamma: DifferenceGroup) -> List[Tuple[int, ...]]:
     return sorted(normals)
 
 
-@dataclass(frozen=True)
-class ValuationMatrix:
+class ValuationMatrix(Record):
     """Valuations of the generators, one row per height-1 prime."""
 
-    matrix: IntMatrix
-    row_primes: Tuple[PrimeIdeal, ...]
-    normals: Tuple[Tuple[int, ...], ...]
+    _fields = ("matrix", "row_primes", "normals")
+
+    def __init__(
+        self,
+        matrix: IntMatrix,
+        row_primes: tuple[PrimeIdeal, ...],
+        normals: tuple[tuple[int, ...], ...],
+    ):
+        setfield(self, "matrix", matrix)
+        setfield(self, "row_primes", row_primes)
+        setfield(self, "normals", normals)
 
     def to_json(self) -> dict:
         return {
@@ -146,19 +154,27 @@ def class_group(M: BinoidPresentation) -> FinAbGroup:
     return cokernel(phi)
 
 
-@dataclass(frozen=True)
-class PrimeEvidence:
+class PrimeEvidence(Record):
     """What certifies one height-1 prime: a value-1 element and a unit lattice."""
 
-    prime: PrimeIdeal
-    witness: Optional[Tuple[int, ...]]
-    units_span_hyperplane: bool
+    _fields = ("prime", "witness", "units_span_hyperplane")
+
+    def __init__(
+        self, prime: PrimeIdeal, witness: tuple[int, ...] | None, units_span_hyperplane: bool
+    ):
+        setfield(self, "prime", prime)
+        setfield(self, "witness", witness)
+        setfield(self, "units_span_hyperplane", units_span_hyperplane)
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    verdict: str  # "Certified" or "Unknown"
-    evidence: Tuple[PrimeEvidence, ...]
+class RegularityReport(Record):
+    """The verdict, "Certified" or "Unknown", with the evidence for each prime."""
+
+    _fields = ("verdict", "evidence")
+
+    def __init__(self, verdict: str, evidence: tuple[PrimeEvidence, ...]):
+        setfield(self, "verdict", verdict)
+        setfield(self, "evidence", evidence)
 
     def to_json(self) -> dict:
         return {

@@ -40,39 +40,39 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import compress, repeat
-from typing import Iterable, Optional
 
+from ._record import Record, setfield
 from .errors import CompositionNonzero
 
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """An immutable integer matrix.
+class IntMatrix(Record):
+    """An immutable integer matrix: `rows` x `cols`, `entries` a tuple of row tuples.
 
     >>> A = IntMatrix.from_rows([[1, 2], [3, 4]])
     >>> (A * IntMatrix.identity(2)).to_lists()
     [[1, 2], [3, 4]]
     """
 
-    rows: int
-    cols: int
-    entries: tuple
+    _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple):
+        if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        if len(self.entries) != self.rows:
+        if len(entries) != rows:
             raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.cols:
+        for row in entries:
+            if len(row) != cols:
                 raise ValueError("column count mismatch")
             if not all(map(isinstance, row, repeat(int))):
                 raise ValueError("entries must be exact integers")
+        setfield(self, "rows", rows)
+        setfield(self, "cols", cols)
+        setfield(self, "entries", entries)
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]], cols: Optional[int] = None) -> "IntMatrix":
+    def from_rows(cls, rows: Iterable[Iterable[int]], cols: int | None = None) -> "IntMatrix":
         data = tuple(map(tuple, rows))
         if data:
             width = len(data[0])
@@ -122,13 +122,15 @@ class IntMatrix:
         return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(Record):
     """U * A * V = S with U, V unimodular and S the invariant-factor diagonal."""
 
-    U: IntMatrix
-    S: IntMatrix
-    V: IntMatrix
+    _fields = ("U", "S", "V")
+
+    def __init__(self, U: IntMatrix, S: IntMatrix, V: IntMatrix):
+        setfield(self, "U", U)
+        setfield(self, "S", S)
+        setfield(self, "V", V)
 
     def diagonal(self) -> tuple:
         return tuple(self.S.entry(i, i) for i in range(min(self.S.rows, self.S.cols)))
@@ -153,8 +155,7 @@ def _canonical_torsion(factors: Iterable[int]) -> tuple:
     return tuple(d for d in chain if d > 1)
 
 
-@dataclass(frozen=True)
-class FinAbGroup:
+class FinAbGroup(Record):
     """A finitely generated abelian group Z^free_rank ⊕ ⊕ Z/d_i in canonical form.
 
     >>> FinAbGroup.from_torsion([2, 3])
@@ -163,20 +164,20 @@ class FinAbGroup:
     'Z + Z/2 + Z/4'
     """
 
-    free_rank: int
-    invariant_factors: tuple = ()
+    _fields = ("free_rank", "invariant_factors")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank: int, invariant_factors: Iterable[int] = ()):
+        if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
-        factors = tuple(self.invariant_factors)
-        object.__setattr__(self, "invariant_factors", factors)
+        factors = tuple(invariant_factors)
         for d in factors:
             if not isinstance(d, int) or d < 2:
                 raise ValueError("invariant factors must be integers >= 2")
         for a, b in zip(factors, factors[1:]):
             if b % a != 0:
                 raise ValueError("invariant factors must form a divisibility chain")
+        setfield(self, "free_rank", free_rank)
+        setfield(self, "invariant_factors", factors)
 
     @classmethod
     def from_torsion(cls, factors: Iterable[int], free_rank: int = 0) -> "FinAbGroup":
@@ -211,8 +212,7 @@ class FinAbGroup:
 TRIVIAL_GROUP = FinAbGroup(0)
 
 
-@dataclass(frozen=True)
-class GroupExpr:
+class GroupExpr(Record):
     """G^free_power ⊕ ⊕ G/dG ⊕ ⊕ G[b] for an abstract abelian group G.
 
     The symbolic pieces are never simplified: what G/dG and G[b] look like
@@ -223,22 +223,28 @@ class GroupExpr:
     FinAbGroup(free_rank=0, invariant_factors=(2,))
     """
 
-    symbol: str
-    free_power: int
-    cotorsion: tuple = ()
-    torsion_sub: tuple = ()
+    _fields = ("symbol", "free_power", "cotorsion", "torsion_sub")
 
-    def __post_init__(self):
-        object.__setattr__(self, "cotorsion", tuple(self.cotorsion))
-        object.__setattr__(self, "torsion_sub", tuple(self.torsion_sub))
-        if self.free_power < 0:
+    def __init__(
+        self,
+        symbol: str,
+        free_power: int,
+        cotorsion: Iterable[int] = (),
+        torsion_sub: Iterable[int] = (),
+    ):
+        cotorsion, torsion_sub = tuple(cotorsion), tuple(torsion_sub)
+        if free_power < 0:
             raise ValueError("free power must be nonnegative")
+        setfield(self, "symbol", symbol)
+        setfield(self, "free_power", free_power)
+        setfield(self, "cotorsion", cotorsion)
+        setfield(self, "torsion_sub", torsion_sub)
 
     @property
     def is_trivial(self) -> bool:
         return self.free_power == 0 and not self.cotorsion and not self.torsion_sub
 
-    def evaluate(self, modulus: Optional[int] = None) -> FinAbGroup:
+    def evaluate(self, modulus: int | None = None) -> FinAbGroup:
         """The group at G = Z (modulus None) or G = Z/modulus."""
         if modulus is None:
             # Z/dZ = Z/d, Z[b] = 0
@@ -487,7 +493,7 @@ def _dense(rows: dict, m: int, n: int) -> IntMatrix:
     return IntMatrix(m, n, tuple(map(tuple, data)))
 
 
-def _nonzero_product_row(inner: dict, outer: dict) -> Optional[int]:
+def _nonzero_product_row(inner: dict, outer: dict) -> int | None:
     """The first row of outer * inner that is not zero, for sparse rows, or None."""
     for r, row in outer.items():
         product = {}
@@ -534,11 +540,6 @@ def _lattice(A: IntMatrix):
     return A * IntMatrix.from_rows([row[: len(d)] for row in V], cols=len(d)), U, d
 
 
-def column_lattice_basis(A: IntMatrix) -> IntMatrix:
-    """A basis (as columns) of the subgroup of Z^rows spanned by A's columns."""
-    return _lattice(A)[0]
-
-
 def _divide(U: list, d: list, C: IntMatrix) -> list:
     """The rows of Z with S*Z = U*C, for S the diagonal d_1..d_r over zero rows.
 
@@ -567,12 +568,14 @@ def solve_columns(B: IntMatrix, C: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(V, cols=B.cols) * IntMatrix.from_rows(_divide(U, d, C), cols=C.cols)
 
 
-def _sparse_complex(ranks: list, diffs: list) -> list:
+def _sparse_complex(ranks: list, diffs: list, labels=None) -> list:
     """The sparse rows of each differential, once the complex is checked.
 
     diffs[j] maps Z^ranks[j] -> Z^ranks[j+1], as an IntMatrix or as sparse
     rows {row: {column: nonzero entry}}, which are kept as given.  Shapes
-    raise ValueError and a nonzero d_(j+1) * d_j raises CompositionNonzero.
+    raise ValueError and a nonzero d_(j+1) * d_j raises CompositionNonzero,
+    naming the row at fault and, given labels[j][i] for basis vector i of
+    degree j, its degree and label.
     """
     if len(diffs) != max(len(ranks) - 1, 0):
         raise ValueError("need exactly one differential between consecutive groups")
@@ -593,7 +596,8 @@ def _sparse_complex(ranks: list, diffs: list) -> list:
     for j in range(1, len(sparse)):
         r = _nonzero_product_row(sparse[j - 1], sparse[j])
         if r is not None:
-            raise CompositionNonzero("row %d of d_%d * d_%d is not zero" % (r, j, j - 1))
+            at = "" if labels is None else " (degree %d, label %r)" % (j + 1, labels[j + 1][r])
+            raise CompositionNonzero("row %d of d_%d * d_%d is not zero%s" % (r, j, j - 1, at))
     return sparse
 
 
@@ -636,19 +640,6 @@ def _cohomology(rank: int, factors_in: tuple, factors_out: tuple) -> FinAbGroup:
         rank - len(factors_in) - len(factors_out),
         tuple(d for d in factors_in if d > 1),
     )
-
-
-def complex_cohomology(d_in: IntMatrix, d_out: IntMatrix) -> FinAbGroup:
-    """ker(d_out)/im(d_in) for one position of a complex Z^a -> Z^b -> Z^c.
-
-    The middle group of the three-term complex of cohomology_of_complex;
-    the composition d_out * d_in is checked to vanish first.
-
-    >>> d = IntMatrix.from_rows([[1, -1], [0, 2]])
-    >>> complex_cohomology(d, IntMatrix.zero(0, 2))
-    FinAbGroup(free_rank=0, invariant_factors=(2,))
-    """
-    return cohomology_of_complex([d_in.cols, d_in.rows, d_out.rows], [d_in, d_out])[1]
 
 
 def cohomology_of_complex(ranks: list, diffs: list) -> list:

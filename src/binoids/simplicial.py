@@ -26,9 +26,9 @@ link formula's relative complexes with one block per vertex v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from collections.abc import Iterable, Sequence
 
+from ._record import Record, setfield
 from .errors import NotAFace, UnknownVertex, VoidComplex
 from .exactalg import (
     FinAbGroup,
@@ -39,8 +39,6 @@ from .exactalg import (
     coefficient_cohomology,
     cohomology_of_complex,
 )
-
-Face = Tuple
 
 
 def subsets_avoiding(n: int, supports: Sequence[int]) -> list:
@@ -76,9 +74,10 @@ def _bits(mask: int):
         mask ^= low
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(Record):
     """Vertex order plus pairwise incomparable facets.
+
+    The facets through each vertex and the faces are cached on first use.
 
     >>> c = SimplicialComplex.from_facets([(1, 2, 3), (3, 4)])
     >>> c.faces(1)
@@ -87,10 +86,12 @@ class SimplicialComplex:
     ((1, 2), (4,))
     """
 
-    vertices: tuple
-    facets: tuple
-    _incidence: dict = field(default=None, init=False, repr=False, compare=False)
-    _faces: dict = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("vertices", "facets")
+    _incidence = _faces = None
+
+    def __init__(self, vertices: tuple, facets: tuple):
+        setfield(self, "vertices", vertices)
+        setfield(self, "facets", facets)
 
     @classmethod
     def make(cls, vertices: Sequence, faces: Iterable[Sequence]) -> "SimplicialComplex":
@@ -196,11 +197,11 @@ class SimplicialComplex:
             object.__setattr__(self, "_faces", by_dim)
         return self._faces
 
-    def faces(self, d: int) -> List[Face]:
+    def faces(self, d: int) -> list[tuple]:
         """All faces of dimension d, lexicographically sorted."""
         return list(self._faces_by_dim().get(d, ()))
 
-    def all_faces(self) -> List[Face]:
+    def all_faces(self) -> list[tuple]:
         return [f for faces in self._faces_by_dim().values() for f in faces]
 
     def has_face(self, face: Sequence) -> bool:
@@ -284,7 +285,7 @@ class SimplicialComplex:
             index = here
         return ranks, diffs
 
-    def cochain_complex(self, reduced: bool = False) -> List[IntMatrix]:
+    def cochain_complex(self, reduced: bool = False) -> list[IntMatrix]:
         """Differentials of the (reduced) integer cochain complex.
 
         Faces are ordered lexicographically; the coefficient of a vertex
@@ -293,7 +294,7 @@ class SimplicialComplex:
         ranks, diffs = self._cochain_data(-1 if reduced else 0, lambda face, above: (None,))
         return [_dense(d, ranks[j + 1], ranks[j]) for j, d in enumerate(diffs)]
 
-    def cohomology(self, reduced: bool = False) -> List[FinAbGroup]:
+    def cohomology(self, reduced: bool = False) -> list[FinAbGroup]:
         """H^j for j = 0..dim (reduced: from j = -1).
 
         Read off C*(Δ, st w), w the vertex in the most facets (first on
@@ -310,7 +311,7 @@ class SimplicialComplex:
 
     def cohomology_with_coefficients(
         self, symbol: str, reduced: bool = False
-    ) -> List[GroupExpr]:
+    ) -> list[GroupExpr]:
         """H^j with coefficients in an abstract group named `symbol`."""
         groups = self.cohomology(reduced)
         out = []

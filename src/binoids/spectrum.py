@@ -11,9 +11,11 @@ is its parent face's with one generator cut out, and the primes just
 above p are the p ∪ {g}, g outside p, one Hasse edge per (face, vertex).
 """
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
+
+from ._record import Record, setfield
 from .binoid import BinoidPresentation, _support
 from .errors import NotInSpec, NotOpen, NotPositive, VoidComplex
 from .simplicial import SimplicialComplex, _bits, nerve_of_sets, subsets_avoiding
@@ -33,29 +35,37 @@ class PrimeIdeal(tuple):
         return super().__new__(cls, sorted(generator_subset))
 
     @property
-    def generator_subset(self) -> Tuple[int, ...]:
+    def generator_subset(self) -> tuple[int, ...]:
         return tuple(self)
 
     def __repr__(self):
         return "PrimeIdeal(generator_subset=%r)" % (tuple(self),)
 
 
-@dataclass(frozen=True)
-class SpecPoset:
+class SpecPoset(Record):
     """All prime ideals of a presentation, sorted by size then lexicographically.
 
     The relation supports are kept as `_relation_masks` gives them (none for
     a complex), and the primes' generator bitmasks as the enumeration found
-    them.  The position index, the Hasse diagram with the heights and any
-    bitmasks not given are built on first use and kept.
+    them; neither is compared or shown.  The position index, the Hasse
+    diagram with the heights and any bitmasks not given are built on first
+    use and kept.
     """
 
-    generator_names: tuple
-    primes: Tuple[PrimeIdeal, ...]
-    _relations: tuple = field(default=((), ()), repr=False, compare=False)
-    _masks: tuple = field(default=None, repr=False, compare=False)
-    _index: dict = field(default=None, init=False, repr=False, compare=False)
-    _hasse: tuple = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("generator_names", "primes")
+    _index = _hasse = None
+
+    def __init__(
+        self,
+        generator_names: tuple,
+        primes: tuple[PrimeIdeal, ...],
+        _relations: tuple = ((), ()),
+        _masks: tuple | None = None,
+    ):
+        setfield(self, "generator_names", generator_names)
+        setfield(self, "primes", primes)
+        setfield(self, "_relations", _relations)
+        setfield(self, "_masks", _masks)
 
     def _positions(self) -> dict:
         if self._index is None:
@@ -147,7 +157,7 @@ def _relation_masks(M: BinoidPresentation):
     return element_masks, infinity_masks
 
 
-def _interior(mask: int, element_masks, infinity_masks) -> Optional[int]:
+def _interior(mask: int, element_masks, infinity_masks) -> int | None:
     """The largest prime inside ``mask``, or None when no prime lies inside it.
 
     A relation side that ``mask`` meets while missing the other side can
@@ -238,19 +248,19 @@ def height(S: SpecPoset, prime: PrimeIdeal) -> int:
     return S._hasse_diagram()[1][S.position_of(prime)]
 
 
-def primes_of_height_at_most(S: SpecPoset, bound: int) -> Set[PrimeIdeal]:
+def primes_of_height_at_most(S: SpecPoset, bound: int) -> set[PrimeIdeal]:
     """Primes of height at most ``bound``; bound 1 gives the punctured Weil locus."""
     heights = S._hasse_diagram()[1]
     return {p for p, h in zip(S.primes, heights) if h <= bound}
 
 
-def punctured_spectrum(S: SpecPoset) -> Set[PrimeIdeal]:
+def punctured_spectrum(S: SpecPoset) -> set[PrimeIdeal]:
     """Every prime except the maximal ideal of the positive presentation."""
     full = tuple(range(len(S.generator_names)))
     return {p for p in S.primes if p != full}
 
 
-def minimal_neighborhood(S: SpecPoset, prime: PrimeIdeal) -> Tuple[int, ...]:
+def minimal_neighborhood(S: SpecPoset, prime: PrimeIdeal) -> tuple[int, ...]:
     """Support of the smallest basic open set containing ``prime``.
 
     Localizing at the sum of all generators outside the prime keeps
@@ -261,13 +271,13 @@ def minimal_neighborhood(S: SpecPoset, prime: PrimeIdeal) -> Tuple[int, ...]:
     return tuple(i for i in range(len(S.generator_names)) if i not in inside)
 
 
-def open_subset(S: SpecPoset, support: Sequence[int]) -> Set[PrimeIdeal]:
+def open_subset(S: SpecPoset, support: Sequence[int]) -> set[PrimeIdeal]:
     """Primes avoiding every generator in ``support`` (the set D(f))."""
     avoid = set(support)
     return {p for p in S.primes if avoid.isdisjoint(p)}
 
 
-def _check_open(S: SpecPoset, opens: Iterable[PrimeIdeal]) -> Set[int]:
+def _check_open(S: SpecPoset, opens: Iterable[PrimeIdeal]) -> set[int]:
     """Positions of the primes of an open set, which holds every prime below them."""
     U = {S.position_of(p) for p in opens}
     masks = S._generator_masks()
@@ -278,7 +288,7 @@ def _check_open(S: SpecPoset, opens: Iterable[PrimeIdeal]) -> Set[int]:
     return U
 
 
-def minimal_cover(S: SpecPoset, opens: Iterable[PrimeIdeal]) -> List[Tuple[int, ...]]:
+def minimal_cover(S: SpecPoset, opens: Iterable[PrimeIdeal]) -> list[tuple[int, ...]]:
     """Supports of the canonical smallest cover of an open set by basic opens.
 
     One basic open per maximal prime of the set; the support is the

@@ -22,9 +22,7 @@ from binoids.cech import (
     monomial_report,
     pic_open_subset,
     picard_complex_simplicial,
-    constant_cohomology,
     stanley_reisner_cohomology,
-    units_of_localization,
 )
 from binoids.divisors import class_group
 from binoids.errors import (
@@ -48,7 +46,13 @@ from binoids.exactalg import (
     smith_normal_form,
 )
 from binoids.simplicial import SimplicialComplex
-from binoids.spectrum import PrimeIdeal, compute_spec, primes_of_height_at_most
+from binoids.spectrum import (
+    PrimeIdeal,
+    compute_spec,
+    minimal_cover,
+    nerve,
+    primes_of_height_at_most,
+)
 
 from fixtures import (
     CONE_RP2_FACETS,
@@ -107,6 +111,12 @@ def free_gamma(n):
     return DifferenceGroup(n, IntMatrix.identity(n), IntMatrix.zero(n, 0))
 
 
+def unit_basis(M, gamma, face):
+    """Columns spanning the units of M_F: the images outside p_F, the largest prime off F."""
+    prime = binoids.cech._largest_avoiding(compute_spec(M), face)
+    return binoids.cech._unit_lattice(gamma, prime)[0]
+
+
 def Z(r):
     return FinAbGroup(r)
 
@@ -152,6 +162,21 @@ class TestCechComplexType:
                 ((("a", 0),), (("b", 0), ("b", 1)), (("c", 0),)),
                 (d0, d1),
             )
+
+    def test_nonzero_composition_names_degree_and_label(self):
+        # d_1 * d_0 sends the one vertex coordinate to 2 at the triangle's coordinate
+        labels = (
+            (((1,), 1),),
+            (((1, 2), 1), ((1, 3), 1)),
+            (((1, 2, 3), 1),),
+        )
+        d0 = {0: {0: 1}, 1: {0: 1}}
+        d1 = {0: {0: 1, 1: 1}}
+        with pytest.raises(CompositionNonzero) as raised:
+            CechComplex(labels, (d0, d1))
+        assert str(raised.value) == (
+            "row 0 of d_1 * d_0 is not zero (degree 2, label ((1, 2, 3), 1))"
+        )
 
     def test_ranks(self):
         c = picard_complex_simplicial(cx(FAVOURITE_FACETS))
@@ -415,7 +440,7 @@ class TestLocalPicardCech:
 
 class TestConstantCohomology:
     def test_circle(self):
-        assert constant_cohomology(cx(TRIANGLE_BOUNDARY)) == [Z(1), Z(1)]
+        assert cx(TRIANGLE_BOUNDARY).cohomology() == [Z(1), Z(1)]
 
     def test_favourite_cover_nerve(self):
         M = from_simplicial(cx(FAVOURITE_FACETS))
@@ -426,19 +451,19 @@ class TestConstantCohomology:
                 for sup in [(0,), (1, 2), (2, 3)]
             )
         )
-        assert constant_cohomology(S, U) == [Z(2), TRIVIAL_GROUP]
+        assert nerve(S, minimal_cover(S, U)).cohomology() == [Z(2), TRIVIAL_GROUP]
 
     def test_single_open(self):
         M = from_simplicial(cx(FAVOURITE_FACETS))
         S = compute_spec(M)
         U = {p for p in S.primes if 3 not in p.generator_subset}
-        assert constant_cohomology(S, U) == [Z(1)]
+        assert nerve(S, minimal_cover(S, U)).cohomology() == [Z(1)]
 
     def test_not_open(self):
         M = from_simplicial(cx(FAVOURITE_FACETS))
         S = compute_spec(M)
         with pytest.raises(NotOpen):
-            constant_cohomology(S, {PrimeIdeal((0, 1, 2, 3))})
+            nerve(S, minimal_cover(S, {PrimeIdeal((0, 1, 2, 3))})).cohomology()
 
 
 class TestPicOpenSubset:
@@ -536,67 +561,67 @@ class TestUnitsOfLocalization:
     def test_xyzw_single_variable(self):
         M = xyzw()
         gamma = difference_group(M)
-        units = units_of_localization(M, gamma, (0,))
-        assert units.rank == 1
-        col = units.basis.column(0)
+        units = unit_basis(M, gamma, (0,))
+        assert units.cols == 1
+        col = units.column(0)
         assert col in (gamma.image_of(0), tuple(-v for v in gamma.image_of(0)))
 
     def test_xyzw_diagonal_pair_is_everything(self):
         M = xyzw()
-        units = units_of_localization(M, difference_group(M), (0, 1))
-        assert units.rank == 3
-        assert cokernel(units.basis).is_trivial
+        units = unit_basis(M, difference_group(M), (0, 1))
+        assert units.cols == 3
+        assert cokernel(units).is_trivial
 
     def test_xyzw_mixed_pair(self):
         M = xyzw()
-        units = units_of_localization(M, difference_group(M), (0, 2))
-        assert units.rank == 2
+        units = unit_basis(M, difference_group(M), (0, 2))
+        assert units.cols == 2
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_xy_nz_pair(self, n):
         M = xy_nz(n)
-        units = units_of_localization(M, difference_group(M), (0, 1))
-        assert units.rank == 2
-        assert cokernel(units.basis).is_trivial
+        units = unit_basis(M, difference_group(M), (0, 1))
+        assert units.cols == 2
+        assert cokernel(units).is_trivial
 
     def test_xy_nz_single(self):
         M = xy_nz(3)
         gamma = difference_group(M)
-        units = units_of_localization(M, gamma, (0,))
-        assert units.rank == 1
-        col = units.basis.column(0)
+        units = unit_basis(M, gamma, (0,))
+        assert units.cols == 1
+        col = units.column(0)
         assert col in (gamma.image_of(0), tuple(-v for v in gamma.image_of(0)))
 
     def test_free_binoid_full_face(self):
         M = free_binoid(3)
-        units = units_of_localization(M, difference_group(M), (0, 1, 2))
-        assert units.rank == 3
-        assert cokernel(units.basis).is_trivial
+        units = unit_basis(M, difference_group(M), (0, 1, 2))
+        assert units.cols == 3
+        assert cokernel(units).is_trivial
 
     def test_simplicial_faces_have_coordinate_units(self):
         M = from_simplicial(cx(FAVOURITE_FACETS))
         gamma = free_gamma(4)
         for face in [(0,), (2, 3), (0, 1, 2)]:
-            units = units_of_localization(M, gamma, face)
-            assert units.rank == len(face)
-            for j in range(units.basis.cols):
-                col = units.basis.column(j)
+            units = unit_basis(M, gamma, face)
+            assert units.cols == len(face)
+            for j in range(units.cols):
+                col = units.column(j)
                 assert all(v == 0 for i, v in enumerate(col) if i not in face)
             square = IntMatrix.from_rows(
-                [list(units.basis.row(i)) for i in face], cols=units.basis.cols
+                [list(units.row(i)) for i in face], cols=units.cols
             )
             assert cokernel(square).is_trivial
 
     def test_degenerate_localization(self):
         M = from_simplicial(cx(FAVOURITE_FACETS))
         with pytest.raises(DegenerateLocalization):
-            units_of_localization(M, free_gamma(4), (0, 3))
+            unit_basis(M, free_gamma(4), (0, 3))
 
     def test_free_binoid_single_generator(self):
         M = free_binoid(1)
-        units = units_of_localization(M, difference_group(M), (0,))
-        assert units.rank == 1
-        assert cokernel(units.basis).is_trivial
+        units = unit_basis(M, difference_group(M), (0,))
+        assert units.cols == 1
+        assert cokernel(units).is_trivial
 
 
 class TestLocalPicardGeneral:
@@ -710,7 +735,7 @@ class TestLocalPicardGeneral:
             i for p in primes if not set(p.generator_subset) & face(J) for i in p.generator_subset
         }
         simplices = [J for k_simplices in handed["simplices"] for J in k_simplices]
-        bases = {J: units_of_localization(M, gamma, face(J)).basis for J in simplices}
+        bases = {J: unit_basis(M, gamma, face(J)) for J in simplices}
         for J, K in product(simplices, repeat=2):
             if not set(J) < set(K):
                 continue

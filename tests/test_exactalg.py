@@ -12,8 +12,6 @@ from binoids.exactalg import (
     coefficient_cohomology,
     cohomology_of_complex,
     cokernel,
-    column_lattice_basis,
-    complex_cohomology,
     invariant_factors,
     smith_normal_form,
     solve_columns,
@@ -35,6 +33,11 @@ from oracles import (
 
 def M(rows, cols=None):
     return IntMatrix.from_rows(rows, cols=cols)
+
+
+def middle_cohomology(d_in, d_out):
+    """H at the middle group of the complex Z^a --d_in--> Z^b --d_out--> Z^c."""
+    return cohomology_of_complex([d_in.cols, d_in.rows, d_out.rows], [d_in, d_out])[1]
 
 
 def check_decomposition(A, dec):
@@ -157,21 +160,21 @@ class TestComplexCohomology:
     def test_two_term_complex_from_units(self):
         # d: Z^2 -> Z^2, (a, b) |-> (a - b, 2b)
         d = M([[1, -1], [0, 2]])
-        middle = complex_cohomology(IntMatrix.zero(2, 0), d)
+        middle = middle_cohomology(IntMatrix.zero(2, 0), d)
         assert middle == FinAbGroup(0)
-        right = complex_cohomology(d, IntMatrix.zero(0, 2))
+        right = middle_cohomology(d, IntMatrix.zero(0, 2))
         assert right == FinAbGroup(0, (2,))
 
     def test_zero_differentials(self):
         for k in range(4):
-            H = complex_cohomology(IntMatrix.zero(k, 0), IntMatrix.zero(0, k))
+            H = middle_cohomology(IntMatrix.zero(k, 0), IntMatrix.zero(0, k))
             assert H == FinAbGroup(k)
 
     def test_composition_checked(self):
         d_in = M([[1], [0]])
         d_out = M([[1, 0]])
         with pytest.raises(CompositionNonzero):
-            complex_cohomology(d_in, d_out)
+            middle_cohomology(d_in, d_out)
 
     def test_random_complexes_match_naive_oracle(self):
         rng = random.Random(31)
@@ -179,12 +182,12 @@ class TestComplexCohomology:
             a, b, c = rng.randint(0, 4), rng.randint(1, 5), rng.randint(0, 4)
             split = rng.randint(0, b)
             d_in, d_out = random_zero_composition(rng, a, b, c, split)
-            H = complex_cohomology(M(d_in, cols=a), M(d_out, cols=b))
+            H = middle_cohomology(M(d_in, cols=a), M(d_out, cols=b))
             fr, tor = naive_complex_cohomology(d_in, d_out, b)
             assert (H.free_rank, H.invariant_factors) == (fr, tor)
 
     def check_against_oracle(self, d_in, d_out, a, b):
-        H = complex_cohomology(M(d_in, cols=a), M(d_out, cols=b))
+        H = middle_cohomology(M(d_in, cols=a), M(d_out, cols=b))
         fr, tor = naive_complex_cohomology(d_in, d_out, b)
         assert (H.free_rank, H.invariant_factors) == (fr, tor)
 
@@ -352,7 +355,7 @@ class TestColumnLatticeBasis:
             left = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(m)]
             right = [[scale * rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
             rows = mat_mul(left, right) if k else [[0] * n for _ in range(m)]
-            B = column_lattice_basis(M(rows, cols=n))
+            B = exactalg._lattice(M(rows, cols=n))[0]
             assert B.rows == m
             assert same_column_lattice(rows, B.to_lists())
             assert len([d for d in naive_diagonal(B.to_lists(), cols=B.cols) if d]) == B.cols
