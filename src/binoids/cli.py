@@ -6,10 +6,9 @@ lives here; the library modules only ever see built values.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .binoid import (
     BinoidPresentation,
@@ -190,10 +189,16 @@ def _load_json(text: str) -> SimplicialComplex:
 def load_input(path: str):
     """Parse a file into a complex or a presentation, sniffing the kind."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb", buffering=0) as handle:
+            data = handle.read()
     except OSError as e:
         raise ParseError(str(e))
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ParseError("input is not UTF-8: invalid byte at offset %d" % e.start)
+    if "\r" in text:  # the universal newlines of text mode
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     if text.lstrip().startswith("{"):
         return _load_json(text)
     lines = _content_lines(text)
@@ -266,7 +271,44 @@ def _complex_payload(delta: SimplicialComplex) -> dict:
 
 
 def _dump(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(payload, indent=2, sort_keys=True)` plus a newline, written
+    here because with an indent the standard library's encoder is pure Python."""
+    out = []
+    _write(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list) -> None:
+    """Append the JSON text of `value`, whose lines start with `newline`."""
+    if value.__class__ is str:
+        out.append(_quote(value))
+    elif value.__class__ is int:
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            out.append(separator + _quote(key) + ": ")
+            _write(value[key], inner, out)
+            separator = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write(item, inner, out)
+            separator = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(value))
 
 
 # ---------------------------------------------------------------------------
@@ -431,27 +473,94 @@ _HANDLERS = {
 # argument handling
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise ParseError(message)
+_HELP = """\
+usage: binoids VERB FILE [LABEL...] [--json] [--dot] [--reduced] [--degree J]
+
+Spectra, Picard groups, and class groups of finitely presented binoids.
+
+verbs: spec, dot, picard, picard-general, cohomology, sr-cohomology,
+       class-group, pic-open, nerve, link, monomial-report
+
+options (anywhere; -- ends them):
+  -h, --help    show this help and exit
+  --json        machine-readable output
+  --dot         DOT output (spec only)
+  --reduced     reduced cohomology
+  --degree J    print one degree (also --degree=J)
+"""
+
+# in argparse's order, which the message for an ambiguous prefix keeps
+_OPTIONS = ("--help", "--json", "--dot", "--reduced", "--degree")
 
 
-@functools.lru_cache(maxsize=None)
-def _parser() -> _Parser:
-    """The argument parser, built once per process: parsing leaves it unchanged."""
-    parser = _Parser(
-        prog="binoids",
-        description="Spectra, Picard groups, and class groups of "
-        "finitely presented binoids.",
-    )
-    parser.add_argument("verb", choices=tuple(_HANDLERS), metavar="VERB")
-    parser.add_argument("path", metavar="FILE")
-    parser.add_argument("labels", nargs="*", metavar="LABEL")
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--dot", action="store_true", help="DOT output (spec only)")
-    parser.add_argument("--reduced", action="store_true", help="reduced cohomology")
-    parser.add_argument("--degree", type=int, metavar="J", help="print one degree")
-    return parser
+class _Args:
+    """The command line: VERB FILE [LABEL...] and the options, off by default."""
+
+    json = dot = reduced = False
+    degree = None
+
+
+def _is_option(token: str) -> bool:
+    """Whether a token is an option, as argparse reads it: `-` and negative
+    numbers such as `-1` or `-.5` are values."""
+    if token[:1] != "-" or token == "-":
+        return False
+    whole, dot, fraction = token[1:].partition(".")
+    if dot:
+        return not ((not whole or whole.isdecimal()) and fraction.isdecimal())
+    return not whole.isdecimal()
+
+
+def _parse_args(argv: list[str]) -> _Args | None:
+    """Read argv with argparse's wording for its errors; None asks for help.
+
+    Options may come anywhere and abbreviate to a unique prefix.
+    """
+    ns, positionals, unknown = _Args(), [], []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--":
+            positionals.extend(tokens)
+            break
+        if not _is_option(token):
+            positionals.append(token)
+            continue
+        if token == "-h":
+            return None
+        name, eq, value = token.partition("=")
+        matches = [o for o in _OPTIONS if o.startswith(name)] if name[:2] == "--" else []
+        if not matches:
+            unknown.append(token)
+            continue
+        if len(matches) > 1:
+            raise ParseError("ambiguous option: %s could match %s" % (token, ", ".join(matches)))
+        option = matches[0]
+        if option == "--degree":
+            if not eq:
+                value = next(tokens, "--")
+                if _is_option(value):
+                    raise ParseError("argument --degree: expected one argument")
+            try:
+                ns.degree = int(value)
+            except ValueError:
+                raise ParseError("argument --degree: invalid int value: %r" % value)
+        elif eq:
+            shown = "-h/--help" if option == "--help" else option
+            raise ParseError("argument %s: ignored explicit argument %r" % (shown, value))
+        elif option == "--help":
+            return None
+        else:
+            setattr(ns, option[2:], True)
+    if len(positionals) < 2:
+        missing = ("VERB", "FILE")[len(positionals):]
+        raise ParseError("the following arguments are required: %s" % ", ".join(missing))
+    ns.verb, ns.path, *ns.labels = positionals
+    if ns.verb not in _HANDLERS:
+        choices = ", ".join(map(repr, _HANDLERS))
+        raise ParseError("argument VERB: invalid choice: %r (choose from %s)" % (ns.verb, choices))
+    if unknown:
+        raise ParseError("unrecognized arguments: %s" % " ".join(unknown))
+    return ns
 
 
 def _validate(ns):
@@ -475,11 +584,12 @@ def _validate(ns):
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        ns = _parser().parse_args(argv)
+        ns = _parse_args(sys.argv[1:] if argv is None else argv)
+        if ns is None:
+            sys.stdout.write(_HELP)
+            return 0
         _validate(ns)
         text = _HANDLERS[ns.verb](ns, load_input(ns.path))
-    except SystemExit as e:  # argparse --help
-        return int(e.code or 0)
     except ParseError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

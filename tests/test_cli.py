@@ -7,13 +7,17 @@ the file formats, the text and JSON output, and the exit code contract:
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import binoids
-from binoids.cli import main
+from binoids.cli import _HELP, _dump, main
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 FAVOURITE_CPLX = """\
 # triangle with a tail
@@ -194,6 +198,49 @@ class TestParsing:
         code, out, err = invoke(capsys, "picard", write(tmp_path, document))
         assert (code, out) == (2, "")
         assert message in err
+
+    def test_not_utf8_names_the_byte(self, capsys, tmp_path):
+        data = b"vertices: 1 2\nfacet: 1 \xff 2\n"
+        path = tmp_path / "latin1.cplx"
+        path.write_bytes(data)
+        code, out, err = invoke(capsys, "picard", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: input is not UTF-8: invalid byte at offset %d\n" % data.index(b"\xff")
+
+
+class TestLineEndings:
+    """CRLF and lone-CR files read as their LF originals, as in text mode."""
+
+    MIRROR = '{"vertices": [1, 2, 3, 4],\n "facets": [[1, 2, 3], [3, 4]]}\n'
+    CASES = [
+        ("# comment\n" + FAVOURITE_CPLX, ["picard", "spec", "nerve"]),
+        (FAVOURITE_BINOID, ["spec", "cohomology"]),
+        (XY_4Z + "# trailing comment\n", ["class-group", "picard-general"]),
+        (MONOMIAL, ["monomial-report"]),
+        (MIRROR, ["picard", "sr-cohomology"]),
+    ]
+
+    @pytest.mark.parametrize("ending", ["\r\n", "\r"], ids=["crlf", "cr"])
+    @pytest.mark.parametrize("text, verbs", CASES, ids=["cplx", "binoid", "xy4z", "mono", "json"])
+    def test_same_output_as_lf(self, capsys, tmp_path, text, verbs, ending):
+        lf = tmp_path / "lf.txt"
+        lf.write_bytes(text.encode())
+        other = tmp_path / "other.txt"
+        other.write_bytes(text.replace("\n", ending).encode())
+        for verb in verbs:
+            for flags in ([], ["--json"]):
+                expected = invoke(capsys, verb, str(lf), *flags)
+                assert expected[0] == 0
+                assert invoke(capsys, verb, str(other), *flags) == expected
+
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_json_error_line(self, capsys, tmp_path, ending):
+        text = '{\n"vertices": [1, 2],\n"facets": [[1, 2]\n}\n'.replace("\n", ending)
+        path = tmp_path / "broken.json"
+        path.write_bytes(text.encode())
+        code, out, err = invoke(capsys, "picard", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: line 4: invalid JSON: Expecting ',' delimiter\n"
 
 
 class TestSpecVerb:
@@ -816,6 +863,137 @@ class TestFlagValidation:
         assert first == second
 
 
+TWO_POINTS = "vertices: 1 2\nfacet: 1\nfacet: 2\n"
+NEGATIVE_LABEL = "vertices: -3 1 2\nfacet: -3 1\nfacet: 1 2\n"
+PICARD_TEXT = "H^0 = Z^2, H^1 = 0\n"
+PICARD_JSON = '{\n  "groups": [\n    {\n      "free_rank": 2,\n      "torsion": []\n    }\n  ],\n  "start_degree": 0\n}\n'
+DOT_TEXT = """\
+digraph spec {
+  rankdir=BT;
+  p0 [label="<1>"];
+  p1 [label="<2>"];
+  p2 [label="<1,2>"];
+  p0 -> p2;
+  p1 -> p2;
+}
+"""
+REDUCED_TEXT = "H^-1 = 0, H^0 = Z\n"
+LINK_TEXT = "vertices: 1\nfacet: 1\n"
+LINK_JSON = '{\n  "facets": [\n    [\n      1\n    ]\n  ],\n  "vertices": [\n    1\n  ]\n}\n'
+OK, BAD = "", "error:"
+
+# argv, with P the two points and N a complex with the vertex -3, and the
+# exit code, stdout and first word of stderr it gives
+ARGV_TABLE = [
+    (["--json", "picard", "P"], 0, PICARD_JSON, OK),
+    (["picard", "--json", "P"], 0, PICARD_JSON, OK),
+    (["picard", "P", "--json"], 0, PICARD_JSON, OK),
+    (["--dot", "spec", "P"], 0, DOT_TEXT, OK),
+    (["spec", "--dot", "P"], 0, DOT_TEXT, OK),
+    (["spec", "P", "--dot"], 0, DOT_TEXT, OK),
+    (["--reduced", "cohomology", "P"], 0, REDUCED_TEXT, OK),
+    (["cohomology", "--reduced", "P"], 0, REDUCED_TEXT, OK),
+    (["cohomology", "P", "--reduced"], 0, REDUCED_TEXT, OK),
+    (["--degree", "0", "picard", "P"], 0, "H^0 = Z^2\n", OK),
+    (["picard", "--degree", "0", "P"], 0, "H^0 = Z^2\n", OK),
+    (["picard", "P", "--degree", "0"], 0, "H^0 = Z^2\n", OK),
+    (["picard", "P", "--degree=1"], 0, "H^1 = 0\n", OK),
+    (["picard", "P", "--deg", "1"], 0, "H^1 = 0\n", OK),
+    (["picard", "P", "--deg=1"], 0, "H^1 = 0\n", OK),
+    (["picard", "P", "--d", "1"], 2, "", BAD),
+    (["picard", "P", "--json=1"], 2, "", BAD),
+    (["picard", "P", "--jso"], 0, PICARD_JSON, OK),
+    (["--", "picard", "P"], 0, PICARD_TEXT, OK),
+    (["--json", "--", "picard", "P"], 0, PICARD_JSON, OK),
+    (["picard", "P", "--", "--json"], 2, "", BAD),
+    (["cohomology", "P", "--degree", "-1", "--reduced"], 0, "H^-1 = 0\n", OK),
+    (["cohomology", "P", "--reduced", "--degree=-1"], 0, "H^-1 = 0\n", OK),
+    (["cohomology", "P", "--degree", "-1"], 2, "", BAD),
+    (["cohomology", "P", "--degree", "--reduced"], 2, "", BAD),
+    (["link", "N", "-3"], 0, LINK_TEXT, OK),
+    (["link", "N", "--", "-3"], 0, LINK_TEXT, OK),
+    (["link", "N", "-3", "--json"], 0, LINK_JSON, OK),
+    (["link", "N", "--json", "-3"], 0, LINK_JSON, OK),
+    (["link", "N", "-x"], 2, "", BAD),
+    ([], 2, "", BAD),
+    (["picard"], 2, "", BAD),
+    (["frobnicate", "P"], 2, "", BAD),
+    (["picard", "P", "--bound", "3"], 2, "", BAD),
+    (["-h"], 0, _HELP, OK),
+    (["--help"], 0, _HELP, OK),
+    (["picard", "P", "--help"], 0, _HELP, OK),
+    (["frobnicate", "-h"], 0, _HELP, OK),
+]
+
+
+class TestArgv:
+    @pytest.mark.parametrize(
+        "argv, code, stdout, first_word", ARGV_TABLE, ids=[" ".join(row[0]) for row in ARGV_TABLE]
+    )
+    def test_table(self, capsys, tmp_path, argv, code, stdout, first_word):
+        paths = {"P": write(tmp_path, TWO_POINTS, "p.cplx"), "N": write(tmp_path, NEGATIVE_LABEL, "n.cplx")}
+        got_code, out, err = invoke(capsys, *[paths.get(token, token) for token in argv])
+        assert (got_code, out, err.split(" ", 1)[0]) == (code, stdout, first_word)
+        assert err.count("\n") == (first_word == BAD)
+
+    def test_options_between_labels(self, capsys, tmp_path):
+        # argparse refused `link FILE --json 3`: its labels came after an option
+        path = write(tmp_path, FAVOURITE_CPLX)
+        expected = invoke(capsys, "link", path, "3", "--json")
+        assert expected[0] == 0
+        assert invoke(capsys, "link", path, "--json", "3") == expected
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: VERB, FILE"),
+            (["picard"], "the following arguments are required: FILE"),
+            (
+                ["frobnicate", "P"],
+                "argument VERB: invalid choice: 'frobnicate' (choose from 'spec', 'dot', "
+                "'picard', 'picard-general', 'cohomology', 'sr-cohomology', 'class-group', "
+                "'pic-open', 'nerve', 'link', 'monomial-report')",
+            ),
+            (["picard", "P", "--bound", "3"], "unrecognized arguments: --bound"),
+            (["picard", "P", "-x", "--bogus=1"], "unrecognized arguments: -x --bogus=1"),
+            (["picard", "P", "--degree"], "argument --degree: expected one argument"),
+            (["picard", "P", "--degree", "one"], "argument --degree: invalid int value: 'one'"),
+            (["picard", "P", "--json=1"], "argument --json: ignored explicit argument '1'"),
+            (["picard", "P", "--help="], "argument -h/--help: ignored explicit argument ''"),
+            (["picard", "P", "--d", "1"], "ambiguous option: --d could match --dot, --degree"),
+        ],
+    )
+    def test_error_wording(self, capsys, tmp_path, argv, message):
+        path = write(tmp_path, TWO_POINTS)
+        argv = [path if token == "P" else token for token in argv]
+        assert invoke(capsys, *argv) == (2, "", "error: %s\n" % message)
+
+    def test_help_lists_every_verb_and_is_in_the_readme(self):
+        assert _HELP.startswith("usage: binoids VERB FILE [LABEL...]")
+        verbs = _HELP.split("verbs:", 1)[1].split("\n\n", 1)[0].replace(",", " ").split()
+        assert verbs == list(binoids.cli._HANDLERS)
+        assert "```\n" + _HELP + "```\n" in README.read_text(encoding="utf-8")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children)
+    | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=25,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    @example({"": [], "a": {}, "b": [True, False, None, -7, [[], {}]], "c": {"d": {"e": [0]}}})
+    @example(["\u00e9\u4e2d\U0001f600", '"', "\\", "\x00\x1f\x7f\n\t\u2028", -(2**70)])
+    @example({'q"\\\x01\u00e9': "x"})
+    def test_matches_json_dumps(self, value):
+        assert _dump(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
 def run_alone(*args):
     """Run the command line in a fresh interpreter; return (exit code, stdout)."""
     # the child imports the same package as this process, installed or not
@@ -835,7 +1013,7 @@ class TestConsoleEntry:
         assert run_alone("class-group", write(tmp_path, XY_4Z)) == (0, "Z/4\n")
 
     def test_consecutive_calls_match_fresh_processes(self, capsys, tmp_path):
-        # the parser is built once per process; no flag may leak into the next call
+        # no flag may leak into the next call
         path = write(tmp_path, FAVOURITE_CPLX)
         calls = [
             ["spec", path, "--json"],

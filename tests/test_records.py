@@ -1,5 +1,6 @@
 """The value classes are immutable records, and importing the package loads
-no dataclass, inspection or typing machinery.
+no dataclass, inspection or typing machinery, nor the command line's
+former argparse and gettext.
 
 Each record equals only a record of the same class with equal compared
 fields, hashes as it compares, refuses assignment and deletion, keeps the
@@ -30,7 +31,8 @@ def test_import_loads_no_dataclasses_inspect_or_typing():
     # -S: no site hooks, which may import typing on their own
     code = (
         "import sys; before = set(sys.modules); import binoids.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'typing'} & (set(sys.modules) - before)))"
+        "print(sorted({'argparse', 'dataclasses', 'gettext', 'inspect', 'typing'}"
+        " & (set(sys.modules) - before)))"
     )
     run = subprocess.run(
         [sys.executable, "-S", "-c", code],
