@@ -60,12 +60,6 @@ class Relation(Record):
 
         return "%s = %s" % (side(self.lhs), "inf" if self.rhs is None else side(self.rhs))
 
-    def lhs_support(self) -> frozenset:
-        return frozenset(i for i, x in enumerate(self.lhs) if x)
-
-    def rhs_support(self) -> frozenset:
-        return frozenset(i for i, x in enumerate(self.rhs) if x)
-
 
 def _support(vector) -> int:
     """The bitmask of the positions where an exponent vector is nonzero."""
@@ -96,9 +90,6 @@ class BinoidPresentation(Record):
     @property
     def generator_count(self) -> int:
         return len(self.generator_names)
-
-    def is_integral(self) -> bool:
-        return not any(rel.is_infinity for rel in self.relations)
 
 
 class DifferenceGroup(Record):

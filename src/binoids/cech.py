@@ -6,7 +6,8 @@ cohomology, read off relative cochains on the complex's own faces with one
 block per vertex (`SimplicialComplex._cochain_data`, not `_cech_complex`).
 General integral binoids get a direct computation on the minimal cover;
 for a cancellative binoid the units of a localization M_F are the lattice
-spanned by the generators outside p_F, one Smith form per distinct p_F.
+spanned by the generators outside p_F, the balanced interior of F's
+complement: one Smith form per distinct p_F, one block per pair of them.
 
 One constructor, `_cech_complex`, lays out the Čech complex of all three
 covers: the coordinate cover of a simplicial binoid, the minimal cover of
@@ -17,8 +18,9 @@ the basis of the group at each and the restriction maps.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from functools import cache, reduce
 from itertools import combinations
+from operator import and_
 
 from ._record import Record, setfield
 from .binoid import (
@@ -27,7 +29,7 @@ from .binoid import (
     difference_group,
     radical_complex,
 )
-from .divisors import cone_facets
+from .divisors import _dot, cone_facets
 from .errors import (
     DegenerateLocalization,
     NotCancellative,
@@ -39,15 +41,16 @@ from .exactalg import (
     IntMatrix,
     _dense,
     _divide,
-    _lattice,
     _reduce_complex,
+    _smith,
     _sparse_complex,
     cohomology_of_complex,
 )
-from .simplicial import SimplicialComplex
+from .simplicial import SimplicialComplex, _bits
 from .spectrum import (
     PrimeIdeal,
     SpecPoset,
+    _interior,
     _mask,
     compute_spec,
     minimal_cover,
@@ -242,22 +245,27 @@ def stanley_reisner_cohomology(
 # general integral binoids
 
 
-def _largest_avoiding(S: SpecPoset, face: Sequence[int]) -> tuple[int, ...]:
-    """p_F, the union of the primes disjoint from the face F: the last of them."""
-    avoid = _mask(face)
-    for p, mask in zip(reversed(S.primes), reversed(S._generator_masks())):
-        if not mask & avoid:
-            return p.generator_subset
-    raise DegenerateLocalization(
-        "no prime avoids the face %s: the localization is zero" % (sorted(face),)
-    )
+def _largest_avoiding(S: SpecPoset, face: int) -> int:
+    """p_F, the union of the primes disjoint from the face F (bitmasks): the
+    largest prime inside F's complement, as primes are closed under union."""
+    prime = _interior(~face & ((1 << len(S.generator_names)) - 1), *S._relations)
+    if prime is None:
+        raise DegenerateLocalization(
+            "no prime avoids the face %s: the localization is zero" % (list(_bits(face)),)
+        )
+    return prime
 
 
-def _unit_lattice(gamma: DifferenceGroup, prime: tuple[int, ...]):
-    """(B, U, d) of `_lattice` on the images of the generators outside the prime."""
-    outside = [i for i in range(gamma.images.cols) if i not in prime]
-    images = [[row[i] for i in outside] for row in gamma.images.entries]
-    return _lattice(IntMatrix.from_rows(images, cols=len(outside)))
+def _unit_lattice(gamma: DifferenceGroup, prime: int):
+    """(B, U, d) as lists of rows, for the images A of the generators outside
+    the prime: U*A*V = S, d_1..d_r the nonzero diagonal and B = A*V[:, :r].
+    A*V = U^-1*S, so the columns of B span those of A and U*B = S[:, :r]."""
+    outside = [i for i in range(gamma.images.cols) if not prime >> i & 1]
+    A = tuple(tuple(row[i] for i in outside) for row in gamma.images.entries)
+    U, S, V = _smith(IntMatrix(len(A), len(outside), A))
+    d = [S[i][i] for i in range(min(len(A), len(outside))) if S[i][i]]
+    cols = list(zip(*V))[: len(d)]
+    return [[_dot(row, col) for col in cols] for row in A], U, d
 
 
 def _check_cancellative(S: SpecPoset, gamma: DifferenceGroup) -> None:
@@ -267,14 +275,15 @@ def _check_cancellative(S: SpecPoset, gamma: DifferenceGroup) -> None:
     a prime failing this shows the presentation is not cancellative, and
     then the difference group does not see the units of the localizations.
     """
-    normals = cone_facets(gamma)
-    values = IntMatrix.from_rows(normals, cols=gamma.rank) * gamma.images
-    zero_sets = [{i for i, v in enumerate(row) if v == 0} for row in values.entries]
-    everything = set(range(gamma.images.cols))
-    for p in S.primes:
-        outside = everything - set(p)
-        face = everything.intersection(*(z for z in zero_sets if outside <= z))
-        if face != outside:
+    images = gamma.all_images()
+    zero_sets = [
+        _mask(i for i, image in enumerate(images) if not _dot(normal, image))
+        for normal in cone_facets(gamma)
+    ]
+    everything = (1 << len(images)) - 1
+    for p, mask in zip(S.primes, S._generator_masks()):
+        outside = everything & ~mask
+        if reduce(and_, (z for z in zero_sets if not outside & ~z), everything) != outside:
             raise NotCancellative(
                 "not cancellative: the generators outside the prime %s "
                 "are not the generators on a face of the cone" % prime_label(S, p)
@@ -306,31 +315,37 @@ def local_picard_general(M: BinoidPresentation) -> LocalPicardResult:
 
     Every intersection of basic opens of an integral binoid is nonempty,
     so the index complex is a full simplex.  The units over J depend only
-    on p_J: each distinct p_J gets one Smith form U*A*V = S of the images
-    A outside it, and the basis B = A*V[:, :r].  J in K gives p_K in p_J, so
-    U_K*B_K = S_r turns the restriction into S_r^-1*U_K*B_J, the identity
-    when p_J = p_K.  Degree 1 is the local Picard group.
+    on p_J, the largest prime inside the complement of J's face (one pass
+    of `spectrum._interior`): each distinct p_J gets one Smith form
+    U*A*V = S of the images A outside it, and the basis B = A*V[:, :r].
+    J in K gives p_K in p_J, so U_K*B_K = S_r turns the restriction into
+    S_r^-1*U_K*B_J, the identity when p_J = p_K; each block is solved once
+    per distinct pair (p_J, p_K).  Degree 1 is the local Picard group.
     """
     gamma = difference_group(M)
     S = compute_spec(M)
     _check_cancellative(S, gamma)
     cover = minimal_cover(S, punctured_spectrum(S))
 
-    simplices = [
-        list(combinations(range(len(cover)), size)) for size in range(1, len(cover) + 1)
-    ]
-    faces = {J: {i for j in J for i in cover[j]} for k_simplices in simplices for J in k_simplices}
-    largest = {J: _largest_avoiding(S, face) for J, face in faces.items()}
+    k = len(cover)
+    simplices = [list(combinations(range(k), size)) for size in range(1, k + 1)]
+    largest = {
+        J: _largest_avoiding(S, _mask({i for j in J for i in cover[j]}))
+        for k_simplices in simplices
+        for J in k_simplices
+    }
     lattices = {p: _unit_lattice(gamma, p) for p in set(largest.values())}
 
-    def restriction(sub, K):
-        B, U, d = lattices[largest[K]]
-        if largest[sub] == largest[K]:
-            return [(a, a, 1) for a in range(B.cols)]
-        block = _divide(U, d, lattices[largest[sub]][0])
-        return [(a, b, x) for a, row in enumerate(block) for b, x in enumerate(row) if x]
+    @cache
+    def block(p_sub, p_K):
+        _, U, d = lattices[p_K]
+        if p_sub == p_K:
+            return [(a, a, 1) for a in range(len(d))]
+        X = _divide(U, d, lattices[p_sub][0])
+        return [(a, b, x) for a, row in enumerate(X) for b, x in enumerate(row) if x]
 
-    cech = _cech_complex(simplices, lambda J: range(lattices[largest[J]][0].cols), restriction)
+    coordinates = lambda J: range(len(lattices[largest[J]][2]))
+    cech = _cech_complex(simplices, coordinates, lambda sub, K: block(largest[sub], largest[K]))
     return LocalPicardResult(tuple(cech.cohomology()), cech, tuple(cover))
 
 

@@ -10,63 +10,74 @@ via all the valuations at once.
 from __future__ import annotations
 
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from ._record import Record, setfield
 from .binoid import BinoidPresentation, DifferenceGroup, difference_group
 from .errors import FacetPrimeMismatch, NotFullDimensional, NotPointed
 from .exactalg import FinAbGroup, IntMatrix, cokernel, invariant_factors
-from .spectrum import PrimeIdeal, compute_spec, prime_label
+from .spectrum import PrimeIdeal, _mask, compute_spec, prime_label
 
 
 def _dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
-def _determinant(rows: list) -> int:
-    """The determinant of a square matrix, by fraction-free (Bareiss) elimination.
-
-    Every entry stays an integer minor of the input, so each division by
-    the previous pivot is exact.
-    """
-    a, sign, previous = [list(row) for row in rows], 1, 1
-    for k in range(len(a)):
-        swap = next((i for i in range(k, len(a)) if a[i][k]), None)
-        if swap is None:
-            return 0
-        if swap > k:
-            a[k], a[swap], sign = a[swap], a[k], -sign
-        for i in range(k + 1, len(a)):
-            for j in range(k + 1, len(a)):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // previous
-        previous = a[k][k]
-    return sign * previous
+def _kernel_line(wall: list, r: int) -> list | None:
+    """A nonzero integer x orthogonal to the r - 1 vectors of the wall, or
+    None unless they span a hyperplane.  Integer Gauss-Jordan elimination
+    leaves each pivot row nonzero at its pivot and at the one free column f
+    only, so x_f = the lcm of the pivots fixes the rest of x."""
+    rest, done = [list(v) for v in wall], []
+    for c in range(r):
+        pivot = next((row for row in rest if row[c]), None)
+        if pivot is not None:  # else c is a free column
+            rest.remove(pivot)
+            for row in rest + [row for row, _ in done]:
+                a, b = pivot[c], row[c]
+                if b:
+                    row[:] = [a * x - b * y for x, y in zip(row, pivot)]
+                    g = gcd(*row) or 1  # keeps the entries small
+                    row[:] = [x // g for x in row]
+            done.append((pivot, c))
+    if len(done) < r - 1:
+        return None
+    (f,) = set(range(r)).difference(c for _, c in done)
+    x = [0] * r
+    x[f] = lcm(*(row[c] for row, c in done))
+    for row, c in done:
+        x[c] = -row[f] * x[f] // row[c]
+    return x
 
 
 def cone_facets(gamma: DifferenceGroup) -> list[tuple[int, ...]]:
     """Primitive inner normals of the facets of cone(generator images).
 
-    A candidate is the vector of signed (r-1)-minors of r-1 images over the
-    gcd of the minors: primitive, orthogonal to the r-1 images and zero
-    unless they span a hyperplane.  It survives when it is nonnegative on
-    every image; its zero set spans the hyperplane, as the images already do.
+    Each r - 1 images spanning a hyperplane give one candidate, the
+    primitive kernel vector of `_kernel_line` (a wall inside a hyperplane
+    already tried is skipped).  Up to sign, it survives when it is
+    nonnegative on every image; its zero set spans the hyperplane.
     """
     r = gamma.rank
     images = gamma.all_images()
-    span = IntMatrix.from_rows([list(v) for v in images], cols=r)
-    if len(invariant_factors(span)) < r:
+    if len(invariant_factors(IntMatrix.from_rows(images, cols=r))) < r:
         raise NotFullDimensional("generator images do not span the full lattice")
     if r == 0:
         return []  # the zero cone has no facets
 
-    normals = set()
-    for wall in combinations(images, r - 1):
-        minors = [(-1) ** k * _determinant([v[:k] + v[k + 1 :] for v in wall]) for k in range(r)]
-        g = gcd(*minors)
-        if not g:
+    normals, tried = set(), []
+    for wall in combinations(range(len(images)), r - 1):
+        inside = _mask(wall)
+        if any(not inside & ~zeros for zeros in tried):
+            continue  # the wall lies in a hyperplane already tried
+        kernel = _kernel_line([images[i] for i in wall], r)
+        if kernel is None:
             continue  # images in the wall do not span a hyperplane
-        normal = tuple(x // g for x in minors)
+        g = gcd(*kernel)
+        normal = tuple(x // g for x in kernel)
         values = [_dot(normal, img) for img in images]
+        tried.append(_mask(i for i, v in enumerate(values) if not v))
         if all(v <= 0 for v in values):
             normal = tuple(-x for x in normal)
             values = [-v for v in values]
@@ -74,8 +85,7 @@ def cone_facets(gamma: DifferenceGroup) -> list[tuple[int, ...]]:
             continue  # not a supporting hyperplane
         normals.add(normal)
 
-    dual = IntMatrix.from_rows([list(n) for n in normals], cols=r)
-    if len(invariant_factors(dual)) < r:
+    if len(invariant_factors(IntMatrix.from_rows(normals, cols=r))) < r:
         raise NotPointed("generator images contain a line")
     return sorted(normals)
 
@@ -201,13 +211,11 @@ def regular_in_codim1_check(M: BinoidPresentation) -> RegularityReport:
     gamma = difference_group(M)
     vm = valuation_matrix(M)
     n = M.generator_count
-    candidates = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
 
     evidence = []
     for prime, row in zip(vm.row_primes, vm.matrix.to_lists()):
-        witness = next(
-            (c for c in candidates if _dot(c, tuple(row)) == 1), None
-        )
+        witness = next((units[i] for i, v in enumerate(row) if v == 1), None)
         zero_span = IntMatrix.from_rows(
             [list(gamma.image_of(i)) for i, v in enumerate(row) if v == 0],
             cols=gamma.rank,

@@ -42,6 +42,7 @@ import heapq
 import math
 from collections.abc import Iterable
 from itertools import compress, repeat
+from operator import mul
 
 from ._record import Record, setfield
 from .errors import CompositionNonzero
@@ -114,12 +115,6 @@ class IntMatrix(Record):
             for row in self.entries
         )
         return IntMatrix(self.rows, other.cols, data)
-
-    def apply(self, vector: Iterable[int]) -> tuple:
-        vec = tuple(vector)
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum(a * b for a, b in zip(row, vec)) for row in self.entries)
 
 
 class SmithDecomposition(Record):
@@ -529,25 +524,15 @@ def cokernel(A: IntMatrix) -> FinAbGroup:
     return FinAbGroup(A.rows - len(factors), tuple(d for d in factors if d > 1))
 
 
-def _lattice(A: IntMatrix):
-    """(B, U, d): B = A*V[:, :r] spans the columns of A, and U*B = S[:, :r].
-
-    U*A*V = S gives A*V = U^-1*S, whose first r = rank columns are the
-    nonzero invariant factors d_1..d_r times columns of the unimodular U^-1.
-    """
-    U, S, V = _smith(A)
-    d = [S[i][i] for i in range(min(A.rows, A.cols)) if S[i][i]]
-    return A * IntMatrix.from_rows([row[: len(d)] for row in V], cols=len(d)), U, d
-
-
-def _divide(U: list, d: list, C: IntMatrix) -> list:
-    """The rows of Z with S*Z = U*C, for S the diagonal d_1..d_r over zero rows.
+def _divide(U: list, d: list, C) -> list:
+    """The rows of Z with S*Z = U*C, for S the diagonal d_1..d_r over zero
+    rows and C given by its rows.
 
     Raises ValueError, as no integer Z exists, when a d_i does not divide
     row i of U*C or a row of U*C below r is not zero.
     """
-    cols = [C.column(j) for j in range(C.cols)]
-    UC = [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in U]
+    cols = list(zip(*C))
+    UC = [[sum(map(mul, row, col)) for col in cols] for row in U]
     if any(any(y) for y in UC[len(d) :]) or any(x % s for y, s in zip(UC, d) for x in y):
         raise ValueError("no integer solution")
     return [[x // s for x in y] for y, s in zip(UC, d)]
@@ -565,7 +550,8 @@ def solve_columns(B: IntMatrix, C: IntMatrix) -> IntMatrix:
     d = [S[i][i] for i in range(min(B.rows, B.cols)) if S[i][i]]
     if len(d) < B.cols:
         raise ValueError("matrix does not have full column rank")
-    return IntMatrix.from_rows(V, cols=B.cols) * IntMatrix.from_rows(_divide(U, d, C), cols=C.cols)
+    Z = IntMatrix.from_rows(_divide(U, d, C.entries), cols=C.cols)
+    return IntMatrix.from_rows(V, cols=B.cols) * Z
 
 
 def _sparse_complex(ranks: list, diffs: list, labels=None) -> list:

@@ -80,3 +80,39 @@ def xyz_to_infinity():
     from binoids.binoid import BinoidPresentation, Relation
 
     return BinoidPresentation(("x", "y", "z"), (Relation((1, 1, 1), None),))
+
+
+def quadric_cone(points):
+    """Generators g_i at the points, g_i + g_j = g_k + g_l whenever p_i + p_j = p_k + p_l."""
+    from itertools import combinations
+
+    from binoids.binoid import BinoidPresentation, Relation
+
+    n = len(points)
+
+    def vector(pair):
+        v = [0] * n
+        for i in pair:
+            v[i] += 1
+        return tuple(v)
+
+    def total(pair):
+        i, j = pair
+        return tuple(a + b for a, b in zip(points[i], points[j]))
+
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    return BinoidPresentation(
+        tuple("g%d" % i for i in range(n)),
+        tuple(
+            Relation(vector(a), vector(b))
+            for a, b in combinations(pairs, 2)
+            if total(a) == total(b)
+        ),
+    )
+
+
+def presentation_text(M):
+    """A presentation in the input file syntax: its generators, then one line per relation."""
+    lines = ["generators: " + " ".join(M.generator_names)]
+    lines += ["relation: " + rel.text(M.generator_names) for rel in M.relations]
+    return "\n".join(lines) + "\n"

@@ -194,4 +194,5 @@ class TestDifferenceGroup:
                 continue
             for rel in M.relations:
                 delta = [l - r for l, r in zip(rel.lhs, rel.rhs)]
-                assert G.images.apply(delta) == (0,) * G.rank
+                image = [sum(a * b for a, b in zip(row, delta)) for row in G.images.entries]
+                assert image == [0] * G.rank

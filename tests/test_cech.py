@@ -63,6 +63,7 @@ from fixtures import (
     cycle_facets,
     free_binoid,
     path_facets,
+    quadric_cone,
     star_facets,
     xy_nz,
     xyzw,
@@ -71,6 +72,7 @@ from fixtures import (
 )
 from oracles import (
     brute_link,
+    brute_spectrum,
     coordinate_cover_cech,
     brute_simplicial_cohomology,
     identity_rows,
@@ -112,38 +114,18 @@ def free_gamma(n):
 
 
 def unit_basis(M, gamma, face):
-    """Columns spanning the units of M_F: the images outside p_F, the largest prime off F."""
-    prime = binoids.cech._largest_avoiding(compute_spec(M), face)
-    return binoids.cech._unit_lattice(gamma, prime)[0]
+    """Columns spanning the units of M_F: the images outside p_F, the largest prime off F.
+
+    The private helpers work on bitmasks and lists of rows; the basis comes
+    back as an IntMatrix with one column per invariant factor.
+    """
+    prime = binoids.cech._largest_avoiding(compute_spec(M), sum(1 << i for i in face))
+    B, _, d = binoids.cech._unit_lattice(gamma, prime)
+    return IntMatrix(len(B), len(d), tuple(map(tuple, B)))
 
 
 def Z(r):
     return FinAbGroup(r)
-
-
-def quadric_cone(points):
-    """Generators g_i at the points, g_i + g_j = g_k + g_l whenever p_i + p_j = p_k + p_l."""
-    n = len(points)
-
-    def vector(pair):
-        v = [0] * n
-        for i in pair:
-            v[i] += 1
-        return tuple(v)
-
-    def total(pair):
-        i, j = pair
-        return tuple(a + b for a, b in zip(points[i], points[j]))
-
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    return BinoidPresentation(
-        tuple("g%d" % i for i in range(n)),
-        tuple(
-            Relation(vector(a), vector(b))
-            for a, b in combinations(pairs, 2)
-            if total(a) == total(b)
-        ),
-    )
 
 
 class TestCechComplexType:
@@ -745,6 +727,43 @@ class TestLocalPicardGeneral:
             assert mat_mul(bases[K].to_lists(), X) == bases[J].to_lists()
             if largest(J) == largest(K):
                 assert X == identity_rows(bases[K].cols)
+
+    def test_exact_work_done_once(self, monkeypatch):
+        # x+y=z+w smashed with t: 31 opens, but one Smith form per distinct
+        # p_J and one block solve per distinct pair (p_sub, p_K), p_sub != p_K;
+        # both counts come from the spectrum of all 2^5 subsets
+        primes = brute_spectrum(5, [((0, 1), (2, 3))], [])
+        punctured = [set(p) for p in primes if len(p) < 5]
+        maximal = [p for p in punctured if not any(p < q for q in punctured)]
+        cover = sorted(tuple(sorted(set(range(5)) - p)) for p in maximal)
+        opens = [J for k in range(1, len(cover) + 1) for J in combinations(range(len(cover)), k)]
+        largest = {
+            J: frozenset(i for p in primes if not set(p) & {i for j in J for i in cover[j]}
+                         for i in p)
+            for J in opens
+        }
+        pairs = {(largest[J[:l] + J[l + 1 :]], largest[J]) for J in opens[len(cover):]
+                 for l in range(len(J))}
+        assert (len(opens), len(set(largest.values()))) == (31, 19)
+
+        lattices, solved = [], []
+        smith, divide = binoids.cech._smith, binoids.cech._divide
+
+        def recording_smith(A):
+            lattices.append(A.rows)
+            return smith(A)
+
+        def recording_divide(U, d, C):
+            solved.append(len(d))
+            return divide(U, d, C)
+
+        monkeypatch.setattr(binoids.cech, "_smith", recording_smith)
+        monkeypatch.setattr(binoids.cech, "_divide", recording_divide)
+        result = local_picard_general(smash_free(xyzw(), 1))
+        assert result.groups == (TRIVIAL_GROUP,) * 5
+        assert len(result.cover) == len(cover)
+        assert len(lattices) == len(set(largest.values()))
+        assert len(solved) == len({(p, q) for p, q in pairs if p != q})
 
     def test_inclusion_blocks_injective(self):
         result = local_picard_general(xyzw())

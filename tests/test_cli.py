@@ -17,7 +17,10 @@ from hypothesis import example, given, settings, strategies as st
 import binoids
 from binoids.cli import _HELP, _dump, main
 
+from fixtures import presentation_text, quadric_cone
+
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 FAVOURITE_CPLX = """\
 # triangle with a tail
@@ -62,6 +65,13 @@ generators: x y z w
 relation: x + y = z + w
 """
 
+XYZW_SMASHED = """\
+generators: x y z w t
+relation: x + y = z + w
+"""
+
+SQUARE_POINTS = [(x, y) for x in range(3) for y in range(3)]
+
 NOT_CANCELLATIVE = """\
 generators: a b c d
 relation: a + d = b + c
@@ -90,6 +100,11 @@ def invoke(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def golden(name):
+    """A JSON document frozen in tests/data."""
+    return json.loads((DATA / name).read_text())
 
 
 def write(tmp_path, text, name="input.txt"):
@@ -433,14 +448,21 @@ class TestPicardGeneralVerb:
                     ],
                 },
             ),
+            # larger documents, frozen in tests/data: 31 opens with 19 distinct
+            # largest avoiding primes, and the cone over the 3 x 3 square, whose
+            # H^1 = Z + Z/2 has torsion
+            (XYZW_SMASHED, golden("picard_general_xyzw_smashed.json")),
+            (presentation_text(quadric_cone(SQUARE_POINTS)),
+             golden("picard_general_square_cone.json")),
         ],
-        ids=["x+y=2z", "x+y=z+w"],
+        ids=["x+y=2z", "x+y=z+w", "x+y=z+w smashed", "square cone"],
     )
     def test_json_document(self, capsys, tmp_path, text, document):
-        """The whole document, so a sign or offset slip in a differential shows."""
+        """The whole document, byte for byte, so a sign or offset slip in a
+        differential, or a changed cover, label or block, shows."""
         code, out, _ = invoke(capsys, "picard-general", write(tmp_path, text), "--json")
         assert code == 0
-        assert json.loads(out) == document
+        assert out == json.dumps(document, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("json_flag", [[], ["--json"]])
     def test_rank_zero_difference_group(self, capsys, tmp_path, json_flag):

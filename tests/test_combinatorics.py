@@ -19,7 +19,7 @@ from binoids.binoid import (
     from_simplicial,
     radical_complex,
 )
-from binoids.cech import _pic_open_subset, pic_open_subset
+from binoids.cech import _largest_avoiding, _pic_open_subset, pic_open_subset
 from binoids.cli import main
 from binoids.errors import NotAFace, NotOpen, UnknownVertex
 from binoids.simplicial import SimplicialComplex
@@ -100,8 +100,9 @@ def integral_presentations(draw):
 
 
 def supports(M):
-    element = [(rel.lhs_support(), rel.rhs_support()) for rel in M.relations if not rel.is_infinity]
-    infinity = [rel.lhs_support() for rel in M.relations if rel.is_infinity]
+    support = lambda vector: frozenset(i for i, x in enumerate(vector) if x)
+    element = [(support(rel.lhs), support(rel.rhs)) for rel in M.relations if not rel.is_infinity]
+    infinity = [support(rel.lhs) for rel in M.relations if rel.is_infinity]
     return element, infinity
 
 
@@ -159,6 +160,19 @@ class TestSpectrumAgainstSubsetScan:
     @given(integral_presentations())
     def test_element_relations(self, M):
         check_spectrum_against_oracles(M)
+
+    @settings(max_examples=150, deadline=None)
+    @given(integral_presentations().filter(lambda M: M.relations))
+    def test_largest_prime_avoiding_each_face(self, M):
+        """p_F, read as the balanced interior of F's complement, is the union
+        of the primes disjoint from F (here F is every generator subset)."""
+        n = M.generator_count
+        primes = brute_spectrum(n, *supports(M))
+        S = compute_spec(M)
+        for face in all_subsets(range(n)):
+            union = {i for p in primes if not set(p) & set(face) for i in p}
+            got = _largest_avoiding(S, sum(1 << i for i in face))
+            assert got == sum(1 << i for i in union)
 
     @settings(max_examples=80, deadline=None)
     @given(complexes_with_isolated_vertices())

@@ -40,9 +40,9 @@ def value_rows(M):
 
 @st.composite
 def cone_images(draw):
-    """Images of rank 1-4: drawn ones (nonnegative half the time, so that
+    """Images of rank 1-6: drawn ones (nonnegative half the time, so that
     most cones are pointed), then repeats, multiples and sums of them."""
-    r = draw(st.integers(1, 4))
+    r = draw(st.integers(1, 6))
     low = draw(st.sampled_from([-3, 0]))
     vector = st.tuples(*[st.integers(low, 3)] * r)
     images = draw(st.lists(vector, min_size=r, max_size=r + 3))

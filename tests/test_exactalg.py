@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from binoids import exactalg
+from binoids.binoid import DifferenceGroup
+from binoids.cech import _unit_lattice
 from binoids.errors import CompositionNonzero
 from binoids.exactalg import (
     FinAbGroup,
@@ -347,6 +349,8 @@ class TestFreePivots:
 
 class TestColumnLatticeBasis:
     def test_same_lattice_full_column_rank(self):
+        # the basis of the unit lattices of the Čech route, here of all the
+        # columns of a matrix (the images outside the empty prime)
         rng = random.Random(1206)
         for _ in range(200):
             m, k, n = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 7)
@@ -355,10 +359,11 @@ class TestColumnLatticeBasis:
             left = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(m)]
             right = [[scale * rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
             rows = mat_mul(left, right) if k else [[0] * n for _ in range(m)]
-            B = exactalg._lattice(M(rows, cols=n))[0]
-            assert B.rows == m
-            assert same_column_lattice(rows, B.to_lists())
-            assert len([d for d in naive_diagonal(B.to_lists(), cols=B.cols) if d]) == B.cols
+            gamma = DifferenceGroup(m, M(rows, cols=n), M([[]] * n, cols=0))
+            B, _, d = _unit_lattice(gamma, 0)  # B as a list of rows
+            assert len(B) == m and all(len(row) == len(d) for row in B)
+            assert same_column_lattice(rows, B)
+            assert len([x for x in naive_diagonal(B, cols=len(d)) if x]) == len(d)
 
     def test_oracle_tells_lattices_apart(self):
         assert same_column_lattice([[2, 0], [0, 1]], [[2, 2], [0, 1]])

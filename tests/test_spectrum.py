@@ -151,7 +151,7 @@ class TestComputeSpec:
             sets = prime_sets(S)
             full = tuple(range(M.generator_count))
             assert full in sets
-            assert (() in sets) == M.is_integral()
+            assert (() in sets) == (not any(rel.is_infinity for rel in M.relations))
             for a in sets:
                 for b in sets:
                     assert tuple(sorted(set(a) | set(b))) in sets
