@@ -41,31 +41,6 @@ from .exactalg import (
 )
 
 
-def subsets_avoiding(n: int, supports: Sequence[int]) -> list:
-    """The subsets of range(n) containing no support, each with its bitmask.
-
-    Supports are bitmasks.  The subsets are the faces of the complex whose
-    non-faces are the supports.  They grow from the empty one by one element
-    larger than their last at a time, each reached through faces, so they
-    are found in about n times their number of steps.
-
-    >>> sorted(face for face, _ in subsets_avoiding(3, [0b011]))
-    [(), (0,), (0, 2), (1,), (1, 2), (2,)]
-    """
-    if 0 in supports:
-        return []
-    by_top = {}
-    for s in supports:
-        by_top.setdefault(s.bit_length() - 1, []).append(s)
-    found = [((), 0)]
-    for face, mask in found:  # grows while it is read
-        for i in range(face[-1] + 1 if face else 0, n):
-            grown = mask | 1 << i
-            if all(s & ~grown for s in by_top.get(i, ())):
-                found.append((face + (i,), grown))
-    return found
-
-
 def _bits(mask: int):
     """The positions of the set bits of a mask, ascending."""
     while mask:

@@ -3,12 +3,15 @@
 A subset of the generators spans a prime ideal exactly when every element
 relation has both or neither side supported on it and every infinity
 relation is supported on it.  The spectrum is the resulting union-closed
-family, ordered by inclusion.  For the binoid of a simplicial complex the
-primes are the complements of its faces, so `spectrum_of_complex` reads
-them off the faces the complex already holds, with no presentation.
-Without element relations the work follows that face poset: each prime
-is its parent face's with one generator cut out, and the primes just
-above p are the p ∪ {g}, g outside p, one Hasse edge per (face, vertex).
+family, ordered by inclusion.  Balanced sets are closed under union, so
+every generator subset holds a largest balanced one, its interior, and
+`compute_spec` lists the primes by Close-by-One: each prime is reached
+once, as the interior of a larger prime with one generator taken out, in
+time polynomial in the number of primes.  For the binoid of a
+simplicial complex the primes are the complements of its faces, so
+`spectrum_of_complex` reads them off the faces the complex already holds,
+with no presentation.  Without element relations the primes just above p
+are the p ∪ {g}, g outside p, one Hasse edge per (face, vertex).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from collections.abc import Iterable, Sequence
 from ._record import Record, setfield
 from .binoid import BinoidPresentation, _support
 from .errors import NotInSpec, NotOpen, NotPositive, VoidComplex
-from .simplicial import SimplicialComplex, _bits, nerve_of_sets, subsets_avoiding
+from .simplicial import SimplicialComplex, _bits, nerve_of_sets
 
 
 class PrimeIdeal(tuple):
@@ -172,32 +175,44 @@ def _interior(mask: int, element_masks, infinity_masks) -> int | None:
             if bool(mask & lhs) != bool(mask & rhs):
                 mask &= ~(lhs | rhs)
                 unbalanced = True
-    return mask if all(mask & f for f in infinity_masks) else None
+    return mask if all(map(mask.__and__, infinity_masks)) else None
 
 
 def compute_spec(M: BinoidPresentation) -> SpecPoset:
-    """Enumerate the prime ideals of a positive presentation.
+    """Enumerate the prime ideals of a positive presentation by Close-by-One.
 
-    Without element relations (simplicial and monomial presentations) the
-    primes are the complements of the faces of the complex whose non-faces
-    are the relation supports, and those faces are grown one later
-    generator at a time, in about n steps per prime; `spectrum_of_complex`
-    reads them off a complex at hand instead.  With element relations
-    every one of the 2^n generator subsets is tested against the
-    criterion; that scan, and the 2^|cover| opens of
-    ``cech.local_picard_general``, are the exponential steps that remain.
+    Starting from the set of all generators, each prime P gives, for each
+    generator g of P at or after its start, the child Q = `_interior` of
+    P minus g.  Q is kept only when no generator it drops lies below g, so
+    each prime is reached once (Kuznetsov 1993; Outrata and Vychodil 2012),
+    and only while it meets the infinity supports through the generators
+    it drops: a Q that misses one holds no prime, so its branch ends.  Each
+    prime tries at most n children, so the work is polynomial in the number
+    of primes; the 2^|cover| opens of ``cech.local_picard_general`` are the
+    one exponential step left.
     """
     n = M.generator_count
     element_masks, infinity_masks = _relation_masks(M)
-    if element_masks:
-        grown = [
-            (m, tuple(_bits(m))) for m in range(1 << n)
-            if all(bool(m & lhs) == bool(m & rhs) for lhs, rhs in element_masks)
-            and all(m & f for f in infinity_masks)
-        ]
-    else:
-        faces = (face for face, _ in subsets_avoiding(n, infinity_masks))
-        grown = _complements(n, faces, range(n))
+    through = [[] for _ in range(n)]  # the infinity supports through each generator
+    for f in infinity_masks:
+        for v in _bits(f):
+            through[v].append(f)
+    grown = []
+    stack = [((1 << n) - 1, tuple(range(n)), 0)]  # (P, its sorted generators, start)
+    while stack:
+        mask, rest, start = stack.pop()
+        grown.append((mask, rest))
+        for k in range(start, len(rest)):  # Q keeps the k generators of P below g
+            g = rest[k]
+            q = _interior(mask ^ 1 << g, element_masks, ())
+            dropped = mask ^ q
+            if dropped == 1 << g:  # g alone is cut out of P's generators
+                if all(map(q.__and__, through[g])):
+                    stack.append((q, rest[:k] + rest[k + 1 :], k))
+            elif not dropped & (1 << g) - 1 and all(
+                f & q for v in _bits(dropped) for f in through[v]
+            ):
+                stack.append((q, tuple(_bits(q)), k))
     return _spec_poset(M.generator_names, grown, (element_masks, infinity_masks))
 
 

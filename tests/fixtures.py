@@ -111,6 +111,25 @@ def quadric_cone(points):
     )
 
 
+def lattice_polygon(edges):
+    """The lattice points of the convex polygon whose boundary, walked
+    counterclockwise from the origin, takes the given edge vectors (which
+    sum to zero, in distinct directions) in order of angle."""
+    from math import atan2
+
+    corners = [(0, 0)]
+    for dx, dy in sorted(edges, key=lambda e: atan2(e[1], e[0]))[:-1]:
+        corners.append((corners[-1][0] + dx, corners[-1][1] + dy))
+    sides = list(zip(corners, corners[1:] + corners[:1]))
+    xs, ys = [x for x, _ in corners], [y for _, y in corners]
+    return [
+        (x, y)
+        for x in range(min(xs), max(xs) + 1)
+        for y in range(min(ys), max(ys) + 1)
+        if all((bx - ax) * (y - ay) >= (by - ay) * (x - ax) for (ax, ay), (bx, by) in sides)
+    ]
+
+
 def presentation_text(M):
     """A presentation in the input file syntax: its generators, then one line per relation."""
     lines = ["generators: " + " ".join(M.generator_names)]

@@ -607,10 +607,17 @@ def polygon_cone_class_group(points):
     """(free_rank, factors) of the class group of the cone over a lattice polygon.
 
     The cone is spanned by (p, 1) for the given lattice points, which are
-    taken to generate Z^3.  Each edge of the polygon gives a facet with
-    primitive inner normal (n, c), <n, p> + c = 0 along the edge, and the
-    class group is Z^facets modulo the columns of the facet-by-3 matrix of
-    these normals.
+    taken to generate Z^3.  The class group is Z^facets modulo the columns
+    of the facet-by-3 matrix of the facet normals (`polygon_cone_facets`).
+    """
+    return naive_cokernel([list(e) for e in polygon_cone_facets(points)])
+
+
+def polygon_cone_facets(points):
+    """Sorted primitive inner normals (n, c) of the cone over a lattice polygon.
+
+    Each edge of the polygon gives one facet, with <n, p> + c = 0 along the
+    edge and >= 0 on every point.
     """
     edges = set()
     for (px, py), (qx, qy) in itertools.combinations(points, 2):
@@ -619,7 +626,7 @@ def polygon_cone_class_group(points):
             c = -(n[0] * px + n[1] * py)
             if all(n[0] * x + n[1] * y + c >= 0 for x, y in points):
                 edges.add((n[0], n[1], c))
-    return naive_cokernel([list(e) for e in sorted(edges)])
+    return sorted(edges)
 
 
 def brute_cone_facets(images):

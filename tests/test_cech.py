@@ -49,6 +49,7 @@ from binoids.simplicial import SimplicialComplex
 from binoids.spectrum import (
     PrimeIdeal,
     compute_spec,
+    height,
     minimal_cover,
     nerve,
     primes_of_height_at_most,
@@ -62,6 +63,7 @@ from fixtures import (
     complete_graph_facets,
     cycle_facets,
     free_binoid,
+    lattice_polygon,
     path_facets,
     quadric_cone,
     star_facets,
@@ -79,8 +81,13 @@ from oracles import (
     make_rng,
     mat_mul,
     polygon_cone_class_group,
+    polygon_cone_facets,
     random_facets,
 )
+
+# edge vectors of a 10-gon with 20 lattice points (Cl = Z^7 on its cone)
+TEN_GON_EDGES = [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1)]
+TEN_GON_EDGES += [(-x, -y) for x, y in TEN_GON_EDGES]
 
 
 def cx(facets):
@@ -659,8 +666,9 @@ class TestLocalPicardGeneral:
             [(1, 0), (2, 0), (3, 1), (3, 2), (2, 3), (1, 3), (0, 2), (0, 1)]
             + [(1, 1), (2, 1), (1, 2), (2, 2)],
             [(x, y) for x in range(3) for y in range(3)],
+            lattice_polygon(TEN_GON_EDGES),  # 20 generators, 387 relations
         ],
-        ids=["hexagon", "octagon", "square"],
+        ids=["hexagon", "octagon", "square", "10-gon"],
     )
     def test_cone_over_lattice_polygon(self, points):
         # every lattice point at height 1, all relations p + q = r + s
@@ -669,6 +677,20 @@ class TestLocalPicardGeneral:
         M = quadric_cone(points)
         assert class_group(M) == expected
         assert local_picard_general(M).groups[1] == expected
+
+    def test_cone_over_twelve_gon(self):
+        # 31 generators and 1,536 relations: 2^31 generator subsets, 26 primes
+        points = lattice_polygon(TEN_GON_EDGES + [(-1, 1), (1, -1)])
+        M = quadric_cone(points)
+        assert (M.generator_count, len(M.relations)) == (31, 1536)
+        m = len(polygon_cone_facets(points))  # the polygon's edges
+        S = compute_spec(M)
+        assert len(S.primes) == 2 * m + 2
+        heights = [height(S, p) for p in S.primes]
+        assert [heights.count(h) for h in range(4)] == [1, m, m, 1]
+        free, factors = polygon_cone_class_group(points)
+        assert (free, factors) == (9, ())
+        assert class_group(M) == FinAbGroup(free, factors)
 
     @settings(max_examples=60, deadline=None)
     @given(

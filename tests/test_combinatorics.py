@@ -99,6 +99,23 @@ def integral_presentations(draw):
     return BinoidPresentation(names, tuple(Relation(l, r) for l, r in pairs))
 
 
+@st.composite
+def mixed_presentations(draw):
+    """Element relations and squarefree infinity relations of one or two
+    generators together, on at most ten generators."""
+    n = draw(st.integers(1, 10))
+    side = st.lists(st.integers(0, 2), min_size=n, max_size=n).filter(any)
+    pair = st.tuples(side, side).filter(lambda p: p[0] != p[1])
+    pairs = draw(st.lists(pair, min_size=1, max_size=3))
+    ideal = st.sets(st.integers(0, n - 1), min_size=1, max_size=2)
+    sups = draw(st.lists(ideal, min_size=max(1, n // 2), max_size=n))
+    names = tuple("g%d" % i for i in range(n))
+    element = tuple(Relation(l, r) for l, r in pairs)
+    return BinoidPresentation(
+        names, element + tuple(Relation(tuple(int(i in s) for i in range(n)), None) for s in sups)
+    )
+
+
 def supports(M):
     support = lambda vector: frozenset(i for i, x in enumerate(vector) if x)
     element = [(support(rel.lhs), support(rel.rhs)) for rel in M.relations if not rel.is_infinity]
@@ -157,8 +174,10 @@ class TestSpectrumAgainstSubsetScan:
             assert as_simplicial(M) == radical
 
     @settings(max_examples=60, deadline=None)
-    @given(integral_presentations())
+    @given(st.one_of(integral_presentations(), mixed_presentations()))
     def test_element_relations(self, M):
+        """With infinity relations too, a child that drops several generators
+        at once is tested against the supports through each of them."""
         check_spectrum_against_oracles(M)
 
     @settings(max_examples=150, deadline=None)
