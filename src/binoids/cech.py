@@ -1,25 +1,18 @@
-"""Čech cohomology of the unit sheaf on punctured binoid spectra.
+"""Cohomology of the unit sheaf on punctured binoid spectra.
 
 Simplicial binoids get two independent routes: the per-vertex splitting of
-the coordinate-cover complex, and the closed formula summing reduced link
-cohomology, read off relative cochains on the complex's own faces with one
-block per vertex (`SimplicialComplex._cochain_data`, not `_cech_complex`).
-General integral binoids get a direct computation on the minimal cover;
-for a cancellative binoid the units of a localization M_F are the lattice
-spanned by the generators outside p_F, the balanced interior of F's
-complement: one Smith form per distinct p_F, one block per pair of them.
-
-One constructor, `_cech_complex`, lays out the Čech complex of all three
-covers: the coordinate cover of a simplicial binoid, the minimal cover of
-an open subset (indexed by its crosscut complex) and the minimal cover of
-a general integral binoid.  Each caller only names the index simplices,
-the basis of the group at each and the restriction maps.
+the coordinate-cover Čech complex, and the closed formula summing reduced
+link cohomology, read off relative cochains on the complex's own faces
+(`SimplicialComplex._cochain_data`, not `_cech_complex`).  A cancellative
+integral binoid gets cellular cohomology on its spectrum, one cell per
+prime.  One constructor, `_cech_complex`, lays out the Čech complexes of
+the coordinate cover and of the minimal cover of an open subset, and the
+cell complex.
 """
 
 from __future__ import annotations
 
-from functools import cache, reduce
-from itertools import combinations
+from functools import reduce
 from operator import and_
 
 from ._record import Record, setfield
@@ -30,11 +23,7 @@ from .binoid import (
     radical_complex,
 )
 from .divisors import _dot, cone_facets
-from .errors import (
-    DegenerateLocalization,
-    NotCancellative,
-    VoidComplex,
-)
+from .errors import NotCancellative, VoidComplex
 from .exactalg import (
     FinAbGroup,
     GroupExpr,
@@ -50,12 +39,10 @@ from .simplicial import SimplicialComplex, _bits
 from .spectrum import (
     PrimeIdeal,
     SpecPoset,
-    _interior,
     _mask,
     compute_spec,
     minimal_cover,
     prime_label,
-    punctured_spectrum,
     spectrum_of_complex,
 )
 
@@ -63,8 +50,8 @@ from .spectrum import (
 class CechComplex(Record):
     """Cochain complex of free groups with a label per coordinate.
 
-    Labels in degree j are pairs (face or cover subset, coordinate); the
-    differentials carry the alternating-sign restriction maps.  They are
+    Labels in degree j are pairs (J, coordinate), J a face, cover subset or
+    cell; the differentials carry the signed restriction maps.  They are
     given as IntMatrix or as sparse rows {row: {column: nonzero entry}},
     kept as sparse rows, and checked once, here, to compose to zero; a
     nonzero composition is reported with the degree and label of its row.
@@ -103,31 +90,35 @@ class CechComplex(Record):
         }
 
 
-def _cech_complex(simplices, coordinates, restriction=None) -> CechComplex:
-    """The Čech complex of groups Z^coordinates(J) over an index complex.
+def _simplex_facets(K) -> list:
+    """The facets K minus K[l] of a simplex K, each with its sign (-1)^l."""
+    return [(K[:l] + K[l + 1 :], (-1) ** l) for l in range(len(K))]
 
-    simplices[k] lists the k-simplices J (tuples); coordinates(J) labels
-    the basis of the group at J; restriction(sub, K) yields the (row,
-    column, entry) triples of the nonzero entries of the map from the
-    group at a facet sub of K into the group at K.  restriction=None means
-    that each coordinate of sub maps to the same coordinate of K, as on
-    the coordinate cover and the minimal cover of an open subset; every
-    coordinate of K then gets its row from one position map per K.  The
-    differential sums (-1)^l times the map from the facet dropping K[l];
-    as these facets differ, their blocks never overlap.
+
+def _cech_complex(cells, coordinates, restriction=None, facets=_simplex_facets) -> CechComplex:
+    """The complex of groups Z^coordinates(J) on a regular cell complex.
+
+    cells[k] lists the labels J (tuples) of the k-cells; facets(K) lists
+    the (J, sign) of the facets J of K, by default the simplices K minus
+    K[l] with (-1)^l: the Čech complex over an index complex.
+    restriction(sub, K) yields the (row, column, entry) triples of the
+    nonzero entries of the map from the group at sub into the group at K;
+    None maps each coordinate of sub to the same coordinate of K, one
+    position map per K, as on the coordinate cover and the minimal cover
+    of an open subset.
     """
     labels, offsets = [], {}
-    for k_simplices in simplices:
+    for k_cells in cells:
         degree = []
-        for J in k_simplices:
+        for J in k_cells:
             offsets[J] = len(degree)
             degree.extend((J, c) for c in coordinates(J))
         labels.append(tuple(degree))
     diffs = []
-    for k in range(1, len(simplices)):
+    for k in range(1, len(cells)):
         rows = {}
-        for K in simplices[k]:
-            subs = [(K[:l] + K[l + 1 :], (-1) ** l) for l in range(len(K))]
+        for K in cells[k]:
+            subs = facets(K)
             if restriction is None:
                 target = {c: {} for c in coordinates(K)}
                 for sub, sign in subs:
@@ -245,17 +236,6 @@ def stanley_reisner_cohomology(
 # general integral binoids
 
 
-def _largest_avoiding(S: SpecPoset, face: int) -> int:
-    """p_F, the union of the primes disjoint from the face F (bitmasks): the
-    largest prime inside F's complement, as primes are closed under union."""
-    prime = _interior(~face & ((1 << len(S.generator_names)) - 1), *S._relations)
-    if prime is None:
-        raise DegenerateLocalization(
-            "no prime avoids the face %s: the localization is zero" % (list(_bits(face)),)
-        )
-    return prime
-
-
 def _unit_lattice(gamma: DifferenceGroup, prime: int):
     """(B, U, d) as lists of rows, for the images A of the generators outside
     the prime: U*A*V = S, d_1..d_r the nonzero diagonal and B = A*V[:, :r].
@@ -291,13 +271,12 @@ def _check_cancellative(S: SpecPoset, gamma: DifferenceGroup) -> None:
 
 
 class LocalPicardResult(Record):
-    """Čech output on the minimal cover: groups, complex, and cover supports."""
+    """Groups and cell complex of the punctured spectrum, with the cover
+    supports that number the cells' vertices."""
 
     _fields = ("groups", "cech", "cover")
 
-    def __init__(
-        self, groups: tuple[FinAbGroup, ...], cech: CechComplex, cover: tuple[tuple[int, ...], ...]
-    ):
+    def __init__(self, groups: tuple, cech: CechComplex, cover: tuple):
         setfield(self, "groups", groups)
         setfield(self, "cech", cech)
         setfield(self, "cover", cover)
@@ -310,42 +289,70 @@ class LocalPicardResult(Record):
         }
 
 
-def local_picard_general(M: BinoidPresentation) -> LocalPicardResult:
-    """Unit-sheaf Čech cohomology on the minimal cover of the punctured spectrum.
+def _cell_complex(S: SpecPoset) -> tuple:
+    """The punctured primes of a cancellative binoid as the cells of the
+    polytope cutting its cone: the minimal cover, the labels by dimension,
+    and per label the prime's bitmask and its facets' (label, sign).
 
-    Every intersection of basic opens of an integral binoid is nonempty,
-    so the index complex is a full simplex.  The units over J depend only
-    on p_J, the largest prime inside the complement of J's face (one pass
-    of `spectrum._interior`): each distinct p_J gets one Smith form
-    U*A*V = S of the images A outside it, and the basis B = A*V[:, :r].
-    J in K gives p_K in p_J, so U_K*B_K = S_r turns the restriction into
-    S_r^-1*U_K*B_J, the identity when p_J = p_K; each block is solved once
-    per distinct pair (p_J, p_K).  Degree 1 is the local Picard group.
+    A cell has dimension rank - 1 - height and its facets are the primes
+    just above it; the vertices, just below the maximal ideal, are the
+    complements of the cover's opens, and a label lists those on the cell.
+    Signs follow the face poset (Björner 1984): an edge gives +1 to its
+    vertex of larger label and -1 to the other; a larger cell gives +1 to
+    its facet of largest label, and opposite induced signs to two facets
+    through a ridge, which fixes the rest.
+    """
+    covers, heights = S._hasse_diagram()
+    masks = S._generator_masks()
+    top = len(masks) - 1  # the maximal ideal
+    above = [[] for _ in range(top)]  # the primes just above, added as they are passed
+    labels, signed = [()] * top, [None] * top  # signed: per cell, {facet: sign}
+    vertices = sorted((tuple(_bits(masks[top] & ~masks[v])), v) for v in covers[top])
+    for j, (_, v) in enumerate(vertices):
+        labels[v] = (j,)
+    cells = [[] for _ in range(heights[top])]
+    for p in range(top - 1, -1, -1):  # larger primes first: facets before their cells
+        up = sorted(above[p], key=labels.__getitem__, reverse=True)
+        sign = dict(zip(up, (1, -1) if len(up) == 2 else (1,)))
+        order = list(sign)
+        for f in order:  # from each signed facet through its ridges
+            for r, s in signed[f].items():
+                for g in covers[r]:  # the cells that have r as a facet
+                    if g not in sign and g in up:  # the other facet of p on r
+                        sign[g] = -sign[f] * s * signed[g][r]
+                        order.append(g)
+        signed[p] = sign
+        labels[p] = labels[p] or tuple(sorted({v for f in up for v in labels[f]}))
+        cells[heights[top] - 1 - heights[p]].append(labels[p])
+        for c in covers[p]:
+            above[c].append(p)
+    cell = {labels[p]: (masks[p], [(labels[f], s) for f, s in signed[p].items()])
+            for p in range(top)}
+    return [support for support, _ in vertices], [sorted(k_cells) for k_cells in cells], cell
+
+
+def local_picard_general(M: BinoidPresentation) -> LocalPicardResult:
+    """Unit-sheaf cohomology of the punctured spectrum, one cell per prime.
+
+    The open star of a cell p of `_cell_complex`, the primes inside p, is
+    the basic open on the generators outside p, so this is cellular sheaf
+    cohomology (Shepard 1985; Curry 2014).  The group of p is the lattice
+    of the images A of those generators, with basis B = A*V[:, :r] from
+    U*A*V = S, and the restriction from a facet q is S_r^-1*U*B_q.
+    Degree 1 is the local Picard group.
     """
     gamma = difference_group(M)
     S = compute_spec(M)
     _check_cancellative(S, gamma)
-    cover = minimal_cover(S, punctured_spectrum(S))
+    cover, cells, cell = _cell_complex(S)
+    lattices = {J: _unit_lattice(gamma, prime) for J, (prime, _) in cell.items()}
 
-    k = len(cover)
-    simplices = [list(combinations(range(k), size)) for size in range(1, k + 1)]
-    largest = {
-        J: _largest_avoiding(S, _mask({i for j in J for i in cover[j]}))
-        for k_simplices in simplices
-        for J in k_simplices
-    }
-    lattices = {p: _unit_lattice(gamma, p) for p in set(largest.values())}
-
-    @cache
-    def block(p_sub, p_K):
-        _, U, d = lattices[p_K]
-        if p_sub == p_K:
-            return [(a, a, 1) for a in range(len(d))]
-        X = _divide(U, d, lattices[p_sub][0])
+    def block(sub, K):
+        X = _divide(*lattices[K][1:], lattices[sub][0])  # U_K, d_K and B_sub
         return [(a, b, x) for a, row in enumerate(X) for b, x in enumerate(row) if x]
 
-    coordinates = lambda J: range(len(lattices[largest[J]][2]))
-    cech = _cech_complex(simplices, coordinates, lambda sub, K: block(largest[sub], largest[K]))
+    coordinates = lambda J: range(len(lattices[J][2]))
+    cech = _cech_complex(cells, coordinates, block, lambda K: cell[K][1])
     return LocalPicardResult(tuple(cech.cohomology()), cech, tuple(cover))
 
 

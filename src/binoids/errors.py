@@ -79,10 +79,6 @@ class NotOpen(PreconditionError):
 
 # cech
 
-class DegenerateLocalization(PreconditionError):
-    """No prime avoids the face, so the localization is zero."""
-
-
 class NotCancellative(PreconditionError):
     """A prime's complement is not the set of generators on a face of the cone.
 

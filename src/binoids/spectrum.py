@@ -187,9 +187,7 @@ def compute_spec(M: BinoidPresentation) -> SpecPoset:
     each prime is reached once (Kuznetsov 1993; Outrata and Vychodil 2012),
     and only while it meets the infinity supports through the generators
     it drops: a Q that misses one holds no prime, so its branch ends.  Each
-    prime tries at most n children, so the work is polynomial in the number
-    of primes; the 2^|cover| opens of ``cech.local_picard_general`` are the
-    one exponential step left.
+    prime tries at most n children: the work is polynomial in the primes.
     """
     n = M.generator_count
     element_masks, infinity_masks = _relation_masks(M)

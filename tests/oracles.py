@@ -660,3 +660,79 @@ def brute_cone_facets(images):
     if len([d for d in naive_diagonal([list(n) for n in normals], cols=r) if d]) < r:
         return "NotPointed"
     return sorted(normals)
+
+
+# ---------------------------------------------------------------------------
+# the unit sheaf of an integral presentation, Čech on all intersections
+
+
+def cech_on_opens(n, relations):
+    """(free_rank, factors) of the unit sheaf's Čech cohomology, degrees 0..k-1.
+
+    The presentation has generators 0..n-1 and element relations given as
+    (lhs, rhs) exponent vectors; it is taken to be cancellative with a
+    torsion-free difference group.  That group is Z^n modulo the rows
+    lhs - rhs: with U*R*V = S from `naive_snf`, generator i maps to
+    V[i][r:], r the rank of R.  The k cover opens are the complements of
+    the maximal primes of `brute_spectrum` short of the maximal ideal.  On
+    each of the 2^k - 1 intersections J the units are the lattice L_J of
+    the generators outside p_J, the union of the primes off every
+    generator of J's opens; with U_J*A_J*V_J = S_J its basis is
+    A_J*V_J[:, :rank].  The map from J minus J[l] into J carries (-1)^l
+    and solves B_J*X = B_(J minus J[l]) row by row from U_J.
+    """
+    supports = [tuple(i for i in range(n) if side[i]) for rel in relations for side in rel]
+    primes = brute_spectrum(n, list(zip(supports[::2], supports[1::2])), [])
+    R = [[a - b for a, b in zip(lhs, rhs)] for lhs, rhs in relations]
+    if R:
+        _, S, V = naive_snf(R, n)
+        rank = len([i for i in range(min(len(R), n)) if S[i][i]])
+    else:
+        V, rank = identity_rows(n), 0
+    images = [V[i][rank:] for i in range(n)]
+    punctured = [set(p) for p in primes if len(p) < n]
+    maximal = [p for p in punctured if not any(p < q for q in punctured)]
+    cover = sorted(tuple(i for i in range(n) if i not in p) for p in maximal)
+    k = len(cover)
+
+    lattices = {}  # J -> (U_J, the nonzero diagonal, B_J as rows)
+    for size in range(1, k + 1):
+        for J in itertools.combinations(range(k), size):
+            face = {i for j in J for i in cover[j]}
+            inside = {i for p in primes if not set(p) & face for i in p}
+            A = [[images[i][row] for i in range(n) if i not in inside]
+                 for row in range(n - rank)]
+            U, S, V = naive_snf(A)
+            diagonal = [S[i][i] for i in range(min(len(A), len(A[0]))) if S[i][i]]
+            basis = [row[: len(diagonal)] for row in mat_mul(A, V)]
+            lattices[J] = (U, diagonal, basis)
+
+    by_degree = [list(itertools.combinations(range(k), size)) for size in range(1, k + 1)]
+    ranks = [sum(len(lattices[J][1]) for J in degree) for degree in by_degree]
+    diffs = []
+    for sources, targets in zip(by_degree, by_degree[1:]):
+        column, width = {}, 0
+        for J in sources:
+            column[J] = width
+            width += len(lattices[J][1])
+        rows = []
+        for K in targets:
+            U, diagonal, _ = lattices[K]
+            block = [[0] * width for _ in diagonal]
+            for l in range(len(K)):
+                J = K[:l] + K[l + 1 :]
+                image = mat_mul(U, lattices[J][2])
+                for a, s in enumerate(diagonal):
+                    for b, x in enumerate(image[a]):
+                        assert x % s == 0, "the lattice of K minus K[l] is not inside that of K"
+                        block[a][column[J] + b] = (-1) ** l * (x // s)
+                for row in image[len(diagonal):]:
+                    assert not any(row), "the lattice of K minus K[l] is not inside that of K"
+            rows.extend(block)
+        diffs.append(rows)
+    groups = []
+    for j, b in enumerate(ranks):
+        d_in = diffs[j - 1] if j > 0 and ranks[j - 1] else []
+        d_out = diffs[j] if j < len(diffs) else []
+        groups.append(naive_complex_cohomology(d_in, d_out, b))
+    return groups

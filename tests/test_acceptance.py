@@ -139,7 +139,7 @@ def test_criterion_05_general_cech():
     four_gen = local_picard_general(xyzw())
     assert four_gen.groups[0] == TRIVIAL_GROUP
     assert four_gen.groups[1] == Z(1)
-    assert four_gen.cech.ranks == (4, 14, 12, 3)
+    assert four_gen.cech.ranks == (4, 8, 3)
 
     for n in (2, 3, 4):
         smashed = local_picard_general(smash_free(xy_nz(n), 1))

@@ -367,6 +367,26 @@ class TestPicardGeneralVerb:
         assert code == 0
         assert out == "H^0 = 0, H^1 = Z\n"
 
+    @pytest.mark.parametrize(
+        "text, lines",
+        [
+            (XYZW, ["H^0 = 0, H^1 = Z", "H^0 = 0", "H^1 = Z", "H^2 = 0", "H^3 = 0", "H^4 = 0"]),
+            (XYZW_SMASHED, ["H^0 = 0, H^1 = 0"] + ["H^%d = 0" % j for j in range(6)]),
+            (presentation_text(quadric_cone(SQUARE_POINTS)),
+             ["H^0 = 0, H^1 = Z + Z/2", "H^0 = 0", "H^1 = Z + Z/2", "H^2 = 0", "H^3 = 0",
+              "H^4 = 0"]),
+        ],
+        ids=["x+y=z+w", "x+y=z+w smashed", "square cone"],
+    )
+    def test_text_of_every_degree(self, capsys, tmp_path, text, lines):
+        """The text as the Čech complex on all intersections of the k cover
+        opens printed it, then --degree J for each J from 0 to k."""
+        path = write(tmp_path, text)
+        assert invoke(capsys, "picard-general", path) == (0, lines[0] + "\n", "")
+        for j, line in enumerate(lines[1:]):
+            got = invoke(capsys, "picard-general", path, "--degree", str(j))
+            assert got == (0, line + "\n", "")
+
     def test_json(self, capsys, tmp_path):
         code, out, _ = invoke(
             capsys, "picard-general", write(tmp_path, XY_2Z), "--json"
@@ -404,52 +424,30 @@ class TestPicardGeneralVerb:
                 {
                     "complex": {
                         "differentials": [
-                            [[-1, -1, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0],
-                             [-1, 0, 0, 0], [0, 0, 1, 0], [-1, 0, 0, 0],
-                             [0, 0, 0, 1], [0, -1, 0, 0], [0, 0, 1, 0],
-                             [0, -1, 0, 0], [0, 0, 0, 1], [0, 0, 0, 0],
-                             [0, 0, -1, 0], [0, 0, -1, -1]],
-                            [[1, 0, 0, -1, 0, 0, 0, -1, 0, 0, 0, 0, 0, 0],
-                             [0, 1, 0, 0, -1, 0, 0, 1, 1, 0, 0, 0, 0, 0],
-                             [0, 0, 1, 0, -1, 0, 0, 0, 1, 0, 0, 0, 0, 0],
-                             [1, 0, 0, 0, 0, -1, 0, 0, 0, -1, 0, 0, 0, 0],
-                             [0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0],
-                             [0, 0, 1, 0, 0, 0, 1, 0, 0, 0, -1, 0, 0, 0],
-                             [0, 0, 0, 1, 0, -1, 0, 0, 0, 0, 0, 1, 0, 0],
-                             [0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0],
-                             [0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1],
-                             [0, 0, 0, 0, 0, 0, 0, -1, 0, 1, 0, 1, 0, 0],
-                             [0, 0, 0, 0, 0, 0, 0, 1, 1, -1, 0, 0, 1, 0],
-                             [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 1]],
-                            [[-1, 0, 0, 1, 0, 0, -1, 0, 0, 1, 0, 0],
-                             [0, -1, 0, 0, 1, 0, 0, -1, 0, 0, 1, 0],
-                             [0, 0, -1, 0, 0, 1, 0, 0, -1, 0, 0, 1]],
+                            [[-1, 0, 0, 0], [0, 0, 1, 0], [-1, 0, 0, 0], [0, 0, 0, 1],
+                             [0, -1, 0, 0], [0, 0, 1, 0], [0, -1, 0, 0], [0, 0, 0, 1]],
+                            [[1, 0, -1, 0, 1, 0, -1, 0],
+                             [0, 1, 0, 0, -1, -1, 1, 0],
+                             [0, 1, 0, 1, 0, -1, 0, -1]],
                         ],
                         "labels": [
                             [[[0], 0], [[1], 0], [[2], 0], [[3], 0]],
-                            [[[0, 1], 0], [[0, 1], 1], [[0, 1], 2], [[0, 2], 0],
-                             [[0, 2], 1], [[0, 3], 0], [[0, 3], 1], [[1, 2], 0],
-                             [[1, 2], 1], [[1, 3], 0], [[1, 3], 1], [[2, 3], 0],
-                             [[2, 3], 1], [[2, 3], 2]],
-                            [[[0, 1, 2], 0], [[0, 1, 2], 1], [[0, 1, 2], 2],
-                             [[0, 1, 3], 0], [[0, 1, 3], 1], [[0, 1, 3], 2],
-                             [[0, 2, 3], 0], [[0, 2, 3], 1], [[0, 2, 3], 2],
-                             [[1, 2, 3], 0], [[1, 2, 3], 1], [[1, 2, 3], 2]],
+                            [[[0, 2], 0], [[0, 2], 1], [[0, 3], 0], [[0, 3], 1],
+                             [[1, 2], 0], [[1, 2], 1], [[1, 3], 0], [[1, 3], 1]],
                             [[[0, 1, 2, 3], 0], [[0, 1, 2, 3], 1], [[0, 1, 2, 3], 2]],
                         ],
-                        "ranks": [4, 14, 12, 3],
+                        "ranks": [4, 8, 3],
                     },
                     "cover": [[0], [1], [2], [3]],
                     "groups": [
                         {"free_rank": 0, "torsion": []},
                         {"free_rank": 1, "torsion": []},
                         {"free_rank": 0, "torsion": []},
-                        {"free_rank": 0, "torsion": []},
                     ],
                 },
             ),
-            # larger documents, frozen in tests/data: 31 opens with 19 distinct
-            # largest avoiding primes, and the cone over the 3 x 3 square, whose
+            # larger documents, frozen in tests/data: 19 cells of the pyramid
+            # over a square, and the cone over the 3 x 3 square, whose
             # H^1 = Z + Z/2 has torsion
             (XYZW_SMASHED, golden("picard_general_xyzw_smashed.json")),
             (presentation_text(quadric_cone(SQUARE_POINTS)),

@@ -19,7 +19,7 @@ from binoids.binoid import (
     from_simplicial,
     radical_complex,
 )
-from binoids.cech import _largest_avoiding, _pic_open_subset, pic_open_subset
+from binoids.cech import _pic_open_subset, pic_open_subset
 from binoids.cli import main
 from binoids.errors import NotAFace, NotOpen, UnknownVertex
 from binoids.simplicial import SimplicialComplex
@@ -179,19 +179,6 @@ class TestSpectrumAgainstSubsetScan:
         """With infinity relations too, a child that drops several generators
         at once is tested against the supports through each of them."""
         check_spectrum_against_oracles(M)
-
-    @settings(max_examples=150, deadline=None)
-    @given(integral_presentations().filter(lambda M: M.relations))
-    def test_largest_prime_avoiding_each_face(self, M):
-        """p_F, read as the balanced interior of F's complement, is the union
-        of the primes disjoint from F (here F is every generator subset)."""
-        n = M.generator_count
-        primes = brute_spectrum(n, *supports(M))
-        S = compute_spec(M)
-        for face in all_subsets(range(n)):
-            union = {i for p in primes if not set(p) & set(face) for i in p}
-            got = _largest_avoiding(S, sum(1 << i for i in face))
-            assert got == sum(1 << i for i in union)
 
     @settings(max_examples=80, deadline=None)
     @given(complexes_with_isolated_vertices())
