@@ -13,7 +13,7 @@ cell complex.
 from __future__ import annotations
 
 from functools import reduce
-from operator import and_
+from operator import or_
 
 from ._record import Record, setfield
 from .binoid import (
@@ -249,21 +249,18 @@ def _unit_lattice(gamma: DifferenceGroup, prime: int):
 
 
 def _check_cancellative(S: SpecPoset, gamma: DifferenceGroup) -> None:
-    """Every prime's complement must be the generators on one face of the cone.
+    """Every prime must be the union of the minimal nonempty primes inside
+    it, and each of those the generators off a facet (`cone_facets`).
 
-    The face is cut out by the facet normals that vanish on the complement;
-    a prime failing this shows the presentation is not cancellative, and
-    then the difference group does not see the units of the localizations.
+    The facets are then all of them, so this says that the generators
+    outside each prime are those on one face of the cone, the face the
+    facets vanishing on them cut out.  A prime failing this shows the
+    presentation is not cancellative, and then the difference group does
+    not see the units of the localizations.
     """
-    images = gamma.all_images()
-    zero_sets = [
-        _mask(i for i, image in enumerate(images) if not _dot(normal, image))
-        for normal in cone_facets(gamma)
-    ]
-    everything = (1 << len(images)) - 1
+    facets = [_mask(p) for p, normal in cone_facets(gamma, S).items() if normal]
     for p, mask in zip(S.primes, S._generator_masks()):
-        outside = everything & ~mask
-        if reduce(and_, (z for z in zero_sets if not outside & ~z), everything) != outside:
+        if reduce(or_, (q for q in facets if not q & ~mask), 0) != mask:
             raise NotCancellative(
                 "not cancellative: the generators outside the prime %s "
                 "are not the generators on a face of the cone" % prime_label(S, p)

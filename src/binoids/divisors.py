@@ -5,11 +5,18 @@ difference group.  Height-1 primes correspond to the facets of that cone,
 valuations are the primitive facet normals, and the divisor class group is
 the cokernel of the map sending the difference group to the divisor group
 via all the valuations at once.
+
+Each facet is read off a minimal nonempty prime of the spectrum, as the
+kernel line of the images outside it.  No facet is missed: a facet
+normal takes equal values on the two sides of every relation, so the
+generators where it is positive form a prime P, and P holds a minimal
+nonempty prime Q.  The images outside Q contain those on the facet, so
+they span either the whole space, and Q has no facet, or the facet's
+hyperplane, and then Q = P.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
@@ -17,19 +24,19 @@ from ._record import Record, setfield
 from .binoid import BinoidPresentation, DifferenceGroup, difference_group
 from .errors import FacetPrimeMismatch, NotFullDimensional, NotPointed
 from .exactalg import FinAbGroup, IntMatrix, cokernel, invariant_factors
-from .spectrum import PrimeIdeal, _mask, compute_spec, prime_label
+from .spectrum import PrimeIdeal, SpecPoset, compute_spec, prime_label
 
 
 def _dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
     return sum(map(mul, u, v))
 
 
-def _kernel_line(wall: list, r: int) -> list | None:
-    """A nonzero integer x orthogonal to the r - 1 vectors of the wall, or
-    None unless they span a hyperplane.  Integer Gauss-Jordan elimination
-    leaves each pivot row nonzero at its pivot and at the one free column f
-    only, so x_f = the lcm of the pivots fixes the rest of x."""
-    rest, done = [list(v) for v in wall], []
+def _kernel_line(vectors: list, r: int) -> list | None:
+    """A nonzero integer x orthogonal to the given vectors, or None unless
+    they span a hyperplane.  Integer Gauss-Jordan elimination leaves each
+    pivot row nonzero at its pivot and at the one free column f only, so
+    x_f = the lcm of the pivots fixes the rest of x."""
+    rest, done = [list(v) for v in vectors], []
     for c in range(r):
         pivot = next((row for row in rest if row[c]), None)
         if pivot is not None:  # else c is a free column
@@ -41,7 +48,7 @@ def _kernel_line(wall: list, r: int) -> list | None:
                     g = gcd(*row) or 1  # keeps the entries small
                     row[:] = [x // g for x in row]
             done.append((pivot, c))
-    if len(done) < r - 1:
+    if len(done) != r - 1:
         return None
     (f,) = set(range(r)).difference(c for _, c in done)
     x = [0] * r
@@ -51,43 +58,45 @@ def _kernel_line(wall: list, r: int) -> list | None:
     return x
 
 
-def cone_facets(gamma: DifferenceGroup) -> list[tuple[int, ...]]:
-    """Primitive inner normals of the facets of cone(generator images).
+def _facet_normal(images: list, p: PrimeIdeal, mask: int, r: int) -> tuple | None:
+    """The primitive normal zero on the images outside p and positive on
+    those of p, or None when there is none."""
+    kernel = _kernel_line([v for i, v in enumerate(images) if not mask >> i & 1], r)
+    if kernel is None:
+        return None
+    g = gcd(*kernel) * (1 if _dot(kernel, images[p[0]]) > 0 else -1)
+    normal = tuple(x // g for x in kernel)
+    return normal if all(_dot(normal, images[i]) > 0 for i in p) else None
 
-    Each r - 1 images spanning a hyperplane give one candidate, the
-    primitive kernel vector of `_kernel_line` (a wall inside a hyperplane
-    already tried is skipped).  Up to sign, it survives when it is
-    nonnegative on every image; its zero set spans the hyperplane.
+
+def cone_facets(gamma: DifferenceGroup, S: SpecPoset) -> dict:
+    """Per minimal nonempty prime p of S, in the order of S, the primitive
+    inner normal of the facet of cone(generator images) whose generators
+    are those outside p, or None when there is no such facet.
+
+    Primes come sorted by size, so the minimal nonempty ones are those
+    holding none kept before.  When each has its facet, these are all the
+    facets; otherwise every nonempty prime is tried, as some facets may
+    belong to larger ones.  All the facet normals must span the dual space:
+    the cone must be pointed.
     """
     r = gamma.rank
     images = gamma.all_images()
     if len(invariant_factors(IntMatrix.from_rows(images, cols=r))) < r:
         raise NotFullDimensional("generator images do not span the full lattice")
-    if r == 0:
-        return []  # the zero cone has no facets
-
-    normals, tried = set(), []
-    for wall in combinations(range(len(images)), r - 1):
-        inside = _mask(wall)
-        if any(not inside & ~zeros for zeros in tried):
-            continue  # the wall lies in a hyperplane already tried
-        kernel = _kernel_line([images[i] for i in wall], r)
-        if kernel is None:
-            continue  # images in the wall do not span a hyperplane
-        g = gcd(*kernel)
-        normal = tuple(x // g for x in kernel)
-        values = [_dot(normal, img) for img in images]
-        tried.append(_mask(i for i, v in enumerate(values) if not v))
-        if all(v <= 0 for v in values):
-            normal = tuple(-x for x in normal)
-            values = [-v for v in values]
-        if any(v < 0 for v in values):
-            continue  # not a supporting hyperplane
-        normals.add(normal)
-
+    primes = [(p, mask) for p, mask in zip(S.primes, S._generator_masks()) if mask]
+    facets, kept = {}, []
+    for p, mask in primes:
+        if all(q & ~mask for q in kept):
+            kept.append(mask)
+            facets[p] = _facet_normal(images, p, mask, r)
+    normals = list(facets.values())
+    if None in normals:
+        normals = [_facet_normal(images, p, mask, r) for p, mask in primes]
+        normals = [normal for normal in normals if normal]
     if len(invariant_factors(IntMatrix.from_rows(normals, cols=r))) < r:
         raise NotPointed("generator images contain a line")
-    return sorted(normals)
+    return facets
 
 
 class ValuationMatrix(Record):
@@ -113,46 +122,25 @@ class ValuationMatrix(Record):
 
 
 def valuation_matrix(M: BinoidPresentation) -> ValuationMatrix:
-    """Facet valuations matched to the height-1 primes of the spectrum.
-
-    The row for a facet belongs to the prime consisting of the generators
-    with positive value; anything short of a bijection raises.
+    """Facet valuations matched to the height-1 primes of the spectrum, the
+    minimal nonempty ones; a prime without a facet raises.
     """
     gamma = difference_group(M)
     S = compute_spec(M)
-    height_one = [p for p, h in zip(S.primes, S._hasse_diagram()[1]) if h == 1]
-    normals = cone_facets(gamma)
-    images = gamma.all_images()
-    by_prime, repeated = {}, None
-    for normal in normals:
-        values = tuple(_dot(normal, img) for img in images)
-        key = PrimeIdeal(tuple(i for i, v in enumerate(values) if v > 0))
-        if key in by_prime and repeated is None:
-            repeated = key
-        by_prime.setdefault(key, (normal, values))
-    missing = next((p for p in height_one if p not in by_prime), None)
-    if len(normals) != len(height_one):
-        counts = f"{len(normals)} facets against {len(height_one)} height-1 primes"
-        if missing is not None:
-            raise FacetPrimeMismatch(f"{counts}: no facet selects {prime_label(S, missing)}")
-        surplus = repeated or next(k for k in by_prime if k not in height_one)
-        raise FacetPrimeMismatch(
-            f"{counts}: a surplus facet selects {prime_label(S, surplus)}"
-        )
-    if repeated is not None:
-        raise FacetPrimeMismatch(
-            "two facets select the same prime %s" % prime_label(S, repeated)
-        )
+    facets = cone_facets(gamma, S)
+    missing = next((p for p, normal in facets.items() if normal is None), None)
     if missing is not None:
         raise FacetPrimeMismatch(
             "facet supports do not match the height-1 primes: "
             "no facet selects %s" % prime_label(S, missing)
         )
-    ordered = sorted(height_one)
+    images = gamma.all_images()
+    ordered = sorted(facets)
     return ValuationMatrix(
-        IntMatrix.from_rows([list(by_prime[p][1]) for p in ordered], cols=len(images)),
+        IntMatrix.from_rows([[_dot(facets[p], v) for v in images] for p in ordered],
+                            cols=len(images)),
         tuple(ordered),
-        tuple(by_prime[p][0] for p in ordered),
+        tuple(facets[p] for p in ordered),
     )
 
 

@@ -42,7 +42,6 @@ import heapq
 import math
 from collections.abc import Iterable
 from itertools import compress, repeat
-from operator import mul
 
 from ._record import Record, setfield
 from .errors import CompositionNonzero
@@ -531,8 +530,13 @@ def _divide(U: list, d: list, C) -> list:
     Raises ValueError, as no integer Z exists, when a d_i does not divide
     row i of U*C or a row of U*C below r is not zero.
     """
-    cols = list(zip(*C))
-    UC = [[sum(map(mul, row, col)) for col in cols] for row in U]
+    width, UC = len(C[0]) if C else 0, []
+    for row in U:  # U is mostly a signed permutation: skip its zeros
+        y = None
+        for u, c in zip(row, C):
+            if u:
+                y = [u * b for b in c] if y is None else [a + u * b for a, b in zip(y, c)]
+        UC.append(y or [0] * width)
     if any(any(y) for y in UC[len(d) :]) or any(x % s for y, s in zip(UC, d) for x in y):
         raise ValueError("no integer solution")
     return [[x // s for x in y] for y, s in zip(UC, d)]

@@ -619,7 +619,9 @@ class TestClassGroupVerb:
     def test_rank_zero_difference_group(self, capsys, tmp_path):
         code, out, err = invoke(capsys, "class-group", write(tmp_path, RANK_ZERO))
         assert (code, out) == (3, "")
-        assert err == "error: 0 facets against 2 height-1 primes: no facet selects <g0>\n"
+        assert err == (
+            "error: facet supports do not match the height-1 primes: no facet selects <g0>\n"
+        )
 
 
 class TestPicOpenVerb:

@@ -11,50 +11,52 @@ from binoids.binoid import (
     difference_group,
     smash_free,
 )
+from binoids.cech import local_picard_general
 from binoids.divisors import (
     class_group,
     cone_facets,
     regular_in_codim1_check,
     valuation_matrix,
 )
-from binoids.errors import FacetPrimeMismatch, NotFullDimensional, NotPointed
+from binoids.errors import FacetPrimeMismatch, NotCancellative, NotFullDimensional, NotPointed
 from binoids.exactalg import FinAbGroup, IntMatrix, cokernel, smith_normal_form
+from binoids.spectrum import SpecPoset, compute_spec
 
-from fixtures import free_binoid, xy_nz, xyzw
+from fixtures import free_binoid, lattice_polygon, quadric_cone, xy_nz, xyzw
 from oracles import brute_cone_facets
+
+
+def facet_normals(M):
+    return list(cone_facets(difference_group(M), compute_spec(M)).values())
 
 
 def value_rows(M):
     """Facet normals evaluated on the generator images, basis independent."""
-    gamma = difference_group(M)
-    rows = set()
-    for normal in cone_facets(gamma):
-        rows.add(
-            tuple(
-                sum(a * b for a, b in zip(normal, gamma.image_of(i)))
-                for i in range(M.generator_count)
-            )
-        )
-    return rows
+    images = difference_group(M).all_images()
+    return {
+        tuple(sum(a * b for a, b in zip(normal, image)) for image in images)
+        for normal in facet_normals(M)
+    }
 
 
-@st.composite
-def cone_images(draw):
-    """Images of rank 1-6: drawn ones (nonnegative half the time, so that
-    most cones are pointed), then repeats, multiples and sums of them."""
-    r = draw(st.integers(1, 6))
-    low = draw(st.sampled_from([-3, 0]))
-    vector = st.tuples(*[st.integers(low, 3)] * r)
-    images = draw(st.lists(vector, min_size=r, max_size=r + 3))
-    for _ in range(draw(st.integers(0, 3))):
-        u, v = draw(st.sampled_from(images)), draw(st.sampled_from(images))
-        k = draw(st.integers(1, 3))
-        images.append(draw(st.sampled_from([u, tuple(k * a for a in u), tuple(map(sum, zip(u, v)))])))
-    return draw(st.permutations(images))
+# the cone over the lattice points of a centrally symmetric polygon, on
+# 2-3 edge directions, smashed with 0-3 free generators (rank 3-6)
+DIRECTIONS = [(1, 0), (1, 1), (0, 1), (-1, 1), (2, 1), (1, 2)]
+polygon_cones = st.builds(
+    lambda edges, k: smash_free(quadric_cone(lattice_polygon(edges)), k),
+    st.lists(st.sampled_from(DIRECTIONS), min_size=2, max_size=3, unique=True).map(
+        lambda edges: edges + [(-x, -y) for x, y in edges]
+    ),
+    st.integers(0, 3),
+)
 
 
 def non_cancellative():
     return BinoidPresentation(("x", "y"), (Relation((1, 1), (0, 2)),))
+
+
+def x_plus_y_plus_z_equals_z():
+    return BinoidPresentation(("x", "y", "z"), (Relation((1, 1, 1), (0, 0, 1)),))
 
 
 def numerical_2_3():
@@ -81,7 +83,7 @@ class TestConeFacets:
         for M in (xy_nz(3), xyzw(), free_binoid(4), numerical_2_3()):
             gamma = difference_group(M)
             images = gamma.all_images()
-            for normal in cone_facets(gamma):
+            for normal in facet_normals(M):
                 assert math.gcd(*normal) == 1
                 values = [
                     sum(a * b for a, b in zip(normal, img)) for img in images
@@ -101,32 +103,66 @@ class TestConeFacets:
             IntMatrix.zero(2, 0),
         )
         with pytest.raises(NotFullDimensional):
-            cone_facets(gamma)
+            cone_facets(gamma, compute_spec(free_binoid(2)))
 
     def test_not_pointed(self):
-        gamma = DifferenceGroup(
-            2,
-            IntMatrix.from_rows([[1, -1, 0], [0, 0, 1]]),
-            IntMatrix.zero(2, 0),
+        # x + y = 0 in the difference group, so the cone is the half-plane
+        # z >= 0; its one facet, off the prime <z>, does not span the dual.
+        # With a + b = 2b beside it the minimal prime <b> has no facet, and
+        # the facet positive on <a,b> is found among the larger primes.
+        xyz = x_plus_y_plus_z_equals_z()
+        ab = BinoidPresentation(
+            xyz.generator_names + ("a", "b"),
+            (
+                Relation((1, 1, 1, 0, 0), (0, 0, 1, 0, 0)),
+                Relation((0, 0, 0, 1, 1), (0, 0, 0, 0, 2)),
+            ),
         )
-        with pytest.raises(NotPointed):
-            cone_facets(gamma)
+        for M in (xyz, ab):
+            for verb in (class_group, local_picard_general):
+                with pytest.raises(NotPointed):
+                    verb(M)
 
-    @settings(max_examples=200, deadline=None)
-    @given(cone_images())
-    def test_matches_brute_force_oracle(self, images):
-        r = len(images[0])
-        columns = IntMatrix.from_rows([[v[i] for v in images] for i in range(r)], cols=len(images))
-        try:
-            got = cone_facets(DifferenceGroup(r, columns, IntMatrix.zero(len(images), 0)))
-        except (NotFullDimensional, NotPointed) as e:
-            got = type(e).__name__
-        assert got == brute_cone_facets(images)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            polygon_cones,
+            st.builds(xy_nz, st.integers(2, 5)),
+            st.just(xyzw()),
+            st.builds(free_binoid, st.integers(1, 5)),
+        )
+    )
+    def test_matches_brute_force_oracle(self, M):
+        # every minimal prime of these cancellative presentations is a facet's
+        gamma = difference_group(M)
+        normals = facet_normals(M)
+        assert None not in normals
+        assert sorted(normals) == brute_cone_facets(gamma.all_images())
 
     def test_deterministic(self):
-        gamma = difference_group(xyzw())
-        assert cone_facets(gamma) == cone_facets(gamma)
-        assert cone_facets(gamma) == sorted(cone_facets(gamma))
+        gamma, S = difference_group(xyzw()), compute_spec(xyzw())
+        assert cone_facets(gamma, S) == cone_facets(gamma, S)
+        assert list(cone_facets(gamma, S)) == [p for p in S.primes if len(p) == 2]
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_one_kernel_line_per_facet(self, monkeypatch, k):
+        # the facets are read off the 4 + k minimal primes, one kernel line
+        # each, with no Hasse diagram
+        lines = []
+        kernel_line = divisors._kernel_line
+
+        def recording_kernel_line(vectors, r):
+            lines.append(len(vectors))
+            return kernel_line(vectors, r)
+
+        def no_hasse_diagram(S):
+            raise AssertionError("the Hasse diagram was built")
+
+        monkeypatch.setattr(divisors, "_kernel_line", recording_kernel_line)
+        monkeypatch.setattr(SpecPoset, "_hasse_diagram", no_hasse_diagram)
+        M = smash_free(xyzw(), k) if k else xyzw()
+        assert class_group(M) == FinAbGroup(1)
+        assert len(lines) == 4 + k
 
 
 class TestValuationMatrix:
@@ -175,23 +211,40 @@ class TestValuationMatrix:
             valuation_matrix(non_cancellative())
 
     @pytest.mark.parametrize(
-        "change, message",
+        "M, prime",
         [
-            (lambda ns: ns[1:], "3 facets against 4 height-1 primes: no facet selects <x,w>"),
+            # x = y in the difference group: the images off <y> span it all
+            (non_cancellative(), "<y>"),
+            # the difference group is 0, so no prime has a facet
             (
-                lambda ns: ns + ns[:1],
-                "5 facets against 4 height-1 primes: a surplus facet selects <x,w>",
+                BinoidPresentation(
+                    ("g0", "g1"), (Relation((1, 1), (2, 3)), Relation((1, 1), (1, 2)))
+                ),
+                "<g0>",
             ),
-            (lambda ns: ns[:3] + ns[:1], "two facets select the same prime <x,w>"),
+            # 3d = 2b + c holds in the difference group but not in the binoid
+            (
+                BinoidPresentation(
+                    ("a", "b", "c", "d"),
+                    (Relation((1, 0, 0, 1), (0, 1, 1, 0)), Relation((2, 0, 0, 0), (0, 0, 1, 1))),
+                ),
+                "<a,c>",
+            ),
         ],
+        ids=["x+y=2y", "rank-zero", "not-cancellative"],
     )
-    def test_mismatch_names_a_prime(self, monkeypatch, change, message):
-        # the facet (0, 0, 1) selects <x,w>; drop it, or count it twice
-        normals = change(cone_facets(difference_group(xyzw())))
-        monkeypatch.setattr(divisors, "cone_facets", lambda gamma: normals)
+    def test_mismatch_names_a_prime(self, M, prime):
         with pytest.raises(FacetPrimeMismatch) as raised:
-            valuation_matrix(xyzw())
-        assert str(raised.value) == message
+            class_group(M)
+        assert str(raised.value) == (
+            "facet supports do not match the height-1 primes: no facet selects " + prime
+        )
+        with pytest.raises(NotCancellative) as raised:
+            local_picard_general(M)
+        assert str(raised.value) == (
+            "not cancellative: the generators outside the prime %s "
+            "are not the generators on a face of the cone" % prime
+        )
 
 
 class TestClassGroup:
@@ -219,7 +272,7 @@ class TestClassGroup:
     def test_injectivity_of_divisor_morphism(self):
         for M in (xy_nz(2), xyzw(), free_binoid(3), numerical_2_3()):
             gamma = difference_group(M)
-            normals = cone_facets(gamma)
+            normals = facet_normals(M)
             phi = IntMatrix.from_rows([list(v) for v in normals], cols=gamma.rank)
             assert smith_normal_form(phi).rank() == gamma.rank
 
