@@ -23,7 +23,7 @@ from .binoid import (
     radical_complex,
 )
 from .divisors import _dot, cone_facets
-from .errors import NotCancellative, VoidComplex
+from .errors import CompositionNonzero, NotCancellative, VoidComplex
 from .exactalg import (
     FinAbGroup,
     GroupExpr,
@@ -35,7 +35,7 @@ from .exactalg import (
     _sparse_complex,
     cohomology_of_complex,
 )
-from .simplicial import SimplicialComplex, _bits
+from .simplicial import _SIGN, SimplicialComplex, _bits
 from .spectrum import (
     PrimeIdeal,
     SpecPoset,
@@ -92,7 +92,7 @@ class CechComplex(Record):
 
 def _simplex_facets(K) -> list:
     """The facets K minus K[l] of a simplex K, each with its sign (-1)^l."""
-    return [(K[:l] + K[l + 1 :], (-1) ** l) for l in range(len(K))]
+    return [(K[:l] + K[l + 1 :], _SIGN[l & 1]) for l in range(len(K))]
 
 
 def _cech_complex(cells, coordinates, restriction=None, facets=_simplex_facets) -> CechComplex:
@@ -124,7 +124,11 @@ def _cech_complex(cells, coordinates, restriction=None, facets=_simplex_facets) 
                 for sub, sign in subs:
                     for b, c in enumerate(coordinates(sub), offsets[sub]):
                         target[c][b] = sign
-                rows.update((a, row) for a, row in enumerate(target.values(), offsets[K]) if row)
+                a = offsets[K]
+                for row in target.values():
+                    if row:
+                        rows[a] = row
+                    a += 1
                 continue
             for sub, sign in subs:
                 for a, b, x in restriction(sub, K):
@@ -174,7 +178,11 @@ def local_picard_formula(delta: SimplicialComplex) -> list[FinAbGroup]:
             if above.bit_count() > shared[v].bit_count():
                 shared[v] = above
     cells = lambda face, above: [v for v in face if not above & shared[v]]
-    return cohomology_of_complex(*delta._cochain_data(0, cells))
+    ranks, diffs = delta._cochain_data(0, cells)
+    try:
+        return cohomology_of_complex(ranks, diffs)
+    except CompositionNonzero as error:
+        raise delta._cochain_fault(error, 0, cells, diffs) from None
 
 
 def local_picard_cech(delta: SimplicialComplex) -> list[FinAbGroup]:

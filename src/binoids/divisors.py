@@ -125,7 +125,11 @@ def valuation_matrix(M: BinoidPresentation) -> ValuationMatrix:
     """Facet valuations matched to the height-1 primes of the spectrum, the
     minimal nonempty ones; a prime without a facet raises.
     """
-    gamma = difference_group(M)
+    return _valuation_matrix(M, difference_group(M))
+
+
+def _valuation_matrix(M: BinoidPresentation, gamma: DifferenceGroup) -> ValuationMatrix:
+    """`valuation_matrix` on the difference group of M, computed once by the caller."""
     S = compute_spec(M)
     facets = cone_facets(gamma, S)
     missing = next((p for p, normal in facets.items() if normal is None), None)
@@ -197,7 +201,7 @@ def regular_in_codim1_check(M: BinoidPresentation) -> RegularityReport:
     certify is reported as Unknown, never as a negative.
     """
     gamma = difference_group(M)
-    vm = valuation_matrix(M)
+    vm = _valuation_matrix(M, gamma)
     n = M.generator_count
     units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
 

@@ -33,7 +33,10 @@ and Ślusarek, "Homology computation by reduction of chain complexes",
 1998), which changes the neighbouring differentials only by deleting one
 row of d_(j-1) and one column of d_(j+1).  So every later differential is
 smaller before it is eliminated, and the remainders left for the dense
-Smith normal form are smaller too.
+Smith normal form are smaller too.  Each differential costs one copy of
+its rows and one column index: the columns that d_j's pivots drop from
+d_(j+1) are deleted through that index, before its elimination starts,
+and the rows they drop from d_(j-1) come off its remainder.
 """
 
 from __future__ import annotations
@@ -312,12 +315,15 @@ def _smith(A: IntMatrix, u: bool = True, v: bool = True):
             T[i] = [-a for a in T[i]]
 
     def smallest_pivot(t):
+        # the first least entry in row order; none is less than a first ±1
         best = None
         for i in range(t, m):
             for j in range(t, n):
                 v = abs(S[i][j])
                 if v and (best is None or v < best[0]):
                     best = (v, i, j)
+                    if v == 1:
+                        return best
         return best
 
     t = 0
@@ -382,10 +388,12 @@ def _sparse_rows(A: IntMatrix) -> dict:
     return rows
 
 
-def _eliminate(rows: dict) -> list:
+def _eliminate(rows: dict, dropped: Iterable = ()) -> list:
     """Cancel the unit entries of the matrix with these sparse rows.
 
-    Free pivots come first: a unit entry alone in its row or in its column
+    First the column index is built, one set of rows per column, and the
+    columns in `dropped` are deleted through it, with any row they empty.
+    Free pivots come next: a unit entry alone in its row or in its column
     is cancelled with no fill-in, and cancelling it can leave other entries
     alone, so lone rows and columns are taken off a worklist whenever it
     holds one (the coreduction of Mrozek and Batko, 2009, on a matrix); a
@@ -399,7 +407,16 @@ def _eliminate(rows: dict) -> list:
     cols = {}
     for i, row in rows.items():
         for j in row:
-            cols.setdefault(j, set()).add(i)
+            if j in cols:
+                cols[j].add(i)
+            else:
+                cols[j] = {i}
+    for j in dropped:
+        for i in cols.pop(j, ()):
+            row = rows[i]
+            del row[j]
+            if not row:
+                del rows[i]
     lone_rows = [i for i, row in rows.items() if len(row) == 1]
     lone_cols = [j for j, above in cols.items() if len(above) == 1]
     pivots, heap = [], None
@@ -575,10 +592,10 @@ def _sparse_complex(ranks: list, diffs: list, labels=None) -> list:
         if isinstance(d, IntMatrix):
             fits = (d.rows, d.cols) == (m, n)
             d = _sparse_rows(d)
-        else:
-            fits = all(
-                0 <= i < m and row and 0 <= min(row) and max(row) < n
-                for i, row in d.items()
+        else:  # no empty row, and the row and column indices in range
+            used = set().union(*d.values())
+            fits = all(d.values()) and (
+                not d or 0 <= min(d) and max(d) < m and 0 <= min(used) and max(used) < n
             )
         if not fits:
             raise ValueError("differential %d does not map Z^%d to Z^%d" % (j, n, m))
@@ -599,24 +616,22 @@ def _reduce_complex(ranks: list, diffs: list) -> list:
     Mrozek and Ślusarek, 1998).  Cancelling it turns column p of d_(j+1)
     and row q of d_(j-1) into integer combinations of the other columns
     and rows, so they are dropped without changing any invariant factor:
-    the columns before d_(j+1) is eliminated, the rows from the unit-free
-    remainder of d_(j-1) after d_j is.  The remainders then go to the
-    dense Smith normal form.  `diffs` is left as it was.
+    the columns by `_eliminate` on its copy of d_(j+1), through its column
+    index, before it cancels anything; the rows from the unit-free
+    remainder of d_(j-1) after d_j is eliminated.  The remainders then go
+    to the dense Smith normal form.  Each differential is copied once, row
+    by row, so `diffs` is left as it was.
     """
     pivot_counts, remainders, dropped = [], [], ()
     for d in diffs:
-        rows = {}
-        for i, row in d.items():
-            kept = {j: x for j, x in row.items() if j not in dropped}
-            if kept:
-                rows[i] = kept
-        pivots = _eliminate(rows)
+        rows = {i: row.copy() for i, row in d.items()}
+        pivots = _eliminate(rows, dropped)
         if remainders:
             for _, q in pivots:
                 remainders[-1].pop(q, None)
         pivot_counts.append(len(pivots))
         remainders.append(rows)
-        dropped = {p for p, _ in pivots}
+        dropped = [p for p, _ in pivots]
     factors = [()]
     for units, rows in zip(pivot_counts, remainders):
         factors.append((1,) * units + _remainder_factors(rows))

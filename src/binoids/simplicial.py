@@ -29,16 +29,20 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from ._record import Record, setfield
-from .errors import NotAFace, UnknownVertex, VoidComplex
+from .errors import CompositionNonzero, NotAFace, UnknownVertex, VoidComplex
 from .exactalg import (
     FinAbGroup,
     GroupExpr,
     IntMatrix,
     TRIVIAL_GROUP,
     _dense,
+    _nonzero_product_row,
     coefficient_cohomology,
     cohomology_of_complex,
 )
+
+
+_SIGN = (1, -1)  # (-1)^l is _SIGN[l & 1]
 
 
 def _bits(mask: int):
@@ -249,7 +253,7 @@ class SimplicialComplex(Record):
                 for v in cells:
                     columns[v] = rank
                     rank += 1
-                subs = [(index.get(t[:l] + t[l + 1 :]), (-1) ** l) for l in range(len(t))]
+                subs = [(index.get(t[:l] + t[l + 1 :]), _SIGN[l & 1]) for l in range(len(t))]
                 for v, r in columns.items():
                     row = {s[v]: sign for s, sign in subs if s and v in s}
                     if row:
@@ -259,6 +263,26 @@ class SimplicialComplex(Record):
             ranks.append(rank)
             index = here
         return ranks, diffs
+
+    def _cochain_fault(self, error, start: int, labels, diffs) -> CompositionNonzero:
+        """`error`, from checking the complex `_cochain_data(start, labels)`
+        with these differentials, naming the degree and cell of its row.
+
+        The row and its cell are found again here, so a check that passes
+        pays nothing for the name.
+        """
+        for j in range(1, len(diffs)):
+            r = _nonzero_product_row(diffs[j - 1], diffs[j])
+            if r is not None:
+                break
+        degree = start + j + 1
+        for face, above in self._faces_by_dim()[degree].items():
+            cells = labels(face, above)
+            if r < len(cells):
+                return CompositionNonzero(
+                    "%s (degree %d, label %r)" % (error, degree, (face, cells[r]))
+                )
+            r -= len(cells)
 
     def cochain_complex(self, reduced: bool = False) -> list[IntMatrix]:
         """Differentials of the (reduced) integer cochain complex.
@@ -279,7 +303,12 @@ class SimplicialComplex(Record):
         """
         w = max(map(self._facets_through, self.vertices), key=int.bit_count, default=0)
         outside = lambda face, above: () if above & w else (None,)
-        groups = cohomology_of_complex(*self._cochain_data(-1 if reduced else 0, outside))
+        start = -1 if reduced else 0
+        ranks, diffs = self._cochain_data(start, outside)
+        try:
+            groups = cohomology_of_complex(ranks, diffs)
+        except CompositionNonzero as error:
+            raise self._cochain_fault(error, start, outside, diffs) from None
         if w and not reduced:
             groups[0] = FinAbGroup(groups[0].free_rank + 1)
         return groups

@@ -200,6 +200,17 @@ class TestCechComplexType:
         c = picard_complex_simplicial(cx(FAVOURITE_FACETS))
         assert c.ranks == (4, 8, 3)
 
+    def test_cohomology_leaves_rows_as_they_were(self):
+        # the reduction works on its own copy: the rows stay, and a second
+        # call gives the same groups
+        for facets in (FAVOURITE_FACETS, CONE_RP2_FACETS, [(1, 2, 3), (1, 2, 4), (1, 3, 4)]):
+            c = picard_complex_simplicial(cx(facets))
+            kept = [{i: dict(row) for i, row in d.items()} for d in c._rows]
+            first = c.cohomology()
+            assert list(c._rows) == kept
+            assert c.cohomology() == first
+            assert list(c._rows) == kept
+
 
 class TestPicardComplexSimplicial:
     def test_favourite_ranks_and_labels(self):
@@ -326,6 +337,30 @@ class TestLocalPicardFormula:
             if len(groups) > 1:
                 assert groups[1].invariant_factors == ()
 
+    def test_flipped_sign_names_face_and_label(self, monkeypatch):
+        # ∂β₄, antipodes 1/2, 3/4, 5/6, 7/8: w_5 = 1, so vertex 5 keeps the
+        # faces through 2 and 5.  Flipping the sign of ((2, 5), 5) in the
+        # coboundary of ((2, 4, 5), 5), row 14 of degree 2, breaks its
+        # cofaces of label 5, (2, 4, 5, 7) and (2, 4, 5, 8); the first is
+        # row 18 of degree 3, after 4 cells of label 1, 12 on (2, 3, y, z)
+        # and those of labels 2 and 4 on (2, 4, 5, 7).
+        cochain_data = SimplicialComplex._cochain_data
+
+        def flipped(self, start, labels):
+            ranks, diffs = cochain_data(self, start, labels)
+            assert diffs[1][14] == {4: -1}
+            diffs[1][14] = {4: 1}
+            return ranks, diffs
+
+        monkeypatch.setattr(SimplicialComplex, "_cochain_data", flipped)
+        cross = [tuple(2 * i + 1 + s for i, s in enumerate(signs))
+                 for signs in product((0, 1), repeat=4)]
+        with pytest.raises(CompositionNonzero) as raised:
+            local_picard_formula(cx(cross))
+        assert str(raised.value) == (
+            "row 18 of d_2 * d_1 is not zero (degree 3, label ((2, 4, 5, 7), 5))"
+        )
+
 
 # vertex labels in shuffled order with facets that may leave some out, and
 # cones over RP^2 relabelled: isolated vertices have the link {∅}, and the
@@ -347,6 +382,7 @@ formula_inputs = st.one_of(
         )
     ),
 )
+
 
 
 class TestLocalPicardFormulaAgainstLinks:

@@ -294,3 +294,19 @@ class TestRegularInCodimensionOne:
         report = regular_in_codim1_check(numerical_2_3())
         assert report.verdict == "Unknown"
         assert report.evidence[0].witness is None
+
+    def test_difference_group_computed_once(self, monkeypatch):
+        # the valuations reuse the check's difference group: one Smith form of
+        # the relation matrix per check, not two
+        calls = []
+        compute = divisors.difference_group
+
+        def counting(M):
+            calls.append(M)
+            return compute(M)
+
+        monkeypatch.setattr(divisors, "difference_group", counting)
+        for M in (xy_nz(3), xyzw(), free_binoid(3), numerical_2_3()):
+            calls.clear()
+            regular_in_codim1_check(M)
+            assert calls == [M]

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -507,12 +508,38 @@ class TestComplexWideCancellation:
         assert shapes == [(1, 1, {"u": False, "v": False})]
 
     def test_sparse_rows_checked(self):
-        with pytest.raises(ValueError):
-            cohomology_of_complex([1, 2], [{2: {0: 1}}])
-        with pytest.raises(ValueError):
-            cohomology_of_complex([1, 2], [{0: {1: 1}}])
+        # d: Z -> Z^2 takes rows 0, 1 and column 0, each row nonempty
+        for rows in (
+            {2: {0: 1}},  # row index equal to the rank
+            {0: {1: 1}},  # column index equal to the rank
+            {-1: {0: 1}},  # negative row
+            {0: {-1: 1}},  # negative column
+            {0: {}},  # empty row
+            {0: {0: 1}, 1: {}},  # empty row after a good one
+            {0: {0: 1}, 1: {0: 1, -1: 1}},  # negative column after a good one
+        ):
+            with pytest.raises(ValueError) as raised:
+                cohomology_of_complex([1, 2], [rows])
+            assert str(raised.value) == "differential 0 does not map Z^1 to Z^2"
+        with pytest.raises(ValueError) as raised:
+            cohomology_of_complex([1, 2, 1], [{0: {0: 1}, 1: {0: 1}}, {1: {0: 1, 1: -1}}])
+        assert str(raised.value) == "differential 1 does not map Z^2 to Z^1"
+        assert [str(g) for g in cohomology_of_complex([1, 2], [{}])] == ["Z", "Z^2"]
         with pytest.raises(CompositionNonzero):
             cohomology_of_complex([1, 2, 1], [{0: {0: 1}}, {0: {0: 1, 1: 1}}])
+
+    def test_rows_left_as_given(self):
+        # the reduction copies each differential once; calling again gives
+        # the same groups from the same rows
+        rng = random.Random(1209)
+        for _ in range(30):
+            ranks, diffs, _ = random_cochain_complex(rng, rng.randint(4, 6))
+            rows = [{i: {j: x for j, x in enumerate(row) if x} for i, row in enumerate(d) if any(row)}
+                    for d in diffs]
+            kept = copy.deepcopy(rows)
+            first = cohomology_of_complex(ranks, rows)
+            assert rows == kept
+            assert cohomology_of_complex(ranks, rows) == first
 
 
 class TestFinAbGroup:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import binoids.exactalg
 import binoids.simplicial
-from binoids.errors import NotAFace, UnknownVertex, VoidComplex
+from binoids.errors import CompositionNonzero, NotAFace, UnknownVertex, VoidComplex
 from binoids.exactalg import FinAbGroup, GroupExpr
 from binoids.simplicial import SimplicialComplex
 
@@ -314,6 +314,33 @@ class TestCohomologyOutsideOneStar:
                     sum(len(f) == d + 1 for f in outside)
                     for d in range(start, c.dimension + 1)
                 ]
+
+
+
+class TestCompositionNamesTheCell:
+    def test_flipped_sign_names_face(self, monkeypatch):
+        # octahedron, antipodes 1/2, 3/4, 5/6: outside the star of w = 1 lie
+        # vertex 2, the edges (2, x) and the triangles (2, x, y), x in 3/4 and
+        # y in 5/6.  Flipping the sign of vertex 2 in the coboundary of edge
+        # (2, 4), row 1 of d_0, breaks the triangles through (2, 4), and the
+        # first of them, (2, 4, 5), is row 2 of degree 2.
+        cochain_data = SimplicialComplex._cochain_data
+
+        def flipped(self, start, labels):
+            ranks, diffs = cochain_data(self, start, labels)
+            assert diffs[0][1] == {0: -1}
+            diffs[0][1] = {0: 1}
+            return ranks, diffs
+
+        monkeypatch.setattr(SimplicialComplex, "_cochain_data", flipped)
+        octahedron = SimplicialComplex.from_facets(
+            [(a, b, c) for a in (1, 2) for b in (3, 4) for c in (5, 6)]
+        )
+        with pytest.raises(CompositionNonzero) as raised:
+            octahedron.cohomology()
+        assert str(raised.value) == (
+            "row 2 of d_1 * d_0 is not zero (degree 2, label ((2, 4, 5), None))"
+        )
 
 
 class TestCoefficients:
