@@ -244,13 +244,11 @@ def difference_group(M: BinoidPresentation) -> DifferenceGroup:
     columns = [
         [l - r for l, r in zip(rel.lhs, rel.rhs)] for rel in M.relations
     ]
-    lattice = IntMatrix.from_rows(
-        [[col[i] for col in columns] for i in range(n)], cols=len(columns)
-    )
-    U, S, _ = _smith(lattice, v=False)
+    rows = [[col[i] for col in columns] for i in range(n)]
+    U, S, _ = _smith(rows, len(columns), v=False)
     diag = tuple(S[i][i] for i in range(min(n, len(columns))))
     if any(d not in (0, 1) for d in diag):
         raise Torsion("difference group has torsion: diagonal %s" % (diag,))
     free_rows = [i for i in range(n) if i >= len(diag) or diag[i] == 0]
     images = IntMatrix.from_rows([U[i] for i in free_rows], cols=n)
-    return DifferenceGroup(len(free_rows), images, lattice)
+    return DifferenceGroup(len(free_rows), images, IntMatrix.from_rows(rows, cols=len(columns)))

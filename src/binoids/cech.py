@@ -249,8 +249,8 @@ def _unit_lattice(gamma: DifferenceGroup, prime: int):
     the prime: U*A*V = S, d_1..d_r the nonzero diagonal and B = A*V[:, :r].
     A*V = U^-1*S, so the columns of B span those of A and U*B = S[:, :r]."""
     outside = [i for i in range(gamma.images.cols) if not prime >> i & 1]
-    A = tuple(tuple(row[i] for i in outside) for row in gamma.images.entries)
-    U, S, V = _smith(IntMatrix(len(A), len(outside), A))
+    A = [[row[i] for i in outside] for row in gamma.images.entries]
+    U, S, V = _smith(A, len(outside))
     d = [S[i][i] for i in range(min(len(A), len(outside))) if S[i][i]]
     cols = list(zip(*V))[: len(d)]
     return [[_dot(row, col) for col in cols] for row in A], U, d

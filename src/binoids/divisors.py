@@ -23,7 +23,7 @@ from operator import mul
 from ._record import Record, setfield
 from .binoid import BinoidPresentation, DifferenceGroup, difference_group
 from .errors import FacetPrimeMismatch, NotFullDimensional, NotPointed
-from .exactalg import FinAbGroup, IntMatrix, cokernel, invariant_factors
+from .exactalg import FinAbGroup, IntMatrix, _dense_factors, cokernel
 from .spectrum import PrimeIdeal, SpecPoset, compute_spec, prime_label
 
 
@@ -82,7 +82,7 @@ def cone_facets(gamma: DifferenceGroup, S: SpecPoset) -> dict:
     """
     r = gamma.rank
     images = gamma.all_images()
-    if len(invariant_factors(IntMatrix.from_rows(images, cols=r))) < r:
+    if len(_dense_factors(images, r)) < r:
         raise NotFullDimensional("generator images do not span the full lattice")
     primes = [(p, mask) for p, mask in zip(S.primes, S._generator_masks()) if mask]
     facets, kept = {}, []
@@ -94,7 +94,7 @@ def cone_facets(gamma: DifferenceGroup, S: SpecPoset) -> dict:
     if None in normals:
         normals = [_facet_normal(images, p, mask, r) for p, mask in primes]
         normals = [normal for normal in normals if normal]
-    if len(invariant_factors(IntMatrix.from_rows(normals, cols=r))) < r:
+    if len(_dense_factors(normals, r)) < r:
         raise NotPointed("generator images contain a line")
     return facets
 
@@ -208,11 +208,8 @@ def regular_in_codim1_check(M: BinoidPresentation) -> RegularityReport:
     evidence = []
     for prime, row in zip(vm.row_primes, vm.matrix.to_lists()):
         witness = next((units[i] for i, v in enumerate(row) if v == 1), None)
-        zero_span = IntMatrix.from_rows(
-            [list(gamma.image_of(i)) for i, v in enumerate(row) if v == 0],
-            cols=gamma.rank,
-        )
-        hyperplane = len(invariant_factors(zero_span)) == gamma.rank - 1
+        zero_span = [gamma.image_of(i) for i, v in enumerate(row) if v == 0]
+        hyperplane = len(_dense_factors(zero_span, gamma.rank)) == gamma.rank - 1
         evidence.append(PrimeEvidence(prime, witness, hyperplane))
     certified = all(e.witness is not None and e.units_span_hyperplane for e in evidence)
     return RegularityReport("Certified" if certified else "Unknown", tuple(evidence))

@@ -6,6 +6,12 @@ groups, and universal-coefficient evaluation for symbolic coefficient
 groups.  All arithmetic uses Python's arbitrary-precision integers;
 nothing here ever touches floats.
 
+Every dense Smith form runs through one kernel, `_smith`, on a list of
+integer rows and a column count, tracking U and V only when asked: the
+unit lattices read both, the difference group U, and the remainders and
+rank checks neither.  IntMatrix remains at the public boundary:
+`smith_normal_form`, `solve_columns`, `invariant_factors`, `cokernel`.
+
 Cohomology needs no certificates.  For free groups
 Z^a --d_in--> Z^b --d_out--> Z^c,
 
@@ -276,90 +282,80 @@ class GroupExpr(Record):
 # Smith normal form
 
 
-def _smith(A: IntMatrix, u: bool = True, v: bool = True):
-    """Lists (U, S, V) with U*A*V = S; U (V) is [] unless u (v) asks for it.
+def _smith(rows: Iterable, n: int, u: bool = True, v: bool = True):
+    """Lists (U, S, V) with U*A*V = S, for A the given integer rows with n
+    columns, left unchanged; U (V) is [] unless u (v) asks for it.
 
-    Pivot choice: smallest nonzero absolute value in the remaining
-    submatrix, which keeps intermediate entries modest at this scale.
+    Every transform, and so every lattice basis, follows from the pivot
+    order.  Step t takes the first least |entry| in row order of rows and
+    columns t.., stopping at the first ±1, and moves it to (t, t).  Rows
+    are cleared below it before columns right of it, and the pivot is
+    chosen again until both are clear.  Then the first row with an entry
+    the pivot does not divide is added to row t and step t starts over,
+    and the sign is fixed last.  The column operations of one pass commute,
+    so they are applied at once to the rows that meet column t.
     """
-    m, n = A.rows, A.cols
-    S = A.to_lists()
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)] if u else []
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)] if v else []
-    S_U = (S, U) if u else (S,)
-
-    def row_op(dst, src, q):
-        for T in S_U:
-            T[dst] = [a + q * b for a, b in zip(T[dst], T[src])]
-
-    def col_op(dst, src, q):
-        for row in S:
-            row[dst] += q * row[src]
-        for row in V:
-            row[dst] += q * row[src]
-
-    def swap_rows(i, j):
-        if i != j:
-            for T in S_U:
-                T[i], T[j] = T[j], T[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in S:
-                row[i], row[j] = row[j], row[i]
-            for row in V:
-                row[i], row[j] = row[j], row[i]
-
-    def negate_row(i):
-        for T in S_U:
-            T[i] = [-a for a in T[i]]
-
-    def smallest_pivot(t):
-        # the first least entry in row order; none is less than a first ±1
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(S[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-                    if v == 1:
-                        return best
-        return best
-
+    S = [list(row) for row in rows]
+    m = len(S)
+    U = [[0] * i + [1] + [0] * (m - 1 - i) for i in range(m)] if u else []
+    V = [[0] * i + [1] + [0] * (n - 1 - i) for i in range(n)] if v else []
     t = 0
-    while t < min(m, n):
-        best = smallest_pivot(t)
-        if best is None:
+    while t < m and t < n:
+        best = 0
+        for i in range(t, m):
+            row = S[i]
+            for j in range(t, n):
+                x = abs(row[j])
+                if x and (not best or x < best):
+                    best, bi, bj = x, i, j
+                    if x == 1:
+                        break
+            if best == 1:
+                break
+        if not best:
             break
-        # isolate a pivot at (t, t)
-        while True:
-            _, i, j = best
-            swap_rows(t, i)
-            swap_cols(t, j)
-            for i in range(t + 1, m):
-                q = S[i][t] // S[t][t]
-                if q:
-                    row_op(i, t, -q)
-            for j in range(t + 1, n):
-                q = S[t][j] // S[t][t]
-                if q:
-                    col_op(j, t, -q)
-            if all(S[i][t] == 0 for i in range(t + 1, m)) and all(
-                S[t][j] == 0 for j in range(t + 1, n)
-            ):
-                break
-            best = smallest_pivot(t)
-        # the pivot must divide every remaining entry
-        offender = None
+        if bi != t:
+            S[t], S[bi] = S[bi], S[t]
+            if u:
+                U[t], U[bi] = U[bi], U[t]
+        if bj != t:
+            for T in (S, V):
+                for row in T:
+                    row[t], row[bj] = row[bj], row[t]
+        top = S[t]
+        p = top[t]
+        clear = True
         for i in range(t + 1, m):
-            if any(S[i][j] % S[t][t] for j in range(t + 1, n)):
-                offender = i
-                break
-        if offender is not None:
-            row_op(t, offender, 1)
+            row = S[i]
+            q = row[t] // p
+            if q:
+                S[i] = row = [a - q * b for a, b in zip(row, top)]
+                if u:
+                    U[i] = [a - q * b for a, b in zip(U[i], U[t])]
+            if row[t]:
+                clear = False
+        qs = [x // p for x in top]
+        qs[t] = 0
+        if any(qs):
+            for T in (S, V):
+                for k, row in enumerate(T):
+                    c = row[t]
+                    if c:
+                        T[k] = [a - q * c for a, q in zip(row, qs)]
+        if not clear or any(S[t][t + 1 :]):
             continue
-        if S[t][t] < 0:
-            negate_row(t)
+        if p != 1 and p != -1:  # else it divides every entry
+            below = range(t + 1, m)
+            offender = next((i for i in below if any(x % p for x in S[i][t + 1 :])), None)
+            if offender is not None:
+                S[t] = [a + b for a, b in zip(S[t], S[offender])]
+                if u:
+                    U[t] = [a + b for a, b in zip(U[t], U[offender])]
+                continue
+        if p < 0:
+            S[t][t] = -p
+            if u:
+                U[t] = [-a for a in U[t]]
         t += 1
     return U, S, V
 
@@ -371,7 +367,7 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     >>> dec.diagonal()
     (2, 4)
     """
-    U, S, V = _smith(A)
+    U, S, V = _smith(A.entries, A.cols)
     return SmithDecomposition(
         IntMatrix.from_rows(U, cols=A.rows),
         IntMatrix.from_rows(S, cols=A.cols),
@@ -485,14 +481,19 @@ def _eliminate(rows: dict, dropped: Iterable = ()) -> list:
     return pivots
 
 
+def _dense_factors(rows: list, n: int) -> tuple:
+    """The nonzero invariant factors of these integer rows of length n, by
+    the dense Smith form tracking neither transform."""
+    _, S, _ = _smith(rows, n, False, False)
+    return tuple(S[i][i] for i in range(min(len(S), n)) if S[i][i])
+
+
 def _remainder_factors(rows: dict) -> tuple:
     """The nonzero invariant factors of a block of sparse rows, by the dense Smith form."""
     if not rows:
         return ()
     rest = sorted({j for row in rows.values() for j in row})
-    block = tuple(tuple(row.get(j, 0) for j in rest) for row in rows.values())
-    _, S, _ = _smith(IntMatrix(len(block), len(rest), block), u=False, v=False)
-    return tuple(S[i][i] for i in range(min(len(block), len(rest))) if S[i][i])
+    return _dense_factors([[row.get(j, 0) for j in rest] for row in rows.values()], len(rest))
 
 
 def _dense(rows: dict, m: int, n: int) -> IntMatrix:
@@ -567,7 +568,7 @@ def solve_columns(B: IntMatrix, C: IntMatrix) -> IntMatrix:
     """
     if C.rows != B.rows:
         raise ValueError("shape mismatch")
-    U, S, V = _smith(B)
+    U, S, V = _smith(B.entries, B.cols)
     d = [S[i][i] for i in range(min(B.rows, B.cols)) if S[i][i]]
     if len(d) < B.cols:
         raise ValueError("matrix does not have full column rank")

@@ -850,9 +850,9 @@ class TestLocalPicardGeneral:
         lattices, solved = [], []
         smith, divide = binoids.cech._smith, binoids.cech._divide
 
-        def recording_smith(A):
-            lattices.append(A.rows)
-            return smith(A)
+        def recording_smith(rows, n, *transforms):
+            lattices.append(len(rows))
+            return smith(rows, n, *transforms)
 
         def recording_divide(U, d, C):
             solved.append(len(d))

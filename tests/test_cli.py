@@ -70,6 +70,18 @@ generators: x y z w t
 relation: x + y = z + w
 """
 
+# smashed with free generators, like the slowest picard-general cases of
+# the benchmark's integral-units workload
+X_Y_5Z_SMASHED = """\
+generators: x y z t
+relation: x + y = 5 z
+"""
+
+TWO_X_3Y_SMASHED_TWICE = """\
+generators: x y s t
+relation: 2 x = 3 y
+"""
+
 SQUARE_POINTS = [(x, y) for x in range(3) for y in range(3)]
 
 NOT_CANCELLATIVE = """\
@@ -452,8 +464,11 @@ class TestPicardGeneralVerb:
             (XYZW_SMASHED, golden("picard_general_xyzw_smashed.json")),
             (presentation_text(quadric_cone(SQUARE_POINTS)),
              golden("picard_general_square_cone.json")),
+            (X_Y_5Z_SMASHED, golden("picard_general_x_y_5z_smashed.json")),
+            (TWO_X_3Y_SMASHED_TWICE, golden("picard_general_2x_3y_smashed_twice.json")),
         ],
-        ids=["x+y=2z", "x+y=z+w", "x+y=z+w smashed", "square cone"],
+        ids=["x+y=2z", "x+y=z+w", "x+y=z+w smashed", "square cone",
+             "x+y=5z smashed", "2x=3y smashed twice"],
     )
     def test_json_document(self, capsys, tmp_path, text, document):
         """The whole document, byte for byte, so a sign or offset slip in a

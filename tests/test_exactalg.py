@@ -1,4 +1,7 @@
 import copy
+import hashlib
+import json
+import pathlib
 import random
 
 import pytest
@@ -300,9 +303,9 @@ class TestFreePivots:
         shapes = []
         smith = exactalg._smith
 
-        def recording(A, **transforms):
-            shapes.append((A.rows, A.cols))
-            return smith(A, **transforms)
+        def recording(rows, n, *transforms):
+            shapes.append((len(rows), n))
+            return smith(rows, n, *transforms)
 
         monkeypatch.setattr(exactalg, "_smith", recording)
         dense = [[2, 0, 0, 0], [0, -3, 2, 0], [0, 0, 1, 1]]
@@ -401,16 +404,55 @@ class TestSolveColumns:
             solve_columns(M(B), M(C))
 
 
+# the dense Smith forms of one integral-units benchmark pass at seed 1
+SMITH_INPUTS = pathlib.Path(__file__).resolve().parent / "data" / "smith_inputs_integral_units.json"
+
+# SHA-256 of json.dumps([U, S, V]) over pinned_smith_inputs(), each with u and
+# v both on, u on only, v on only and neither, as _smith gave them when it
+# took an IntMatrix and worked through helper closures
+SMITH_DIGEST = "5d1cff6cb301c1b4885b835f31e641bc3130c5de661959ed99145aee0db142bf"
+
+
+def pinned_smith_inputs():
+    """(rows, column count): the frozen benchmark inputs, then 300 seeded
+    random matrices up to 6 x 6 with entries in -9..9, some sparse."""
+    inputs = [(rows, n) for n, rows in json.loads(SMITH_INPUTS.read_text())]
+    rng = random.Random(2301)
+    for _ in range(300):
+        m, n = rng.randint(0, 6), rng.randint(0, 6)
+        density = rng.choice((0.3, 0.6, 1.0))
+        inputs.append((
+            [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(n)]
+             for _ in range(m)],
+            n,
+        ))
+    return inputs
+
+
 class TestSmithTransforms:
     def test_untracked_transforms_change_nothing_else(self):
         rng = random.Random(1208)
         for _ in range(100):
             m, n = rng.randint(0, 5), rng.randint(0, 5)
-            A = M([[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)], cols=n)
-            U, S, V = exactalg._smith(A)
-            assert exactalg._smith(A, v=False) == (U, S, [])
-            assert exactalg._smith(A, u=False) == ([], S, V)
-            assert exactalg._smith(A, u=False, v=False) == ([], S, [])
+            A = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+            U, S, V = exactalg._smith(A, n)
+            assert exactalg._smith(A, n, v=False) == (U, S, [])
+            assert exactalg._smith(A, n, u=False) == ([], S, V)
+            assert exactalg._smith(A, n, u=False, v=False) == ([], S, [])
+
+    def test_transforms_pinned(self):
+        # every transform, and so every lattice basis and --json document,
+        # depends on the pivot order: the first least |entry| in row order,
+        # rows cleared before columns, the first offending row added and
+        # the sign fixed last
+        digest = hashlib.sha256()
+        for rows, n in pinned_smith_inputs():
+            given = copy.deepcopy(rows)
+            for u in (True, False):
+                for v in (True, False):
+                    digest.update(json.dumps(exactalg._smith(rows, n, u, v)).encode())
+            assert rows == given
+        assert digest.hexdigest() == SMITH_DIGEST
 
 
 class TestCohomologyOfComplex:
@@ -498,14 +540,14 @@ class TestComplexWideCancellation:
         shapes = []
         smith = exactalg._smith
 
-        def recording(A, **transforms):
-            shapes.append((A.rows, A.cols, transforms))
-            return smith(A, **transforms)
+        def recording(rows, n, *transforms):
+            shapes.append((len(rows), n, transforms))
+            return smith(rows, n, *transforms)
 
         monkeypatch.setattr(exactalg, "_smith", recording)
         assert [str(g) for g in cohomology_of_complex([1, 2, 1], diffs)] == groups
         # only the diagonal is read, so neither transform is tracked
-        assert shapes == [(1, 1, {"u": False, "v": False})]
+        assert shapes == [(1, 1, (False, False))]
 
     def test_sparse_rows_checked(self):
         # d: Z -> Z^2 takes rows 0, 1 and column 0, each row nonempty
