@@ -23,7 +23,7 @@ from .binoid import (
     radical_complex,
 )
 from .divisors import _dot, cone_facets
-from .errors import CompositionNonzero, NotCancellative, VoidComplex
+from .errors import NotCancellative, VoidComplex
 from .exactalg import (
     FinAbGroup,
     GroupExpr,
@@ -33,7 +33,6 @@ from .exactalg import (
     _reduce_complex,
     _smith,
     _sparse_complex,
-    cohomology_of_complex,
 )
 from .simplicial import _SIGN, SimplicialComplex, _bits
 from .spectrum import (
@@ -61,7 +60,8 @@ class CechComplex(Record):
 
     def __init__(self, labels_by_degree, differentials):
         labels = tuple(tuple(degree) for degree in labels_by_degree)
-        rows = _sparse_complex([len(degree) for degree in labels], list(differentials), labels)
+        ranks = [len(degree) for degree in labels]
+        rows = _sparse_complex(ranks, list(differentials), lambda k, r: (k, labels[k][r]))
         setfield(self, "labels_by_degree", labels)
         setfield(self, "_rows", tuple(rows))
 
@@ -178,11 +178,7 @@ def local_picard_formula(delta: SimplicialComplex) -> list[FinAbGroup]:
             if above.bit_count() > shared[v].bit_count():
                 shared[v] = above
     cells = lambda face, above: [v for v in face if not above & shared[v]]
-    ranks, diffs = delta._cochain_data(0, cells)
-    try:
-        return cohomology_of_complex(ranks, diffs)
-    except CompositionNonzero as error:
-        raise delta._cochain_fault(error, 0, cells, diffs) from None
+    return delta._cochain_cohomology(0, cells)
 
 
 def local_picard_cech(delta: SimplicialComplex) -> list[FinAbGroup]:

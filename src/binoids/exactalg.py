@@ -33,16 +33,21 @@ normal form, which tracks neither transform: only its diagonal is read.
 
 `cohomology_of_complex` takes the differentials as sparse rows (or
 IntMatrix), checks d_(j+1) * d_j = 0 sparsely once per consecutive pair
-and then reduces the complex as a whole, from d_0 upward.  A unit pivot
-of d_j cancels a summand Z --±1--> Z of the complex (Kaczynski, Mrozek
-and Ślusarek, "Homology computation by reduction of chain complexes",
-1998), which changes the neighbouring differentials only by deleting one
-row of d_(j-1) and one column of d_(j+1).  So every later differential is
-smaller before it is eliminated, and the remainders left for the dense
-Smith normal form are smaller too.  Each differential costs one copy of
-its rows and one column index: the columns that d_j's pivots drop from
-d_(j+1) are deleted through that index, before its elimination starts,
-and the rows they drop from d_(j-1) come off its remainder.
+and then reduces the complex as a whole, from d_0 upward.  The check,
+`_sparse_complex`, is the one place a nonzero composition is reported:
+every complex of the package hands it a labeller name(k, r) -> (degree,
+label), called only on failure, to name the cell of the row at fault.
+
+A unit pivot of d_j cancels a summand Z --±1--> Z of the complex
+(Kaczynski, Mrozek and Ślusarek, "Homology computation by reduction of
+chain complexes", 1998), which changes the neighbouring differentials
+only by deleting one row of d_(j-1) and one column of d_(j+1).  So every
+later differential is smaller before it is eliminated, and the remainders
+left for the dense Smith normal form are smaller too.  Each differential
+costs one copy of its rows and one column index: the columns that d_j's
+pivots drop from d_(j+1) are deleted through that index, before its
+elimination starts, and the rows they drop from d_(j-1) come off its
+remainder.
 """
 
 from __future__ import annotations
@@ -388,7 +393,8 @@ def _eliminate(rows: dict, dropped: Iterable = ()) -> list:
     """Cancel the unit entries of the matrix with these sparse rows.
 
     First the column index is built, one set of rows per column, and the
-    columns in `dropped` are deleted through it, with any row they empty.
+    columns in `dropped` are deleted through it; on a complex composing to
+    zero they empty no row (see `_reduce_complex`).
     Free pivots come next: a unit entry alone in its row or in its column
     is cancelled with no fill-in, and cancelling it can leave other entries
     alone, so lone rows and columns are taken off a worklist whenever it
@@ -409,10 +415,7 @@ def _eliminate(rows: dict, dropped: Iterable = ()) -> list:
                 cols[j] = {i}
     for j in dropped:
         for i in cols.pop(j, ()):
-            row = rows[i]
-            del row[j]
-            if not row:
-                del rows[i]
+            del rows[i][j]
     lone_rows = [i for i, row in rows.items() if len(row) == 1]
     lone_cols = [j for j, above in cols.items() if len(above) == 1]
     pivots, heap = [], None
@@ -576,14 +579,15 @@ def solve_columns(B: IntMatrix, C: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows(V, cols=B.cols) * Z
 
 
-def _sparse_complex(ranks: list, diffs: list, labels=None) -> list:
+def _sparse_complex(ranks: list, diffs: list, name=None) -> list:
     """The sparse rows of each differential, once the complex is checked.
 
     diffs[j] maps Z^ranks[j] -> Z^ranks[j+1], as an IntMatrix or as sparse
     rows {row: {column: nonzero entry}}, which are kept as given.  Shapes
     raise ValueError and a nonzero d_(j+1) * d_j raises CompositionNonzero,
-    naming the row at fault and, given labels[j][i] for basis vector i of
-    degree j, its degree and label.
+    naming the row at fault and, given the labeller name(k, r) -> (degree,
+    label) of basis vector r of ranks[k], its degree and label.  The
+    labeller is called only then, so a passing check pays nothing for it.
     """
     if len(diffs) != max(len(ranks) - 1, 0):
         raise ValueError("need exactly one differential between consecutive groups")
@@ -604,7 +608,7 @@ def _sparse_complex(ranks: list, diffs: list, labels=None) -> list:
     for j in range(1, len(sparse)):
         r = _nonzero_product_row(sparse[j - 1], sparse[j])
         if r is not None:
-            at = "" if labels is None else " (degree %d, label %r)" % (j + 1, labels[j + 1][r])
+            at = "" if name is None else " (degree %d, label %r)" % name(j + 1, r)
             raise CompositionNonzero("row %d of d_%d * d_%d is not zero%s" % (r, j, j - 1, at))
     return sparse
 
@@ -619,7 +623,9 @@ def _reduce_complex(ranks: list, diffs: list) -> list:
     and rows, so they are dropped without changing any invariant factor:
     the columns by `_eliminate` on its copy of d_(j+1), through its column
     index, before it cancels anything; the rows from the unit-free
-    remainder of d_(j-1) after d_j is eliminated.  The remainders then go
+    remainder of d_(j-1) after d_j is eliminated.  No row of d_(j+1) lies
+    on those columns alone: d_j's pivots form a unimodular block, so such
+    a row would make d_(j+1) * d_j nonzero.  The remainders then go
     to the dense Smith normal form.  Each differential is copied once, row
     by row, so `diffs` is left as it was.
     """

@@ -29,16 +29,16 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 
 from ._record import Record, setfield
-from .errors import CompositionNonzero, NotAFace, UnknownVertex, VoidComplex
+from .errors import NotAFace, UnknownVertex, VoidComplex
 from .exactalg import (
     FinAbGroup,
     GroupExpr,
     IntMatrix,
     TRIVIAL_GROUP,
     _dense,
-    _nonzero_product_row,
+    _reduce_complex,
+    _sparse_complex,
     coefficient_cohomology,
-    cohomology_of_complex,
 )
 
 
@@ -264,25 +264,19 @@ class SimplicialComplex(Record):
             index = here
         return ranks, diffs
 
-    def _cochain_fault(self, error, start: int, labels, diffs) -> CompositionNonzero:
-        """`error`, from checking the complex `_cochain_data(start, labels)`
-        with these differentials, naming the degree and cell of its row.
+    def _cochain_cohomology(self, start: int, labels) -> list[FinAbGroup]:
+        """The cohomology of `_cochain_data(start, labels)`, checked once to
+        compose to zero; a nonzero composition names its degree and cell."""
+        ranks, diffs = self._cochain_data(start, labels)
 
-        The row and its cell are found again here, so a check that passes
-        pays nothing for the name.
-        """
-        for j in range(1, len(diffs)):
-            r = _nonzero_product_row(diffs[j - 1], diffs[j])
-            if r is not None:
-                break
-        degree = start + j + 1
-        for face, above in self._faces_by_dim()[degree].items():
-            cells = labels(face, above)
-            if r < len(cells):
-                return CompositionNonzero(
-                    "%s (degree %d, label %r)" % (error, degree, (face, cells[r]))
-                )
-            r -= len(cells)
+        def name(k, r):  # the r-th cell of degree start + k, walked to only on failure
+            for face, above in self._faces_by_dim()[start + k].items():
+                cells = labels(face, above)
+                if r < len(cells):
+                    return start + k, (face, cells[r])
+                r -= len(cells)
+
+        return _reduce_complex(ranks, _sparse_complex(ranks, diffs, name))
 
     def cochain_complex(self, reduced: bool = False) -> list[IntMatrix]:
         """Differentials of the (reduced) integer cochain complex.
@@ -303,12 +297,7 @@ class SimplicialComplex(Record):
         """
         w = max(map(self._facets_through, self.vertices), key=int.bit_count, default=0)
         outside = lambda face, above: () if above & w else (None,)
-        start = -1 if reduced else 0
-        ranks, diffs = self._cochain_data(start, outside)
-        try:
-            groups = cohomology_of_complex(ranks, diffs)
-        except CompositionNonzero as error:
-            raise self._cochain_fault(error, start, outside, diffs) from None
+        groups = self._cochain_cohomology(-1 if reduced else 0, outside)
         if w and not reduced:
             groups[0] = FinAbGroup(groups[0].free_rank + 1)
         return groups

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import binoids.cech
-import binoids.exactalg
+import binoids.simplicial
 from binoids.binoid import (
     BinoidPresentation,
     DifferenceGroup,
@@ -404,31 +404,33 @@ class TestLocalPicardFormulaAgainstLinks:
 
 
 class TestLocalPicardFormulaComplex:
-    """The formula hands one complex, outside dl v ∪ st w_v for every v, to
-    cohomology_of_complex, and builds no link."""
+    """The formula reduces one complex, outside dl v ∪ st w_v for every v,
+    after one d∘d = 0 check, and builds no link."""
 
     @pytest.fixture
     def handed(self, monkeypatch):
         handed, checked = [], []
-        reduce = binoids.cech.cohomology_of_complex
-        check = binoids.exactalg._sparse_complex
+        reduce = binoids.simplicial._reduce_complex
+        check = binoids.simplicial._sparse_complex
 
         def capture(ranks, diffs):
-            groups = reduce(ranks, diffs)
-            assert checked == [list(ranks)]  # d∘d = 0 was checked on it
+            # d∘d = 0 was checked once, on exactly the complex handed over
+            ((checked_ranks, checked_rows),) = checked
+            assert checked_ranks == list(ranks) and checked_rows is diffs
             checked.clear()
             handed.append(list(ranks))
-            return groups
+            return reduce(ranks, diffs)
 
-        def count(ranks, diffs):
-            checked.append(list(ranks))
-            return check(ranks, diffs)
+        def count(ranks, diffs, name):
+            rows = check(ranks, diffs, name)
+            checked.append((list(ranks), rows))
+            return rows
 
         def no_link(self, face):
             raise AssertionError("link() called")
 
-        monkeypatch.setattr(binoids.cech, "cohomology_of_complex", capture)
-        monkeypatch.setattr(binoids.exactalg, "_sparse_complex", count)
+        monkeypatch.setattr(binoids.simplicial, "_reduce_complex", capture)
+        monkeypatch.setattr(binoids.simplicial, "_sparse_complex", count)
         monkeypatch.setattr(SimplicialComplex, "link", no_link)
         return handed
 

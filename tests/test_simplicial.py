@@ -4,7 +4,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import binoids.exactalg
 import binoids.simplicial
 from binoids.errors import CompositionNonzero, NotAFace, UnknownVertex, VoidComplex
 from binoids.exactalg import FinAbGroup, GroupExpr
@@ -267,27 +266,29 @@ class TestCohomologyAgainstFullCoboundary:
 
 
 class TestCohomologyOutsideOneStar:
-    """The complex handed to cohomology_of_complex leaves out the star of one vertex."""
+    """The complex reduced after one d∘d = 0 check leaves out the star of one vertex."""
 
     @pytest.fixture
     def handed(self, monkeypatch):
         handed, checked = [], []
-        reduce = binoids.simplicial.cohomology_of_complex
-        check = binoids.exactalg._sparse_complex
+        reduce = binoids.simplicial._reduce_complex
+        check = binoids.simplicial._sparse_complex
 
         def capture(ranks, diffs):
-            groups = reduce(ranks, diffs)
-            assert checked == [list(ranks)]  # d∘d = 0 was checked on it
+            # d∘d = 0 was checked once, on exactly the complex handed over
+            ((checked_ranks, checked_rows),) = checked
+            assert checked_ranks == list(ranks) and checked_rows is diffs
             checked.clear()
             handed.append(list(ranks))
-            return groups
+            return reduce(ranks, diffs)
 
-        def count(ranks, diffs):
-            checked.append(list(ranks))
-            return check(ranks, diffs)
+        def count(ranks, diffs, name):
+            rows = check(ranks, diffs, name)
+            checked.append((list(ranks), rows))
+            return rows
 
-        monkeypatch.setattr(binoids.simplicial, "cohomology_of_complex", capture)
-        monkeypatch.setattr(binoids.exactalg, "_sparse_complex", count)
+        monkeypatch.setattr(binoids.simplicial, "_reduce_complex", capture)
+        monkeypatch.setattr(binoids.simplicial, "_sparse_complex", count)
         return handed
 
     def test_full_simplex_hands_over_nothing(self, handed):
