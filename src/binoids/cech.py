@@ -29,6 +29,7 @@ from .exactalg import (
     GroupExpr,
     IntMatrix,
     _dense,
+    _dense_factors,
     _divide,
     _reduce_complex,
     _smith,
@@ -271,6 +272,40 @@ def _check_cancellative(S: SpecPoset, gamma: DifferenceGroup) -> None:
             )
 
 
+def _check_units(M: BinoidPresentation, S: SpecPoset, gamma: DifferenceGroup, ranks: dict) -> None:
+    """At each punctured prime p ≠ ∅, by its bitmask a key of `ranks`,
+    Z^(generators off p) modulo the relations with both sides off p must be
+    free of rank ranks[p], that of the lattice L_p the generators off p
+    span in Γ.
+
+    That quotient is the unit group of the localization at p: every
+    relation is balanced on p, so no derivation between words off p leaves
+    them.  It is L_p when M is cancellative; where it is not, the cells
+    would carry the wrong groups.  At ∅ the units are Γ by definition.
+    Primes that differ only in generators no relation uses keep the same
+    relations and share one Smith form; a prime that meets no
+    relation keeps them all, and Γ is free (`difference_group`).
+    """
+    n = M.generator_count
+    supports = [lhs | rhs for lhs, rhs in S._relations[0]]  # M is integral: all element relations
+    covered = reduce(or_, supports, 0)
+    # the prime's generators in some relation -> the nonzero invariant factors of those it keeps
+    quotients = {0: (1,) * (n - gamma.rank)}
+    for p, mask in zip(S.primes, S._generator_masks()):
+        if not mask or mask not in ranks:
+            continue
+        if mask & covered not in quotients:
+            kept = [rel for used, rel in zip(supports, M.relations) if not used & mask]
+            rows = [[a - b for a, b in zip(rel.lhs, rel.rhs)] for rel in kept]
+            quotients[mask & covered] = _dense_factors(rows, n)
+        factors = quotients[mask & covered]
+        if any(f != 1 for f in factors) or n - mask.bit_count() - len(factors) != ranks[mask]:
+            raise NotCancellative(
+                "not cancellative: the units at the prime %s are not the lattice "
+                "the generators outside it span in the difference group" % prime_label(S, p)
+            )
+
+
 class LocalPicardResult(Record):
     """Groups and cell complex of the punctured spectrum, with the cover
     supports that number the cells' vertices."""
@@ -340,13 +375,15 @@ def local_picard_general(M: BinoidPresentation) -> LocalPicardResult:
     cohomology (Shepard 1985; Curry 2014).  The group of p is the lattice
     of the images A of those generators, with basis B = A*V[:, :r] from
     U*A*V = S, and the restriction from a facet q is S_r^-1*U*B_q.
-    Degree 1 is the local Picard group.
+    Degree 1 is the local Picard group.  That these are the unit groups
+    is checked exactly, by `_check_cancellative` and `_check_units`.
     """
     gamma = difference_group(M)
     S = compute_spec(M)
     _check_cancellative(S, gamma)
     cover, cells, cell = _cell_complex(S)
     lattices = {J: _unit_lattice(gamma, prime) for J, (prime, _) in cell.items()}
+    _check_units(M, S, gamma, {prime: len(lattices[J][2]) for J, (prime, _) in cell.items()})
 
     def block(sub, K):
         X = _divide(*lattices[K][1:], lattices[sub][0])  # U_K, d_K and B_sub

@@ -196,9 +196,11 @@ def regular_in_codim1_check(M: BinoidPresentation) -> RegularityReport:
     """Sufficient criterion for regularity in codimension 1.
 
     Certifies a prime when some generator has valuation exactly 1 and the
-    value-0 generators span a hyperplane.  Values are nonnegative, so no
-    sum of generators has value 1 unless one generator does.  Failure to
-    certify is reported as Unknown, never as a negative.
+    value-0 generators span the lattice of the facet's hyperplane, not only
+    a sublattice of its rank: their images have r - 1 invariant factors,
+    all 1.  Then M_P ≅ Z^(r-1) × N.  Values are nonnegative, so no sum of
+    generators has value 1 unless one generator does.  Failure to certify
+    is reported as Unknown, never as a negative.
     """
     gamma = difference_group(M)
     vm = _valuation_matrix(M, gamma)
@@ -209,7 +211,7 @@ def regular_in_codim1_check(M: BinoidPresentation) -> RegularityReport:
     for prime, row in zip(vm.row_primes, vm.matrix.to_lists()):
         witness = next((units[i] for i, v in enumerate(row) if v == 1), None)
         zero_span = [gamma.image_of(i) for i, v in enumerate(row) if v == 0]
-        hyperplane = len(_dense_factors(zero_span, gamma.rank)) == gamma.rank - 1
+        hyperplane = _dense_factors(zero_span, gamma.rank) == (1,) * (gamma.rank - 1)
         evidence.append(PrimeEvidence(prime, witness, hyperplane))
     certified = all(e.witness is not None and e.units_span_hyperplane for e in evidence)
     return RegularityReport("Certified" if certified else "Unknown", tuple(evidence))

@@ -80,11 +80,14 @@ class NotOpen(PreconditionError):
 # cech
 
 class NotCancellative(PreconditionError):
-    """A prime's complement is not the set of generators on a face of the cone.
+    """The units of the localizations are not what the cell complex of a
+    general integral binoid carries.
 
-    The difference group then does not carry the units of the
-    localizations, so the presentation is outside the Čech computation
-    for general integral binoids.
+    Two exact checks decide it, and a cancellative presentation passes
+    both: each prime's complement is the set of generators on a face of
+    the cone, and at each punctured prime p ≠ ∅, Z^(generators off p)
+    modulo the relations with both sides off p is free of the rank of the
+    lattice those generators span in the difference group.
     """
 
 

@@ -736,3 +736,33 @@ def cech_on_opens(n, relations):
         d_out = diffs[j] if j < len(diffs) else []
         groups.append(naive_complex_cohomology(d_in, d_out, b))
     return groups
+
+
+def unit_quotient_faults(n, relations):
+    """The punctured primes p ≠ ∅ whose units are not the lattice L_p.
+
+    The presentation has generators 0..n-1 and element relations given as
+    (lhs, rhs) exponent vectors; its primes come from `brute_spectrum`.
+    The units at p are Z^(generators off p) modulo the rows lhs - rhs of
+    the relations with both sides off p, read off `naive_snf`, and L_p is
+    the span of the generators off p in Z^n modulo all the rows, whose rank
+    is rk[R; e_i, i off p] - rk R.  A prime is returned, as a tuple of
+    generators in the order of `brute_spectrum`, when the quotient has
+    torsion or a free rank other than rk L_p.
+    """
+    rank = lambda rows: len([d for d in naive_diagonal(rows, n) if d]) if rows else 0
+    supports = [tuple(i for i in range(n) if side[i]) for rel in relations for side in rel]
+    primes = brute_spectrum(n, list(zip(supports[::2], supports[1::2])), [])
+    R = [[a - b for a, b in zip(lhs, rhs)] for lhs, rhs in relations]
+    faults = []
+    for p in primes:
+        if not p or len(p) == n:
+            continue
+        off = [i for i in range(n) if i not in p]
+        kept = [row for row, (lhs, rhs) in zip(R, relations)
+                if not any(lhs[g] or rhs[g] for g in p)]
+        units = naive_cokernel([[row[i] for row in kept] for i in off], cols=len(kept))
+        lattice = rank(R + [[int(j == i) for j in range(n)] for i in off]) - rank(R)
+        if units != (lattice, ()):
+            faults.append(p)
+    return faults

@@ -84,6 +84,7 @@ from oracles import (
     polygon_cone_class_group,
     polygon_cone_facets,
     random_facets,
+    unit_quotient_faults,
 )
 
 # edge vectors of a 10-gon with 20 lattice points (Cl = Z^7 on its cone)
@@ -111,6 +112,45 @@ integral_candidates = st.one_of(
     ),
     st.lists(st.sampled_from(list(product(range(4), repeat=2))), min_size=3, max_size=5,
              unique=True).map(quadric_cone),
+)
+
+
+def with_relations(M, relations):
+    return BinoidPresentation(M.generator_names, M.relations + tuple(relations))
+
+
+def copy_generator(M, g, k, c):
+    """M smashed with t1 and t2, where t1 is a copy of generator g: k g =
+    k t1 and g + c t2 = t1 + c t2.  Γ sees g = t1, but for k > 1 the units
+    at a prime through t2 and not g keep t1 - g, of order k."""
+    n, g = M.generator_count, g % M.generator_count
+    e = lambda i, x: tuple(x if j == i else 0 for j in range(n + 2))
+    plus = lambda u, v: tuple(a + b for a, b in zip(u, v))
+    shifted = plus(e(g, 1), e(n + 1, c)), plus(e(n, 1), e(n + 1, c))
+    return with_relations(smash_free(M, 2), [Relation(e(g, k), e(n, k)), Relation(*shifted)])
+
+
+# integral candidates smashed with a free generator t and given up to two
+# relations u + c t = v + c t, c > 0, which a cancellative binoid would
+# cancel to u = v; and integral candidates with a copy of one generator
+not_cancellable = st.one_of(
+    integral_candidates.flatmap(
+        lambda M: st.lists(
+            st.tuples(*[st.tuples(*[st.integers(0, 2)] * M.generator_count)] * 2,
+                      st.integers(1, 2))
+            .filter(lambda uvc: uvc[0] != uvc[1])
+            .map(lambda uvc: Relation(uvc[0] + uvc[2:], uvc[1] + uvc[2:])),
+            min_size=1,
+            max_size=2,
+        ).map(lambda extra: with_relations(smash_free(M, 1), extra))
+    ),
+    st.builds(copy_generator, integral_candidates, st.integers(0, 4), st.integers(1, 3),
+              st.integers(1, 2)),
+)
+
+# x + z = y + z and 2 x = 2 y: at <z> the unit y - x has order 2
+UNIT_OF_ORDER_TWO = BinoidPresentation(
+    ("x", "y", "z"), (Relation((1, 0, 1), (0, 1, 1)), Relation((2, 0, 0), (0, 2, 0)))
 )
 
 
@@ -896,6 +936,55 @@ class TestLocalPicardGeneral:
         )
         with pytest.raises(NotCancellative, match="<a,c>"):
             local_picard_general(M)
+
+    def test_units_with_torsion_at_a_prime(self):
+        # the primes are the face complements, but Z^{x,y} / (2x - 2y), the
+        # units at <z>, has torsion, which the lattice of x and y in Γ lacks
+        with pytest.raises(NotCancellative) as raised:
+            local_picard_general(UNIT_OF_ORDER_TWO)
+        assert str(raised.value) == (
+            "not cancellative: the units at the prime <z> are not the lattice "
+            "the generators outside it span in the difference group"
+        )
+
+    def test_units_of_too_high_rank_at_a_prime(self):
+        # x + t = y + t: at <t> the units Z^{x,y} have rank 2 and the lattice
+        # of x = y rank 1.  The face check sees this first (<x,t> is a prime
+        # off no face), so the rank half of the units check is called alone
+        M = BinoidPresentation(("x", "y", "t"), (Relation((1, 0, 1), (0, 1, 1)),))
+        S, gamma = compute_spec(M), difference_group(M)
+        punctured = S._generator_masks()[:-1]
+        ranks = {m: len(binoids.cech._unit_lattice(gamma, m)[2]) for m in punctured}
+        with pytest.raises(NotCancellative, match="the units at the prime <t> "):
+            binoids.cech._check_units(M, S, gamma, ranks)
+        with pytest.raises(NotCancellative, match="<x,t> are not the generators on a face"):
+            local_picard_general(M)
+
+    def test_units_of_a_non_cancellative_binoid_that_are_the_lattices(self):
+        # x + y = 2x = 2y with x != y is not cancellative, but its units at
+        # every prime are the lattices, so it gets the groups of its
+        # cancellative quotient, the free binoid on x = y and z
+        M = BinoidPresentation(
+            ("x", "y", "z"), (Relation((1, 1, 0), (2, 0, 0)), Relation((1, 1, 0), (0, 2, 0)))
+        )
+        assert unit_quotient_faults(3, [(rel.lhs, rel.rhs) for rel in M.relations]) == []
+        assert local_picard_general(M).groups == local_picard_general(free_binoid(2)).groups
+
+    @settings(max_examples=150, deadline=None)
+    @given(not_cancellable)
+    @example(UNIT_OF_ORDER_TWO)
+    def test_no_answer_where_the_units_are_not_the_lattices(self, M):
+        faults = unit_quotient_faults(M.generator_count, [(r.lhs, r.rhs) for r in M.relations])
+        try:
+            local_picard_general(M)
+        except NotCancellative as error:  # the face check may come first
+            if "units at the prime" in str(error):  # the first fault, in spectrum order
+                names = M.generator_names
+                assert faults and "<%s>" % ",".join(names[i] for i in faults[0]) in str(error)
+            return
+        except (NotPointed, NotPositive, Torsion):
+            assume(False)
+        assert faults == []
 
 
 class TestMonomialReport:

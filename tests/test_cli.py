@@ -96,6 +96,20 @@ relation: g1 + g0 = 2 g0 + 3 g1
 relation: g1 + g0 = 1 g0 + 2 g1
 """
 
+# x + z = y + z and 2 x = 2 y: at <z> the unit y - x has order 2
+UNIT_OF_ORDER_TWO = """\
+generators: x y z
+relation: x + z = y + z
+relation: 2 x = 2 y
+"""
+
+# x + y = 2 x = 2 y, not cancellative, but its units are the lattices
+LATTICE_UNITS = """\
+generators: x y z
+relation: x + y = 2 x
+relation: x + y = 2 y
+"""
+
 XYZ_INF = """\
 generators: x y z
 relation: x + y + z = inf
@@ -225,6 +239,38 @@ class TestParsing:
         code, out, err = invoke(capsys, "picard", write(tmp_path, document))
         assert (code, out) == (2, "")
         assert message in err
+
+    @pytest.mark.parametrize(
+        "verb, text, message",
+        [
+            ("picard", "vertices: 1 2\nfacet 1 2\n", "line 2: expected 'key: values'"),
+            ("picard", "facet: 1 2\n",
+             "line 1: file must start with 'vertices:', 'generators:' or 'variables:'"),
+            ("picard", "vertices: 1 a 1\n", "line 1: duplicate vertex label"),
+            ("picard", "vertices: a b\nfacet: a c\n", "line 2: vertex 'c' not declared"),
+            ("picard", "vertices: 1 2\nfacet: 1 2 1\n", "line 2: facet repeats a vertex"),
+            ("spec", "generators: x x\n", "line 1: duplicate generator name"),
+            ("spec", "generators: x y\nrelation: x = 2 y z\n", "line 2: cannot read term '2 y z'"),
+            ("spec", "generators: x y\nrelation: x = -1 y\n",
+             "line 2: coefficients must be nonnegative"),
+            ("monomial-report", "variables: x x\n", "line 1: duplicate variable name"),
+            ("monomial-report", "variables: x y\ngen:\n",
+             "line 2: a generator needs at least one variable"),
+            ("monomial-report", "variables: x y\ngen: x^0 y\n", "line 2: powers must be positive"),
+            ("monomial-report", "variables: x y\ngen: x q\n", "line 2: unknown variable 'q'"),
+            ("picard", '{"vertices": {}, "facets": []}', "'vertices' and 'facets' must be lists"),
+            ("picard", '{"vertices": [1, 2], "facets": [[1, 3]]}', "vertex 3 not declared"),
+            ("picard", '{"vertices": [1, 1], "facets": [[1]]}', "duplicate vertex labels"),
+            ("picard", '{"vertices": [1, 2], "facets": [[2, 1, 2]]}',
+             "face with repeated vertex: (2, 1, 2)"),
+        ],
+        ids=["no-colon", "first-key", "duplicate-vertex", "undeclared-name", "facet-repeats",
+             "duplicate-generator", "bad-term", "negative-coefficient", "duplicate-variable",
+             "empty-gen", "zero-power", "unknown-variable", "json-not-lists", "json-undeclared",
+             "json-duplicate-vertex", "json-facet-repeats"],
+    )
+    def test_rejected_input_names_the_fault(self, capsys, tmp_path, verb, text, message):
+        assert invoke(capsys, verb, write(tmp_path, text)) == (2, "", "error: %s\n" % message)
 
     def test_not_utf8_names_the_byte(self, capsys, tmp_path):
         data = b"vertices: 1 2\nfacet: 1 \xff 2\n"
@@ -398,6 +444,12 @@ class TestPicardGeneralVerb:
         for j, line in enumerate(lines[1:]):
             got = invoke(capsys, "picard-general", path, "--degree", str(j))
             assert got == (0, line + "\n", "")
+
+    def test_units_that_are_the_lattices(self, capsys, tmp_path):
+        # not cancellative, but every prime's units are its lattice
+        assert invoke(capsys, "picard-general", write(tmp_path, LATTICE_UNITS)) == (
+            0, "H^0 = 0, H^1 = 0\n", ""
+        )
 
     def test_json(self, capsys, tmp_path):
         code, out, _ = invoke(
@@ -805,8 +857,15 @@ class TestPreconditionDiagnostics:
                 NOT_CANCELLATIVE,
                 "facet supports do not match the height-1 primes: no facet selects <a,c>",
             ),
+            (
+                "picard-general",
+                UNIT_OF_ORDER_TWO,
+                "not cancellative: the units at the prime <z> are not the lattice "
+                "the generators outside it span in the difference group",
+            ),
         ],
-        ids=["element", "squarefree", "monomial", "integral-cl", "integral-pic", "facets"],
+        ids=["element", "squarefree", "monomial", "integral-cl", "integral-pic", "facets",
+             "units"],
     )
     def test_names_the_culprit(self, capsys, tmp_path, verb, text, message):
         code, out, err = invoke(capsys, verb, write(tmp_path, text))
@@ -956,6 +1015,7 @@ ARGV_TABLE = [
     (["picard"], 2, "", BAD),
     (["frobnicate", "P"], 2, "", BAD),
     (["picard", "P", "--bound", "3"], 2, "", BAD),
+    (["pic-open", "P", "--json"], 0, PICARD_JSON, OK),
     (["-h"], 0, _HELP, OK),
     (["--help"], 0, _HELP, OK),
     (["picard", "P", "--help"], 0, _HELP, OK),
@@ -998,6 +1058,11 @@ class TestArgv:
             (["picard", "P", "--json=1"], "argument --json: ignored explicit argument '1'"),
             (["picard", "P", "--help="], "argument -h/--help: ignored explicit argument ''"),
             (["picard", "P", "--d", "1"], "ambiguous option: --d could match --dot, --degree"),
+            (["picard", "P", "--degree", "-1.5"], "argument --degree: invalid int value: '-1.5'"),
+            (["picard", "P", "--degree", "-.5"], "argument --degree: invalid int value: '-.5'"),
+            (["picard", "P", "-1.x"], "unrecognized arguments: -1.x"),
+            (["dot", "P", "--json"], "--json conflicts with DOT output"),
+            (["spec", "P", "--dot", "--json"], "--json conflicts with DOT output"),
         ],
     )
     def test_error_wording(self, capsys, tmp_path, argv, message):

@@ -295,6 +295,17 @@ class TestRegularInCodimensionOne:
         assert report.verdict == "Unknown"
         assert report.evidence[0].witness is None
 
+    def test_value_zero_images_of_index_two_unknown(self):
+        # a + 2 b = 2 c: at <b,c> the image of a, the one value-0 generator,
+        # spans the hyperplane's rank but only an index-2 sublattice of it
+        M = BinoidPresentation(("a", "b", "c"), (Relation((1, 2, 0), (0, 0, 2)),))
+        report = regular_in_codim1_check(M)
+        assert report.verdict == "Unknown"
+        assert [(e.prime, e.witness, e.units_span_hyperplane) for e in report.evidence] == [
+            ((0, 2), (0, 0, 1), True),
+            ((1, 2), (0, 1, 0), False),
+        ]
+
     def test_difference_group_computed_once(self, monkeypatch):
         # the valuations reuse the check's difference group: one Smith form of
         # the relation matrix per check, not two

@@ -17,10 +17,16 @@ import sys
 
 import pytest
 
-from binoids.binoid import BinoidPresentation, Relation, difference_group
+from binoids.binoid import BinoidPresentation, Relation, difference_group, smash_free
 from binoids.cech import local_picard_general, monomial_report, picard_complex_simplicial
 from binoids.divisors import regular_in_codim1_check, valuation_matrix
-from binoids.exactalg import FinAbGroup, GroupExpr, IntMatrix, smith_normal_form
+from binoids.exactalg import (
+    FinAbGroup,
+    GroupExpr,
+    IntMatrix,
+    _canonical_torsion,
+    smith_normal_form,
+)
 from binoids.simplicial import SimplicialComplex
 from binoids.spectrum import SpecPoset, spectrum_of_complex
 
@@ -246,6 +252,39 @@ def test_record(make, make_other, fields, hashable, shown):
     for c in copies:
         assert type(c) is cls and c == a and c == b and repr(c) == shown
         assert vars(c) == vars(a)  # caches included
+
+
+# each constructor's refusal of fields outside its domain, with its message
+REFUSED = [
+    (lambda: Relation((1, 0), (0, 1, 0)), "relation sides over different generators"),
+    (lambda: Relation((1, 0), (1, 0)), "relation with identical sides"),
+    (lambda: BinoidPresentation(("x", "x"), ()), "duplicate generator names"),
+    (lambda: BinoidPresentation(("x", "y"), (Relation((1,), (2,)),)),
+     "relation arity does not match generators"),
+    (lambda: smash_free(BinoidPresentation(("x",), ()), -1), "count must be nonnegative"),
+    (lambda: IntMatrix(-1, 0, ()), "negative dimensions"),
+    (lambda: IntMatrix(2, 1, ((1,),)), "row count mismatch"),
+    (lambda: IntMatrix(1, 2, ((1,),)), "column count mismatch"),
+    (lambda: IntMatrix.from_rows([[1]]) * IntMatrix.from_rows([[1, 2], [3, 4]]),
+     "shape mismatch in matrix product"),
+    (lambda: _canonical_torsion([0]), "torsion orders must be nonzero"),
+    (lambda: GroupExpr("K*", -1), "free power must be nonnegative"),
+    (lambda: GroupExpr("K*", 1).evaluate(0), "modulus must be positive"),
+    (lambda: SimplicialComplex.make([1, 2, 1], [(1, 2)]), "duplicate vertex labels"),
+    (lambda: SimplicialComplex.make([1, 2], [(1, 2, 1)]), "face with repeated vertex: (1, 2, 1)"),
+]
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    REFUSED,
+    ids=["sides", "identical", "names", "arity", "smash", "dimensions", "rows", "columns",
+         "product", "torsion", "free-power", "modulus", "vertices", "face"],
+)
+def test_refused_fields(make, message):
+    with pytest.raises(ValueError) as raised:
+        make()
+    assert str(raised.value) == message
 
 
 def test_not_equal_to_the_tuple_of_its_fields():
