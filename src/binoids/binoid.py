@@ -32,7 +32,7 @@ class Relation(Record):
             if len(rhs) != len(lhs):
                 raise ValueError("relation sides over different generators")
         for x in lhs + (rhs or ()):
-            if not isinstance(x, int) or x < 0:
+            if x.__class__ is not int or x < 0:  # bool is not an exponent
                 raise ValueError("exponents must be nonnegative integers, not %r" % (x,))
         if rhs == lhs:
             raise ValueError("relation with identical sides")

@@ -7,7 +7,11 @@ link cohomology, read off relative cochains on the complex's own faces
 integral binoid gets cellular cohomology on its spectrum, one cell per
 prime.  One constructor, `_cech_complex`, lays out the Čech complexes of
 the coordinate cover and of the minimal cover of an open subset, and the
-cell complex.
+cell complex.  The open subset the command line asks for, the punctured
+height ≤ 1 (Weil) locus of a complex, has its minimal cover read off the
+faces (`_weil_cover`): the prime of a face F has height max |G| - |F| over
+the facets G above F, so the cover is the minimal nonempty faces whose
+facets all have at most |F| + 1 vertices, found with no spectrum.
 """
 
 from __future__ import annotations
@@ -201,13 +205,44 @@ def pic_open_subset(delta: SimplicialComplex, opens: set[PrimeIdeal]) -> list[Fi
     intersections, and the degree-k group is one Z^(union of faces) per
     crosscut k-face.  Degree 1 is Pic of the open set.
     """
-    return _pic_open_subset(spectrum_of_complex(delta), delta, opens)
+    return _pic_open_cover(delta, minimal_cover(spectrum_of_complex(delta), opens))
 
 
-def _pic_open_subset(
-    S: SpecPoset, delta: SimplicialComplex, opens: set[PrimeIdeal]
-) -> list[FinAbGroup]:
-    supports = minimal_cover(S, opens)
+def _weil_cover(delta: SimplicialComplex) -> list[tuple[int, ...]]:
+    """The supports of the minimal cover of the punctured height ≤ 1 locus,
+    as `minimal_cover` gives them, read off the faces.
+
+    The prime of a face F has height max |G| - |F| over the facets G above
+    F, so the locus is the nonempty faces whose facets all have at most
+    |F| + 1 vertices, and the cover has one open D(F) per minimal face F of
+    it.  A face of the locus with a facet of |F| + 1 vertices above it is
+    minimal, since that facet is too large for any smaller face; any other
+    face of it is a facet, minimal unless it minus one vertex is in the locus.
+    """
+    if delta.is_void or not delta.vertices:
+        raise VoidComplex("need a complex with at least one vertex")
+    sizes = [len(f) for f in delta.facets]
+    # wider[k]: the bitmask of the facets with more than k vertices
+    wider = [sum(1 << j for j, s in enumerate(sizes) if s > k) for k in range(max(sizes) + 2)]
+    by_dim = delta._faces_by_dim()
+    position = {v: i for i, v in enumerate(delta.vertices)}
+    cover = []
+    for k, faces in enumerate(list(by_dim.values())[1:], 1):  # k vertices each
+        for face, above in faces.items():
+            if above & wider[k + 1]:
+                continue
+            if k > 1 and not above & wider[k]:  # a facet: is a face below it in the locus?
+                smaller = by_dim[k - 2]
+                if not all(smaller[face[:l] + face[l + 1 :]] & wider[k] for l in range(k)):
+                    continue
+            cover.append(tuple(map(position.__getitem__, face)))
+    cover.sort()
+    return cover
+
+
+def _pic_open_cover(delta: SimplicialComplex, supports: list[tuple[int, ...]]) -> list[FinAbGroup]:
+    """`pic_open_subset` of the open set that the basic opens on these
+    supports, positions in ``delta.vertices``, minimally cover."""
     position = {v: i for i, v in enumerate(delta.vertices)}
     faces = [tuple(delta.vertices[i] for i in sup) for sup in supports]
     ccc = delta.crosscut(faces)

@@ -17,7 +17,8 @@ from .binoid import (
     from_simplicial,
 )
 from .cech import (
-    _pic_open_subset,
+    _pic_open_cover,
+    _weil_cover,
     local_picard_formula,
     local_picard_general,
     monomial_report,
@@ -28,11 +29,10 @@ from .errors import ParseError, PreconditionError, UnknownVertex
 from .exactalg import TRIVIAL_GROUP
 from .simplicial import SimplicialComplex
 from .spectrum import (
+    _labels,
     compute_spec,
     minimal_cover,
     nerve,
-    prime_label,
-    primes_of_height_at_most,
     punctured_spectrum,
     spectrum_of_complex,
     to_dot,
@@ -346,7 +346,7 @@ def _run_spec(ns, obj):
             ],
         }
         return _dump(payload)
-    return "".join(prime_label(S, p) + "\n" for p in S.primes)
+    return "".join([label + "\n" for label in _labels(S, S.primes)])
 
 
 def _run_picard(ns, obj):
@@ -404,9 +404,7 @@ def _run_class_group(ns, obj):
 
 def _run_pic_open(ns, obj):
     delta = _as_complex(obj)
-    S = spectrum_of_complex(delta)
-    weil = primes_of_height_at_most(S, 1) & punctured_spectrum(S)
-    groups = _pic_open_subset(S, delta, weil)
+    groups = _pic_open_cover(delta, _weil_cover(delta))
     if ns.json:
         return _dump(_groups_payload(groups))
     return _format_degrees([str(g) for g in groups], 0, ns.degree)

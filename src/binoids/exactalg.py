@@ -55,7 +55,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Iterable
-from itertools import compress, repeat
+from itertools import compress
 
 from ._record import Record, setfield
 from .errors import CompositionNonzero
@@ -72,6 +72,8 @@ class IntMatrix(Record):
     _fields = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: tuple):
+        if rows.__class__ is not int or cols.__class__ is not int:
+            raise ValueError("dimensions must be integers, not %r" % ((rows, cols),))
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
         if len(entries) != rows:
@@ -79,7 +81,7 @@ class IntMatrix(Record):
         for row in entries:
             if len(row) != cols:
                 raise ValueError("column count mismatch")
-            if not all(map(isinstance, row, repeat(int))):
+            if not {int}.issuperset(map(type, row)):  # bool and float are not entries
                 raise ValueError("entries must be exact integers")
         setfield(self, "rows", rows)
         setfield(self, "cols", cols)
@@ -175,6 +177,8 @@ class FinAbGroup(Record):
     _fields = ("free_rank", "invariant_factors")
 
     def __init__(self, free_rank: int, invariant_factors: Iterable[int] = ()):
+        if free_rank.__class__ is not int:
+            raise ValueError("free rank must be an integer, not %r" % (free_rank,))
         if free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         factors = tuple(invariant_factors)
@@ -241,6 +245,8 @@ class GroupExpr(Record):
         torsion_sub: Iterable[int] = (),
     ):
         cotorsion, torsion_sub = tuple(cotorsion), tuple(torsion_sub)
+        if free_power.__class__ is not int:
+            raise ValueError("free power must be an integer, not %r" % (free_power,))
         if free_power < 0:
             raise ValueError("free power must be nonnegative")
         setfield(self, "symbol", symbol)

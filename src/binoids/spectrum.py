@@ -10,8 +10,15 @@ once, as the interior of a larger prime with one generator taken out, in
 time polynomial in the number of primes.  For the binoid of a
 simplicial complex the primes are the complements of its faces, so
 `spectrum_of_complex` reads them off the faces the complex already holds,
-with no presentation.  Without element relations the primes just above p
-are the p ∪ {g}, g outside p, one Hasse edge per (face, vertex).
+with no presentation and no sort: larger faces give smaller primes, and
+the complements of equal-size faces in lexicographic order come in
+reverse lexicographic order (where two faces first differ, the earlier
+one holds the vertex and so the later one's complement does), so each
+dimension's faces are read backwards, the largest dimension first.
+Without element relations the primes just above p are the p ∪ {g}, g
+outside p, one Hasse edge per (face, vertex).  The nerve of a cover takes
+its points from the minimal primes alone: a smaller prime avoids every
+support a larger one avoids, so the primes above them add no face.
 """
 
 from __future__ import annotations
@@ -101,28 +108,34 @@ class SpecPoset(Record):
         g outside p (a poset built bare skips those it lacks); visiting the
         primes smallest first and handing each to the primes above it keeps
         every cover list sorted and every height final before it is read.
-        With element relations a prime q just below p is the largest prime
-        inside p minus some generator of p outside q, so the lower covers
-        of p are the maximal ones among at most |p| interiors.
+        With element relations the primes inside p are found at once, as
+        the bits of their positions: those without any generator outside
+        p, all before p.  The last of them is just below p, and so is the
+        last of those left after taking out every prime inside one found.
         """
         if self._hasse is None:
-            element_masks, infinity_masks = self._relations
             masks = self._generator_masks()
-            where = {m: i for i, m in enumerate(masks)}
-            if element_masks:
-                covers, heights = [], []
-                for p, mask in zip(self.primes, masks):  # smaller primes come first
-                    below = {
-                        q if q in where else _interior(q, element_masks, infinity_masks)
-                        for q in (mask & ~(1 << g) for g in p)
-                    }
-                    below.discard(None)
-                    below = [q for q in below if not any(q != r and not q & ~r for r in below)]
-                    lower = sorted(where[q] for q in below if q in where)
-                    covers.append(tuple(lower))
-                    heights.append(max((heights[c] + 1 for c in lower), default=0))
+            full = (1 << len(self.generator_names)) - 1
+            if self._relations[0]:
+                without = [0] * len(self.generator_names)  # per generator, the primes lacking it
+                for i, mask in enumerate(masks):
+                    for g in _bits(full & ~mask):
+                        without[g] |= 1 << i
+                inside, covers, heights = [], [], []
+                for i, mask in enumerate(masks):
+                    below = (1 << i) - 1
+                    for g in _bits(full & ~mask):
+                        below &= without[g]
+                    inside.append(below)
+                    lower = []
+                    while below:
+                        j = below.bit_length() - 1
+                        lower.append(j)
+                        below &= ~(inside[j] | 1 << j)
+                    covers.append(lower[::-1])
+                    heights.append(1 + max(map(heights.__getitem__, lower)) if lower else 0)
             else:
-                full = (1 << len(self.generator_names)) - 1
+                where = {m: i for i, m in enumerate(masks)}
                 covers, heights = [[] for _ in masks], [0] * len(masks)
                 for i, mask in enumerate(masks):
                     up, outside = heights[i] + 1, full & ~mask
@@ -160,13 +173,13 @@ def _relation_masks(M: BinoidPresentation):
     return element_masks, infinity_masks
 
 
-def _interior(mask: int, element_masks, infinity_masks) -> int | None:
-    """The largest prime inside ``mask``, or None when no prime lies inside it.
+def _interior(mask: int, element_masks) -> int:
+    """The largest balanced set inside ``mask``.
 
     A relation side that ``mask`` meets while missing the other side can
-    meet no prime inside ``mask``, so it is dropped until every relation
-    is balanced; every prime inside ``mask`` lies in what is left, which
-    is itself prime exactly when it meets every infinity relation.
+    meet no balanced set inside ``mask``, so it is dropped until every
+    relation is balanced; every balanced set inside ``mask`` lies in what
+    is left.  It is prime exactly when it meets every infinity relation.
     """
     unbalanced = True
     while unbalanced:
@@ -175,7 +188,7 @@ def _interior(mask: int, element_masks, infinity_masks) -> int | None:
             if bool(mask & lhs) != bool(mask & rhs):
                 mask &= ~(lhs | rhs)
                 unbalanced = True
-    return mask if all(map(mask.__and__, infinity_masks)) else None
+    return mask
 
 
 def compute_spec(M: BinoidPresentation) -> SpecPoset:
@@ -202,7 +215,7 @@ def compute_spec(M: BinoidPresentation) -> SpecPoset:
         grown.append((mask, rest))
         for k in range(start, len(rest)):  # Q keeps the k generators of P below g
             g = rest[k]
-            q = _interior(mask ^ 1 << g, element_masks, ())
+            q = _interior(mask ^ 1 << g, element_masks)
             dropped = mask ^ q
             if dropped == 1 << g:  # g alone is cut out of P's generators
                 if all(map(q.__and__, through[g])):
@@ -211,13 +224,20 @@ def compute_spec(M: BinoidPresentation) -> SpecPoset:
                 f & q for v in _bits(dropped) for f in through[v]
             ):
                 stack.append((q, tuple(_bits(q)), k))
-    return _spec_poset(M.generator_names, grown, (element_masks, infinity_masks))
+    grown.sort(key=lambda pair: (len(pair[1]), pair[1]))
+    primes = tuple(tuple.__new__(PrimeIdeal, generators) for _, generators in grown)
+    relations = (element_masks, infinity_masks)
+    return SpecPoset(M.generator_names, primes, relations, tuple(mask for mask, _ in grown))
 
 
 def spectrum_of_complex(delta: SimplicialComplex) -> SpecPoset:
     """The spectrum of the binoid of a complex: one prime per face F, the
-    positions in ``delta.vertices`` outside F, grown from the prime of F
-    minus its last vertex and sorted as `compute_spec` sorts.
+    positions in ``delta.vertices`` outside F, in the order of `compute_spec`.
+
+    Each complement is grown from that of F minus its last vertex v, which
+    lies below v, so v is cut out of it at v - |F| + 1.  The primes come
+    by size, largest faces first, and each dimension's faces backwards,
+    since complements of equal-size faces reverse lexicographic order.
 
     >>> S = spectrum_of_complex(SimplicialComplex.from_facets([("a", "b"), ("c",)]))
     >>> [prime_label(S, p) for p in S.primes]
@@ -225,35 +245,19 @@ def spectrum_of_complex(delta: SimplicialComplex) -> SpecPoset:
     """
     if delta.is_void or not delta.vertices:
         raise VoidComplex("need a complex with at least one vertex")
+    n = len(delta.vertices)
     position = {v: i for i, v in enumerate(delta.vertices)}
-    grown = _complements(len(position), delta.all_faces(), position)
-    return _spec_poset(delta.vertices, grown)
-
-
-def _complements(n: int, faces: Iterable[tuple], position) -> Iterable[tuple]:
-    """(bitmask, sorted positions) of the complement in range(n) of each face.
-
-    Each face follows its parent, the face minus its last vertex v; the
-    parent lies below v, so v is cut out of its complement at v - len(parent).
-    """
-    grown = {}
-    for face in faces:
-        if face:
+    by_dim = delta._faces_by_dim()
+    grown = {(): ((1 << n) - 1, tuple(range(n)))}  # face -> (bitmask, positions) of its complement
+    for faces in list(by_dim.values())[1:]:  # after the empty face, parents first
+        for face in faces:
             mask, rest = grown[face[:-1]]
             v = position[face[-1]]
             k = v - len(face) + 1
             grown[face] = (mask ^ 1 << v, rest[:k] + rest[k + 1 :])
-        else:
-            grown[face] = ((1 << n) - 1, tuple(range(n)))
-    return grown.values()
-
-
-def _spec_poset(names: tuple, grown: Iterable[tuple], relations=((), ())) -> SpecPoset:
-    """The poset of the (bitmask, sorted generators) pairs, ordered by size
-    and then generators; it keeps the bitmasks."""
-    pairs = sorted(grown, key=lambda pair: (len(pair[1]), pair[1]))
+    pairs = [grown[face] for faces in reversed(by_dim.values()) for face in reversed(faces)]
     primes = tuple(tuple.__new__(PrimeIdeal, generators) for _, generators in pairs)
-    return SpecPoset(names, primes, relations, tuple(mask for mask, _ in pairs))
+    return SpecPoset(delta.vertices, primes, ((), ()), tuple(mask for mask, _ in pairs))
 
 
 def height(S: SpecPoset, prime: PrimeIdeal) -> int:
@@ -305,14 +309,16 @@ def minimal_cover(S: SpecPoset, opens: Iterable[PrimeIdeal]) -> list[tuple[int, 
     """Supports of the canonical smallest cover of an open set by basic opens.
 
     One basic open per maximal prime of the set; the support is the
-    complement of that prime.  Returned in sorted order.
+    complement of that prime.  Returned in sorted order.  The maximal primes
+    are those that no prime of the set covers: the set holds every prime
+    below its own, so a prime below another one of it lies just below one.
     """
+    U = _check_open(S, opens)
+    covers = S._hasse_diagram()[0]
     masks = S._generator_masks()
-    maximal = []
-    for i in sorted(_check_open(S, opens), reverse=True):  # larger primes first
-        if all(masks[i] & ~masks[k] for k in maximal):
-            maximal.append(i)
-    return sorted(minimal_neighborhood(S, S.primes[i]) for i in maximal)
+    full = (1 << len(S.generator_names)) - 1
+    below = {c for i in U for c in covers[i]}
+    return sorted(tuple(_bits(full & ~masks[i])) for i in U - below)
 
 
 def nerve(S: SpecPoset, cover: Sequence[Sequence[int]]) -> SimplicialComplex:
@@ -321,14 +327,26 @@ def nerve(S: SpecPoset, cover: Sequence[Sequence[int]]) -> SimplicialComplex:
     A set of indices spans a face when the corresponding opens intersect;
     indices whose open is empty are dropped.  Each open is the set of primes
     it holds, so each prime gives one candidate face: the opens holding it.
+    A prime below another holds every open the larger one does, so only the
+    minimal primes, those with no lower cover, are taken as points; an open
+    D(f) holds those outside which every generator of f lies.
     """
-    last_first = S._generator_masks()[::-1]
+    n = len(S.generator_names)
+    full = (1 << n) - 1
+    outside = [0] * n  # per generator, the points it lies outside of
+    points = 0
+    for mask, below in zip(S._generator_masks(), S._hasse_diagram()[0]):
+        if not below:
+            for g in _bits(full & ~mask):
+                outside[g] |= 1 << points
+            points += 1
     opens = []
     for support in cover:
-        avoid = _mask(set(support))
-        # one binary digit per prime, the last first: 1 when it avoids the support
-        opens.append(int("0" + "".join(["0" if m & avoid else "1" for m in last_first]), 2))
-    return nerve_of_sets(opens, len(last_first))
+        held = (1 << points) - 1
+        for g in _bits(_mask(set(support)) & full):
+            held &= outside[g]
+        opens.append(held)
+    return nerve_of_sets(opens, points)
 
 
 def connected_components(S: SpecPoset, opens: Iterable[PrimeIdeal]) -> int:
@@ -353,21 +371,39 @@ def connected_components(S: SpecPoset, opens: Iterable[PrimeIdeal]) -> int:
     return len({find(i) for i in U})
 
 
+def _labels(S: SpecPoset, primes: Iterable[PrimeIdeal], text=str) -> list[str]:
+    """Display forms of primes: generator names between angle brackets,
+    <inf> for the empty prime; ``text`` turns each name into a string, once."""
+    names = list(map(text, S.generator_names))
+    return ["<" + ",".join(map(names.__getitem__, p)) + ">" if p else "<inf>" for p in primes]
+
+
+def _dot_text(name) -> str:
+    """A name inside a DOT string, its backslashes and quotes escaped."""
+    return str(name).replace("\\", "\\\\").replace('"', '\\"')
+
+
 def prime_label(S: SpecPoset, prime: PrimeIdeal) -> str:
     """Display form of a prime: generator names between angle brackets."""
-    if not prime:
-        return "<inf>"
-    names = S.generator_names
-    return "<" + ",".join([str(names[i]) for i in prime]) + ">"
+    return _labels(S, (prime,))[0]
 
 
 def to_dot(S: SpecPoset) -> str:
-    """Hasse diagram of the spectrum in DOT format, maximal primes on top."""
+    """Hasse diagram of the spectrum in DOT format, maximal primes on top.
+
+    The edges come sorted with no sort: each prime's upper covers are
+    listed as the primes above it are passed in order.
+    """
     lines = ["digraph spec {", "  rankdir=BT;"]
-    for i, p in enumerate(S.primes):
-        lines.append(f'  p{i} [label="{prime_label(S, p)}"];')
+    lines += ['  p%d [label="%s"];' % node for node in enumerate(_labels(S, S.primes, _dot_text))]
     covers = S._hasse_diagram()[0]
-    for a, b in sorted((c, i) for i, below in enumerate(covers) for c in below):
-        lines.append(f"  p{a} -> p{b};")
+    above = [[] for _ in covers]
+    for i, below in enumerate(covers):
+        for c in below:
+            above[c].append(i)
+    heads = ["p%d;" % i for i in range(len(covers))]
+    for a, up in enumerate(above):
+        tail = "  p%d -> " % a
+        lines += [tail + heads[b] for b in up]
     lines.append("}")
     return "\n".join(lines) + "\n"

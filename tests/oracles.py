@@ -573,6 +573,19 @@ def weil_pic_open_ranks(facets):
     return h0, h1
 
 
+def brute_weil_cover(vertices, facets):
+    """The minimal faces of the punctured height-<=1 locus (as in
+    `weil_pic_open_ranks`), each as its sorted positions in `vertices`,
+    in sorted order."""
+    position = {v: i for i, v in enumerate(vertices)}
+    locus = [
+        f for f in brute_faces(facets)
+        if f and max(len(g) for g in facets if f <= set(g)) <= len(f) + 1
+    ]
+    minimal = [f for f in locus if not any(g < f for g in locus)]
+    return sorted(tuple(sorted(position[v] for v in f)) for f in minimal)
+
+
 def brute_simplicial_cohomology(vertices, facets, reduced):
     """(free_rank, factors) of H^j of the complex, from j = 0 (reduced: j = -1).
 

@@ -372,6 +372,22 @@ class TestDotVerb:
         _, second, _ = invoke(capsys, "dot", path)
         assert first == second
 
+    def test_quotes_and_backslashes_in_names_are_escaped(self, capsys, tmp_path):
+        """Inside a DOT string a name's quotes and backslashes are escaped;
+        other names, and `spec`'s text, print as they are."""
+        path = write(tmp_path, 'generators: a"b c\\d e\n')
+        code, out, _ = invoke(capsys, "dot", path)
+        assert code == 0
+        assert out.splitlines()[2:6] == [
+            '  p0 [label="<inf>"];',
+            r'  p1 [label="<a\"b>"];',
+            r'  p2 [label="<c\\d>"];',
+            '  p3 [label="<e>"];',
+        ]
+        assert r'  p7 [label="<a\"b,c\\d,e>"];' in out.splitlines()
+        _, text, _ = invoke(capsys, "spec", path)
+        assert text.splitlines()[:4] == ["<inf>", '<a"b>', r"<c\d>", "<e>"]
+
 
 class TestPicardVerb:
     def test_favourite_example(self, capsys, tmp_path):

@@ -5,7 +5,10 @@ off a cached Hasse diagram; the oracles in `oracles.py` scan every subset
 instead and never import the package.
 """
 
+import contextlib
+import io
 import json
+import tempfile
 from itertools import combinations, product
 from math import comb
 
@@ -19,7 +22,7 @@ from binoids.binoid import (
     from_simplicial,
     radical_complex,
 )
-from binoids.cech import _pic_open_subset, pic_open_subset
+from binoids.cech import _pic_open_cover, _weil_cover, pic_open_subset
 from binoids.cli import main
 from binoids.errors import NotAFace, NotOpen, UnknownVertex
 from binoids.simplicial import SimplicialComplex
@@ -47,6 +50,7 @@ from oracles import (
     brute_minimal_nonfaces,
     brute_nerve,
     brute_spectrum,
+    brute_weil_cover,
     weil_pic_open_ranks,
 )
 
@@ -197,9 +201,49 @@ class TestSpectrumAgainstSubsetScan:
         weil = [primes_of_height_at_most(X, 1) & punctured_spectrum(X) for X in (S, T)]
         assert weil[0] == weil[1]
         groups = pic_open_subset(c, weil[1])
-        assert groups == _pic_open_subset(T, c, weil[1])
+        assert groups == _pic_open_cover(c, _weil_cover(c))
         ranks = [g.free_rank for g in groups] + [0, 0]  # the list stops at the top degree
         assert tuple(ranks[:2]) == weil_pic_open_ranks(c.facets)
+
+
+class TestReadOffTheFaces:
+    """What the command line reads off a complex's faces without the general
+    route: the Weil locus's cover, and the primes' labels in their order."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(complexes_with_isolated_vertices())
+    def test_weil_cover(self, c):
+        S = spectrum_of_complex(c)
+        weil = primes_of_height_at_most(S, 1) & punctured_spectrum(S)
+        assert _weil_cover(c) == minimal_cover(S, weil) == brute_weil_cover(c.vertices, c.facets)
+
+    @settings(max_examples=60, deadline=None)
+    @given(complexes_with_isolated_vertices(), st.data())
+    def test_spec_text_and_dot_nodes(self, c, data):
+        """Vertices named by integers, by strings or by both."""
+        n = len(c.vertices)
+        named = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        label = {v: "v%d" % v if s else v for v, s in zip(c.vertices, named)}
+        names = [label[v] for v in c.vertices]
+        text = "vertices: %s\n" % " ".join(map(str, names))
+        text += "".join("facet: %s\n" % " ".join(str(label[v]) for v in f) for f in c.facets)
+        supports = [set(s) for s in brute_minimal_nonfaces(c.vertices, c.facets)]
+        shown = [
+            "<%s>" % ",".join(str(names[i]) for i in p) if p else "<inf>"
+            for p in brute_spectrum(n, [], supports)
+        ]
+        with tempfile.TemporaryDirectory() as folder:
+            path = folder + "/complex.cplx"
+            with open(path, "w") as handle:
+                handle.write(text)
+            outputs = []
+            for verb in ("spec", "dot"):
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    assert main([verb, path]) == 0
+                outputs.append(out.getvalue())
+        assert outputs[0] == "".join(s + "\n" for s in shown)
+        nodes = [line for line in outputs[1].splitlines() if "label=" in line]
+        assert nodes == ['  p%d [label="%s"];' % pair for pair in enumerate(shown)]
 
 
 class TestUpwardWalk:
@@ -412,6 +456,21 @@ class TestCrosscutAndNerveAgainstSubsetScan:
         )
         N = nerve(S, cover)
         expected = brute_nerve(spec_tuples(S), cover)
+        assert {f for f in N.all_faces() if f} == expected
+        assert N.vertices == tuple(sorted({i for f in expected for i in f}))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(integral_presentations(), mixed_presentations()), st.data())
+    def test_nerve_with_element_relations(self, M, data):
+        """The nerve's points are the minimal primes; with element relations
+        they are not the complements of facets."""
+        S = compute_spec(M)
+        n = M.generator_count
+        cover = data.draw(
+            st.lists(st.lists(st.integers(0, n - 1), max_size=n, unique=True), max_size=6)
+        )
+        N = nerve(S, cover)
+        expected = brute_nerve(brute_spectrum(n, *supports(M)), cover)
         assert {f for f in N.all_faces() if f} == expected
         assert N.vertices == tuple(sorted({i for f in expected for i in f}))
 

@@ -272,6 +272,17 @@ REFUSED = [
     (lambda: GroupExpr("K*", 1).evaluate(0), "modulus must be positive"),
     (lambda: SimplicialComplex.make([1, 2, 1], [(1, 2)]), "duplicate vertex labels"),
     (lambda: SimplicialComplex.make([1, 2], [(1, 2, 1)]), "face with repeated vertex: (1, 2, 1)"),
+    # bool is an int subclass, but no exponent, entry or count
+    (lambda: Relation((True, 0), (0, 2)), "exponents must be nonnegative integers, not True"),
+    (lambda: Relation((1, 0), (0, 2.0)), "exponents must be nonnegative integers, not 2.0"),
+    (lambda: IntMatrix(1, 1, ((True,),)), "entries must be exact integers"),
+    (lambda: IntMatrix.from_rows([[1, 2.0]]), "entries must be exact integers"),
+    (lambda: IntMatrix(True, 0, ((),)), "dimensions must be integers, not (True, 0)"),
+    (lambda: FinAbGroup(True), "free rank must be an integer, not True"),
+    (lambda: FinAbGroup(1.5), "free rank must be an integer, not 1.5"),
+    (lambda: FinAbGroup(-1), "free rank must be nonnegative"),
+    (lambda: GroupExpr("K*", True), "free power must be an integer, not True"),
+    (lambda: GroupExpr("K*", 2.0), "free power must be an integer, not 2.0"),
 ]
 
 
@@ -279,7 +290,10 @@ REFUSED = [
     "make, message",
     REFUSED,
     ids=["sides", "identical", "names", "arity", "smash", "dimensions", "rows", "columns",
-         "product", "torsion", "free-power", "modulus", "vertices", "face"],
+         "product", "torsion", "free-power", "modulus", "vertices", "face",
+         "bool-exponent", "float-exponent", "bool-entry", "float-entry", "bool-dimension",
+         "bool-free-rank", "float-free-rank", "negative-free-rank", "bool-free-power",
+         "float-free-power"],
 )
 def test_refused_fields(make, message):
     with pytest.raises(ValueError) as raised:
