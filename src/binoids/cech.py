@@ -26,7 +26,7 @@ from .binoid import (
     difference_group,
     radical_complex,
 )
-from .divisors import _dot, cone_facets
+from .divisors import _cone_facets, _dot
 from .errors import NotCancellative, VoidComplex
 from .exactalg import (
     FinAbGroup,
@@ -39,14 +39,14 @@ from .exactalg import (
     _smith,
     _sparse_complex,
 )
-from .simplicial import _SIGN, SimplicialComplex, _bits
+from .simplicial import _SIGN, SimplicialComplex
 from .spectrum import (
     PrimeIdeal,
     SpecPoset,
-    _mask,
+    _labels,
+    _punctured_cover,
     compute_spec,
     minimal_cover,
-    prime_label,
     spectrum_of_complex,
 )
 
@@ -298,12 +298,12 @@ def _check_cancellative(S: SpecPoset, gamma: DifferenceGroup) -> None:
     presentation is not cancellative, and then the difference group does
     not see the units of the localizations.
     """
-    facets = [_mask(p) for p, normal in cone_facets(gamma, S).items() if normal]
-    for p, mask in zip(S.primes, S._generator_masks()):
+    facets = [q for q, normal in _cone_facets(gamma, S).items() if normal]
+    for mask in S._primes:
         if reduce(or_, (q for q in facets if not q & ~mask), 0) != mask:
             raise NotCancellative(
                 "not cancellative: the generators outside the prime %s "
-                "are not the generators on a face of the cone" % prime_label(S, p)
+                "are not the generators on a face of the cone" % _labels(S, (mask,))[0]
             )
 
 
@@ -326,7 +326,7 @@ def _check_units(M: BinoidPresentation, S: SpecPoset, gamma: DifferenceGroup, ra
     covered = reduce(or_, supports, 0)
     # the prime's generators in some relation -> the nonzero invariant factors of those it keeps
     quotients = {0: (1,) * (n - gamma.rank)}
-    for p, mask in zip(S.primes, S._generator_masks()):
+    for mask in S._primes:
         if not mask or mask not in ranks:
             continue
         if mask & covered not in quotients:
@@ -337,7 +337,7 @@ def _check_units(M: BinoidPresentation, S: SpecPoset, gamma: DifferenceGroup, ra
         if any(f != 1 for f in factors) or n - mask.bit_count() - len(factors) != ranks[mask]:
             raise NotCancellative(
                 "not cancellative: the units at the prime %s are not the lattice "
-                "the generators outside it span in the difference group" % prime_label(S, p)
+                "the generators outside it span in the difference group" % _labels(S, (mask,))[0]
             )
 
 
@@ -374,11 +374,11 @@ def _cell_complex(S: SpecPoset) -> tuple:
     through a ridge, which fixes the rest.
     """
     covers, heights = S._hasse_diagram()
-    masks = S._generator_masks()
+    masks = S._primes
     top = len(masks) - 1  # the maximal ideal
     above = [[] for _ in range(top)]  # the primes just above, added as they are passed
     labels, signed = [()] * top, [None] * top  # signed: per cell, {facet: sign}
-    vertices = sorted((tuple(_bits(masks[top] & ~masks[v])), v) for v in covers[top])
+    vertices = _punctured_cover(S)
     for j, (_, v) in enumerate(vertices):
         labels[v] = (j,)
     cells = [[] for _ in range(heights[top])]

@@ -30,10 +30,10 @@ from .exactalg import TRIVIAL_GROUP
 from .simplicial import SimplicialComplex
 from .spectrum import (
     _labels,
+    _members,
+    _punctured_cover,
     compute_spec,
-    minimal_cover,
     nerve,
-    punctured_spectrum,
     spectrum_of_complex,
     to_dot,
 )
@@ -341,12 +341,12 @@ def _run_spec(ns, obj):
         payload = {
             "generators": list(names),
             "primes": [
-                {"generators": [names[i] for i in p], "height": h}
-                for p, h in zip(S.primes, S._hasse_diagram()[1])
+                {"generators": list(_members(m, names)), "height": h}
+                for m, h in zip(S._primes, S._hasse_diagram()[1])
             ],
         }
         return _dump(payload)
-    return "".join([label + "\n" for label in _labels(S, S.primes)])
+    return "".join([label + "\n" for label in _labels(S, S._primes)])
 
 
 def _run_picard(ns, obj):
@@ -365,7 +365,7 @@ def _run_picard_general(ns, obj):
 
 def _cover_nerve(obj):
     S = _spectrum(obj)
-    cover = minimal_cover(S, punctured_spectrum(S))
+    cover = [support for support, _ in _punctured_cover(S)]
     return S, cover, nerve(S, cover)
 
 

@@ -24,7 +24,8 @@ from ._record import Record, setfield
 from .binoid import BinoidPresentation, DifferenceGroup, difference_group
 from .errors import FacetPrimeMismatch, NotFullDimensional, NotPointed
 from .exactalg import FinAbGroup, IntMatrix, _dense_factors, cokernel
-from .spectrum import PrimeIdeal, SpecPoset, compute_spec, prime_label
+from .simplicial import _bits
+from .spectrum import PrimeIdeal, SpecPoset, _labels, _prime, compute_spec
 
 
 def _dot(u: tuple[int, ...], v: tuple[int, ...]) -> int:
@@ -58,21 +59,28 @@ def _kernel_line(vectors: list, r: int) -> list | None:
     return x
 
 
-def _facet_normal(images: list, p: PrimeIdeal, mask: int, r: int) -> tuple | None:
-    """The primitive normal zero on the images outside p and positive on
-    those of p, or None when there is none."""
+def _facet_normal(images: list, mask: int, r: int) -> tuple | None:
+    """The primitive normal zero on the images outside the prime of a
+    nonzero bitmask and positive on those of it, or None when there is none."""
     kernel = _kernel_line([v for i, v in enumerate(images) if not mask >> i & 1], r)
     if kernel is None:
         return None
-    g = gcd(*kernel) * (1 if _dot(kernel, images[p[0]]) > 0 else -1)
+    inside = [images[i] for i in _bits(mask)]
+    g = gcd(*kernel) * (1 if _dot(kernel, inside[0]) > 0 else -1)
     normal = tuple(x // g for x in kernel)
-    return normal if all(_dot(normal, images[i]) > 0 for i in p) else None
+    return normal if all(_dot(normal, v) > 0 for v in inside) else None
 
 
 def cone_facets(gamma: DifferenceGroup, S: SpecPoset) -> dict:
     """Per minimal nonempty prime p of S, in the order of S, the primitive
     inner normal of the facet of cone(generator images) whose generators
     are those outside p, or None when there is no such facet.
+    """
+    return {_prime(mask): normal for mask, normal in _cone_facets(gamma, S).items()}
+
+
+def _cone_facets(gamma: DifferenceGroup, S: SpecPoset) -> dict:
+    """`cone_facets` keyed on the primes' bitmasks.
 
     Primes come sorted by size, so the minimal nonempty ones are those
     holding none kept before.  When each has its facet, these are all the
@@ -84,15 +92,14 @@ def cone_facets(gamma: DifferenceGroup, S: SpecPoset) -> dict:
     images = gamma.all_images()
     if len(_dense_factors(images, r)) < r:
         raise NotFullDimensional("generator images do not span the full lattice")
-    primes = [(p, mask) for p, mask in zip(S.primes, S._generator_masks()) if mask]
-    facets, kept = {}, []
-    for p, mask in primes:
-        if all(q & ~mask for q in kept):
-            kept.append(mask)
-            facets[p] = _facet_normal(images, p, mask, r)
+    primes = [mask for mask in S._primes if mask]
+    facets = {}
+    for mask in primes:
+        if all(q & ~mask for q in facets):
+            facets[mask] = _facet_normal(images, mask, r)
     normals = list(facets.values())
     if None in normals:
-        normals = [_facet_normal(images, p, mask, r) for p, mask in primes]
+        normals = [_facet_normal(images, mask, r) for mask in primes]
         normals = [normal for normal in normals if normal]
     if len(_dense_factors(normals, r)) < r:
         raise NotPointed("generator images contain a line")
@@ -131,20 +138,20 @@ def valuation_matrix(M: BinoidPresentation) -> ValuationMatrix:
 def _valuation_matrix(M: BinoidPresentation, gamma: DifferenceGroup) -> ValuationMatrix:
     """`valuation_matrix` on the difference group of M, computed once by the caller."""
     S = compute_spec(M)
-    facets = cone_facets(gamma, S)
-    missing = next((p for p, normal in facets.items() if normal is None), None)
+    facets = _cone_facets(gamma, S)
+    missing = next((mask for mask, normal in facets.items() if normal is None), None)
     if missing is not None:
         raise FacetPrimeMismatch(
             "facet supports do not match the height-1 primes: "
-            "no facet selects %s" % prime_label(S, missing)
+            "no facet selects %s" % _labels(S, (missing,))[0]
         )
     images = gamma.all_images()
-    ordered = sorted(facets)
+    normals = dict(sorted((_prime(mask), normal) for mask, normal in facets.items()))
     return ValuationMatrix(
-        IntMatrix.from_rows([[_dot(facets[p], v) for v in images] for p in ordered],
+        IntMatrix.from_rows([[_dot(normal, v) for v in images] for normal in normals.values()],
                             cols=len(images)),
-        tuple(ordered),
-        tuple(facets[p] for p in ordered),
+        tuple(normals),
+        tuple(normals.values()),
     )
 
 

@@ -150,9 +150,10 @@ class SimplicialComplex(Record):
     def _faces_by_dim(self) -> dict:
         """{d: {face: _above(face)}} with each dimension in lexicographic order.
 
-        Faces grow, with their labels, one later vertex at a time, trying
-        only the vertices that share a facet with their last one, so the
-        work follows the faces even when most vertex pairs are not edges.
+        Each dimension grows from the one before, each face by one later
+        vertex at a time, trying only the vertices that share a facet with
+        its last one, so the work follows the faces even when most vertex
+        pairs are not edges.
         """
         if self._faces is None:
             vertices = self.vertices
@@ -166,13 +167,15 @@ class SimplicialComplex(Record):
             # the empty face, at position -1, may grow by any vertex
             later = [sorted(s) for s in later] + [range(len(vertices))]
             by_dim = {}
-            grown = [((), -1, (1 << len(self.facets)) - 1)] if self.facets else []
-            for face, last, above in grown:  # grows while it is read
-                by_dim.setdefault(len(face) - 1, {})[face] = above
-                for i in later[last]:
-                    common = above & through[i]
-                    if common:
-                        grown.append((face + (vertices[i],), i, common))
+            layer = [((), -1, (1 << len(self.facets)) - 1)] if self.facets else []
+            while layer:  # (face, position of its last vertex, facets above it)
+                by_dim[len(layer[0][0]) - 1] = {face: above for face, _, above in layer}
+                layer = [
+                    (face + (vertices[i],), i, common)
+                    for face, last, above in layer
+                    for i in later[last]
+                    if (common := above & through[i])
+                ]
             object.__setattr__(self, "_faces", by_dim)
         return self._faces
 

@@ -3,8 +3,11 @@
 A subset of the generators spans a prime ideal exactly when every element
 relation has both or neither side supported on it and every infinity
 relation is supported on it.  The spectrum is the resulting union-closed
-family, ordered by inclusion.  Balanced sets are closed under union, so
-every generator subset holds a largest balanced one, its interior, and
+family, ordered by inclusion.  A spectrum holds each prime once, as the
+int bitmask of its generators; the public functions take and give
+`PrimeIdeal` tuples, turning them into bitmasks once on entry and building
+them from bitmasks only on return.  Balanced sets are closed under union,
+so every generator subset holds a largest balanced one, its interior, and
 `compute_spec` lists the primes by Close-by-One: each prime is reached
 once, as the interior of a larger prime with one generator taken out, in
 time polynomial in the number of primes.  For the binoid of a
@@ -18,12 +21,15 @@ dimension's faces are read backwards, the largest dimension first.
 Without element relations the primes just above p are the p ∪ {g}, g
 outside p, one Hasse edge per (face, vertex).  The nerve of a cover takes
 its points from the minimal primes alone: a smaller prime avoids every
-support a larger one avoids, so the primes above them add no face.
+support a larger one avoids, so the primes above them add no face.  The
+minimal cover of the punctured spectrum is the complements of the primes
+just below the maximal ideal (`_punctured_cover`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import compress
 
 from ._record import Record, setfield
 from .binoid import BinoidPresentation, _support
@@ -32,8 +38,9 @@ from .simplicial import SimplicialComplex, _bits, nerve_of_sets
 
 
 class PrimeIdeal(tuple):
-    """A prime ideal: the tuple of the sorted generator indices it contains,
-    which it equals, hashes and orders as.
+    """A prime ideal as the public view shows it: the tuple of the sorted
+    generator indices it contains, which it equals, hashes and orders as.
+    A spectrum holds each prime as a bitmask and builds these on request.
 
     >>> PrimeIdeal((2, 0)), PrimeIdeal((2, 0)) == (0, 2)
     (PrimeIdeal(generator_subset=(0, 2)), True)
@@ -52,69 +59,82 @@ class PrimeIdeal(tuple):
         return "PrimeIdeal(generator_subset=%r)" % (tuple(self),)
 
 
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _members(mask: int, items: Sequence):
+    """The items at the set bits of a mask, in order.  The binary digits are
+    read in C, so a prime with thousands of generators costs no Python step
+    per generator."""
+    return compress(items, bin(mask)[:1:-1].encode().translate(_DIGITS))
+
+
+def _prime(mask: int) -> PrimeIdeal:
+    """The PrimeIdeal of the generators on the bits of a mask."""
+    return tuple.__new__(PrimeIdeal, _members(mask, range(mask.bit_length())))
+
+
 class SpecPoset(Record):
     """All prime ideals of a presentation, sorted by size then lexicographically.
 
-    The relation supports are kept as `_relation_masks` gives them (none for
-    a complex), and the primes' generator bitmasks as the enumeration found
-    them; neither is compared or shown.  The position index, the Hasse
-    diagram with the heights and any bitmasks not given are built on first
-    use and kept.
+    Each prime is held once, as the bitmask of its generators, which is
+    compared; `primes` builds the PrimeIdeals shown on every call.  The
+    relation supports are kept as `_relation_masks` gives them (none for a
+    complex), neither compared nor shown.  The position index, keyed on the
+    bitmasks, and the Hasse diagram with the heights are built on first use
+    and kept.
     """
 
-    _fields = ("generator_names", "primes")
+    _fields = ("generator_names", "_primes")
     _index = _hasse = None
 
-    def __init__(
-        self,
-        generator_names: tuple,
-        primes: tuple[PrimeIdeal, ...],
-        _relations: tuple = ((), ()),
-        _masks: tuple | None = None,
-    ):
+    def __init__(self, generator_names: tuple, primes: tuple[int, ...], _relations=((), ())):
         setfield(self, "generator_names", generator_names)
-        setfield(self, "primes", primes)
+        setfield(self, "_primes", primes)
         setfield(self, "_relations", _relations)
-        setfield(self, "_masks", _masks)
 
-    def _positions(self) -> dict:
-        if self._index is None:
-            lookup = {p: i for i, p in enumerate(self.primes)}
-            object.__setattr__(self, "_index", lookup)
-        return self._index
+    @property
+    def primes(self) -> tuple[PrimeIdeal, ...]:
+        return tuple(map(_prime, self._primes))
+
+    def __repr__(self):
+        return "SpecPoset(generator_names=%r, primes=%r)" % (self.generator_names, self.primes)
 
     def position_of(self, prime: PrimeIdeal) -> int:
         if not isinstance(prime, PrimeIdeal):
             raise NotInSpec(f"{prime!r} is not a PrimeIdeal")
-        positions = self._positions()
-        if prime not in positions:
+        if self._index is None:
+            object.__setattr__(self, "_index", {m: i for i, m in enumerate(self._primes)})
+        try:
+            mask = sum(1 << g for g in prime)
+        except (TypeError, ValueError):  # not a generator index
+            mask = None
+        # a repeated generator carries into fewer bits than the prime has entries
+        if mask is None or mask.bit_count() != len(prime) or mask not in self._index:
             raise NotInSpec(f"{prime.generator_subset} is not a prime ideal here")
-        return positions[prime]
+        return self._index[mask]
 
     def __contains__(self, prime) -> bool:
-        return isinstance(prime, PrimeIdeal) and prime in self._positions()
-
-    def _generator_masks(self) -> tuple:
-        """Per position, the prime's generators as a bitmask."""
-        if self._masks is None:
-            masks = tuple(map(_mask, self.primes))
-            object.__setattr__(self, "_masks", masks)
-        return self._masks
+        try:
+            self.position_of(prime)
+        except NotInSpec:
+            return False
+        return True
 
     def _hasse_diagram(self) -> tuple:
         """Per position, the positions of the primes it covers, and its height.
 
         Without element relations the primes just above p are the p ∪ {g},
-        g outside p (a poset built bare skips those it lacks); visiting the
-        primes smallest first and handing each to the primes above it keeps
-        every cover list sorted and every height final before it is read.
+        g outside p; visiting the primes smallest first and handing each to
+        the primes above it keeps every cover list sorted and every height
+        final before it is read.
         With element relations the primes inside p are found at once, as
         the bits of their positions: those without any generator outside
         p, all before p.  The last of them is just below p, and so is the
         last of those left after taking out every prime inside one found.
         """
         if self._hasse is None:
-            masks = self._generator_masks()
+            masks = self._primes
             full = (1 << len(self.generator_names)) - 1
             if self._relations[0]:
                 without = [0] * len(self.generator_names)  # per generator, the primes lacking it
@@ -149,10 +169,6 @@ class SpecPoset(Record):
                                 heights[j] = up
             object.__setattr__(self, "_hasse", (tuple(map(tuple, covers)), tuple(heights)))
         return self._hasse
-
-
-def _mask(generators) -> int:
-    return sum(1 << i for i in generators)
 
 
 def _relation_masks(M: BinoidPresentation):
@@ -201,6 +217,9 @@ def compute_spec(M: BinoidPresentation) -> SpecPoset:
     and only while it meets the infinity supports through the generators
     it drops: a Q that misses one holds no prime, so its branch ends.  Each
     prime tries at most n children: the work is polynomial in the primes.
+    Among primes of one size, the first generator where two differ is in
+    the lexicographically earlier one, so their complements, read as
+    numbers with generator 0 as the highest digit, come in ascending order.
     """
     n = M.generator_count
     element_masks, infinity_masks = _relation_masks(M)
@@ -209,55 +228,48 @@ def compute_spec(M: BinoidPresentation) -> SpecPoset:
         for v in _bits(f):
             through[v].append(f)
     grown = []
-    stack = [((1 << n) - 1, tuple(range(n)), 0)]  # (P, its sorted generators, start)
+    stack = [((1 << n) - 1, 0)]  # (P, the first generator it may drop)
     while stack:
-        mask, rest, start = stack.pop()
-        grown.append((mask, rest))
-        for k in range(start, len(rest)):  # Q keeps the k generators of P below g
-            g = rest[k]
+        mask, start = stack.pop()
+        grown.append(mask)
+        for g in _bits(mask >> start << start):
             q = _interior(mask ^ 1 << g, element_masks)
             dropped = mask ^ q
             if dropped == 1 << g:  # g alone is cut out of P's generators
                 if all(map(q.__and__, through[g])):
-                    stack.append((q, rest[:k] + rest[k + 1 :], k))
+                    stack.append((q, g + 1))
             elif not dropped & (1 << g) - 1 and all(
                 f & q for v in _bits(dropped) for f in through[v]
             ):
-                stack.append((q, tuple(_bits(q)), k))
-    grown.sort(key=lambda pair: (len(pair[1]), pair[1]))
-    primes = tuple(tuple.__new__(PrimeIdeal, generators) for _, generators in grown)
-    relations = (element_masks, infinity_masks)
-    return SpecPoset(M.generator_names, primes, relations, tuple(mask for mask, _ in grown))
+                stack.append((q, g + 1))
+    flip = (2 << n) - 1  # the complement, under a leading 1 that keeps all n digits
+    grown.sort(key=lambda m: m.bit_count() << (n + 1) | int(bin(m ^ flip)[:1:-1], 2))
+    return SpecPoset(M.generator_names, tuple(grown), (element_masks, infinity_masks))
 
 
 def spectrum_of_complex(delta: SimplicialComplex) -> SpecPoset:
     """The spectrum of the binoid of a complex: one prime per face F, the
     positions in ``delta.vertices`` outside F, in the order of `compute_spec`.
 
-    Each complement is grown from that of F minus its last vertex v, which
-    lies below v, so v is cut out of it at v - |F| + 1.  The primes come
-    by size, largest faces first, and each dimension's faces backwards,
-    since complements of equal-size faces reverse lexicographic order.
+    Each complement is that of F minus its last vertex, without that
+    vertex.  The primes come by size, largest faces first, and each
+    dimension's faces backwards, since complements of equal-size faces
+    reverse lexicographic order.
 
     >>> S = spectrum_of_complex(SimplicialComplex.from_facets([("a", "b"), ("c",)]))
-    >>> [prime_label(S, p) for p in S.primes]
-    ['<c>', '<a,b>', '<a,c>', '<b,c>', '<a,b,c>']
+    >>> [p.generator_subset for p in S.primes]
+    [(2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
     """
     if delta.is_void or not delta.vertices:
         raise VoidComplex("need a complex with at least one vertex")
-    n = len(delta.vertices)
     position = {v: i for i, v in enumerate(delta.vertices)}
     by_dim = delta._faces_by_dim()
-    grown = {(): ((1 << n) - 1, tuple(range(n)))}  # face -> (bitmask, positions) of its complement
+    grown = {(): (1 << len(position)) - 1}  # face -> the bitmask of its complement
     for faces in list(by_dim.values())[1:]:  # after the empty face, parents first
         for face in faces:
-            mask, rest = grown[face[:-1]]
-            v = position[face[-1]]
-            k = v - len(face) + 1
-            grown[face] = (mask ^ 1 << v, rest[:k] + rest[k + 1 :])
-    pairs = [grown[face] for faces in reversed(by_dim.values()) for face in reversed(faces)]
-    primes = tuple(tuple.__new__(PrimeIdeal, generators) for _, generators in pairs)
-    return SpecPoset(delta.vertices, primes, ((), ()), tuple(mask for mask, _ in pairs))
+            grown[face] = grown[face[:-1]] ^ 1 << position[face[-1]]
+    masks = tuple(grown[face] for faces in reversed(by_dim.values()) for face in reversed(faces))
+    return SpecPoset(delta.vertices, masks)
 
 
 def height(S: SpecPoset, prime: PrimeIdeal) -> int:
@@ -268,57 +280,43 @@ def height(S: SpecPoset, prime: PrimeIdeal) -> int:
 def primes_of_height_at_most(S: SpecPoset, bound: int) -> set[PrimeIdeal]:
     """Primes of height at most ``bound``; bound 1 gives the punctured Weil locus."""
     heights = S._hasse_diagram()[1]
-    return {p for p, h in zip(S.primes, heights) if h <= bound}
+    return {_prime(m) for m, h in zip(S._primes, heights) if h <= bound}
 
 
 def punctured_spectrum(S: SpecPoset) -> set[PrimeIdeal]:
     """Every prime except the maximal ideal of the positive presentation."""
-    full = tuple(range(len(S.generator_names)))
-    return {p for p in S.primes if p != full}
-
-
-def minimal_neighborhood(S: SpecPoset, prime: PrimeIdeal) -> tuple[int, ...]:
-    """Support of the smallest basic open set containing ``prime``.
-
-    Localizing at the sum of all generators outside the prime keeps
-    exactly the primes contained in it.
-    """
-    S.position_of(prime)
-    inside = set(prime)
-    return tuple(i for i in range(len(S.generator_names)) if i not in inside)
-
-
-def open_subset(S: SpecPoset, support: Sequence[int]) -> set[PrimeIdeal]:
-    """Primes avoiding every generator in ``support`` (the set D(f))."""
-    avoid = set(support)
-    return {p for p in S.primes if avoid.isdisjoint(p)}
-
-
-def _check_open(S: SpecPoset, opens: Iterable[PrimeIdeal]) -> set[int]:
-    """Positions of the primes of an open set, which holds every prime below them."""
-    U = {S.position_of(p) for p in opens}
-    masks = S._generator_masks()
-    inside = [masks[i] for i in U]
-    for j, q in enumerate(masks):
-        if j not in U and any(not q & ~m for m in inside):
-            raise NotOpen("subset is not closed under passing to smaller primes")
-    return U
+    full = (1 << len(S.generator_names)) - 1
+    return {_prime(m) for m in S._primes if m != full}
 
 
 def minimal_cover(S: SpecPoset, opens: Iterable[PrimeIdeal]) -> list[tuple[int, ...]]:
     """Supports of the canonical smallest cover of an open set by basic opens.
 
     One basic open per maximal prime of the set; the support is the
-    complement of that prime.  Returned in sorted order.  The maximal primes
-    are those that no prime of the set covers: the set holds every prime
-    below its own, so a prime below another one of it lies just below one.
+    complement of that prime.  Returned in sorted order.  The set is open
+    when it holds every prime below its own, that is, every prime just
+    below one of them; then the maximal primes are those that no prime of
+    the set covers.
     """
-    U = _check_open(S, opens)
+    U = {S.position_of(p) for p in opens}
     covers = S._hasse_diagram()[0]
-    masks = S._generator_masks()
-    full = (1 << len(S.generator_names)) - 1
     below = {c for i in U for c in covers[i]}
-    return sorted(tuple(_bits(full & ~masks[i])) for i in U - below)
+    if not below <= U:
+        raise NotOpen("subset is not closed under passing to smaller primes")
+    full = (1 << len(S.generator_names)) - 1
+    return sorted(tuple(_bits(full & ~S._primes[i])) for i in U - below)
+
+
+def _punctured_cover(S: SpecPoset) -> list[tuple[tuple[int, ...], int]]:
+    """The minimal cover of the punctured spectrum, sorted, as pairs of a
+    support and the position of the prime it is the complement of.
+
+    The primes of the punctured spectrum that no other one covers are the
+    primes just below the maximal ideal, which comes last.
+    """
+    covers = S._hasse_diagram()[0]
+    full = S._primes[-1]
+    return sorted((tuple(_bits(full & ~S._primes[i])), i) for i in covers[-1])
 
 
 def nerve(S: SpecPoset, cover: Sequence[Sequence[int]]) -> SimplicialComplex:
@@ -335,7 +333,7 @@ def nerve(S: SpecPoset, cover: Sequence[Sequence[int]]) -> SimplicialComplex:
     full = (1 << n) - 1
     outside = [0] * n  # per generator, the points it lies outside of
     points = 0
-    for mask, below in zip(S._generator_masks(), S._hasse_diagram()[0]):
+    for mask, below in zip(S._primes, S._hasse_diagram()[0]):
         if not below:
             for g in _bits(full & ~mask):
                 outside[g] |= 1 << points
@@ -343,49 +341,28 @@ def nerve(S: SpecPoset, cover: Sequence[Sequence[int]]) -> SimplicialComplex:
     opens = []
     for support in cover:
         held = (1 << points) - 1
-        for g in _bits(_mask(set(support)) & full):
+        for g in support:
+            if g.__class__ is not int or not 0 <= g < n:
+                raise NotInSpec(
+                    "the support %r holds %r, which is not a generator index in 0..%d"
+                    % (tuple(support), g, n - 1)
+                )
             held &= outside[g]
         opens.append(held)
     return nerve_of_sets(opens, points)
 
 
-def connected_components(S: SpecPoset, opens: Iterable[PrimeIdeal]) -> int:
-    """Number of connected components of an open set, via comparability.
-
-    Comparable primes of an open set are joined by a chain of covers
-    inside it, so the Hasse edges within the set suffice.
-    """
-    U = _check_open(S, opens)
-    covers = S._hasse_diagram()[0]
-    parent = {i: i for i in U}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in U:
-        for c in covers[i]:
-            parent[find(c)] = find(i)
-    return len({find(i) for i in U})
-
-
-def _labels(S: SpecPoset, primes: Iterable[PrimeIdeal], text=str) -> list[str]:
-    """Display forms of primes: generator names between angle brackets,
-    <inf> for the empty prime; ``text`` turns each name into a string, once."""
+def _labels(S: SpecPoset, masks: Iterable[int], text=str) -> list[str]:
+    """Display forms of primes given as bitmasks: generator names between
+    angle brackets, <inf> for the empty prime; ``text`` turns each name
+    into a string, once."""
     names = list(map(text, S.generator_names))
-    return ["<" + ",".join(map(names.__getitem__, p)) + ">" if p else "<inf>" for p in primes]
+    return ["<" + ",".join(_members(m, names)) + ">" if m else "<inf>" for m in masks]
 
 
 def _dot_text(name) -> str:
     """A name inside a DOT string, its backslashes and quotes escaped."""
     return str(name).replace("\\", "\\\\").replace('"', '\\"')
-
-
-def prime_label(S: SpecPoset, prime: PrimeIdeal) -> str:
-    """Display form of a prime: generator names between angle brackets."""
-    return _labels(S, (prime,))[0]
 
 
 def to_dot(S: SpecPoset) -> str:
@@ -395,7 +372,7 @@ def to_dot(S: SpecPoset) -> str:
     listed as the primes above it are passed in order.
     """
     lines = ["digraph spec {", "  rankdir=BT;"]
-    lines += ['  p%d [label="%s"];' % node for node in enumerate(_labels(S, S.primes, _dot_text))]
+    lines += ['  p%d [label="%s"];' % node for node in enumerate(_labels(S, S._primes, _dot_text))]
     covers = S._hasse_diagram()[0]
     above = [[] for _ in covers]
     for i, below in enumerate(covers):

@@ -508,12 +508,15 @@ def brute_crosscut(facets, listed):
     }
 
 
-def brute_nerve(primes, cover):
-    """Nonempty 1-based index sets of `cover` whose opens D(support) meet.
+def basic_open(primes, support):
+    """The open set D(support): the primes avoiding every index in the support."""
+    avoid = set(support)
+    return {p for p in primes if avoid.isdisjoint(p)}
 
-    An open D(support) holds the primes avoiding every index in the support.
-    """
-    opens = [{p for p in primes if not set(p) & set(sup)} for sup in cover]
+
+def brute_nerve(primes, cover):
+    """Nonempty 1-based index sets of `cover` whose opens D(support) meet."""
+    opens = [basic_open(primes, sup) for sup in cover]
     return {
         c
         for c in all_subsets(range(1, len(cover) + 1))

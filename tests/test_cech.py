@@ -193,7 +193,7 @@ def unit_basis(M, gamma, face):
     """
     S = compute_spec(M)
     prime = 0
-    for p, mask in zip(S.primes, S._generator_masks()):
+    for p, mask in zip(S.primes, S._primes):
         if not set(p) & set(face):
             prime |= mask
     B, _, d = binoids.cech._unit_lattice(gamma, prime)
@@ -953,7 +953,7 @@ class TestLocalPicardGeneral:
         # off no face), so the rank half of the units check is called alone
         M = BinoidPresentation(("x", "y", "t"), (Relation((1, 0, 1), (0, 1, 1)),))
         S, gamma = compute_spec(M), difference_group(M)
-        punctured = S._generator_masks()[:-1]
+        punctured = S._primes[:-1]
         ranks = {m: len(binoids.cech._unit_lattice(gamma, m)[2]) for m in punctured}
         with pytest.raises(NotCancellative, match="the units at the prime <t> "):
             binoids.cech._check_units(M, S, gamma, ranks)

@@ -5,6 +5,7 @@ the file formats, the text and JSON output, and the exit code contract:
 0 success, 2 parse error, 3 precondition error.
 """
 
+import hashlib
 import json
 import os
 import pathlib
@@ -1144,3 +1145,71 @@ class TestConsoleEntry:
         in_process = [invoke(capsys, *argv)[:2] for argv in calls]
         assert in_process == [run_alone(*argv) for argv in calls]
         assert in_process[2][0] == 2
+
+
+def path_text(n):
+    return "vertices: %s\n" % " ".join(map(str, range(1, n + 1))) + "".join(
+        "facet: %d %d\n" % (i, i + 1) for i in range(1, n)
+    )
+
+
+def cycle_text(n):
+    return "vertices: %s\n" % " ".join(map(str, range(1, n + 1))) + "".join(
+        "facet: %d %d\n" % (i, i % n + 1) for i in range(1, n + 1)
+    )
+
+
+SIMPLEX12 = "vertices: %s\nfacet: %s\n" % ((" ".join(map(str, range(1, 13))),) * 2)
+
+# the three relations of the 20-generator presentation P20 in ROADMAP.md,
+# without its nine free generators: 11 generators and 520 primes, whose
+# Hasse diagram takes the element-relation branch
+P20_CORE = """\
+generators: g0 g1 g3 g4 g5 g8 g12 g13 g17 g18 g19
+relation: 1 g19 + 2 g8 = 1 g12 + 3 g17
+relation: 2 g1 + 1 g5 = 2 g4 + 3 g13
+relation: 3 g3 + 1 g18 = 2 g8 + 2 g0
+"""
+
+# SHA-256 of stdout, recorded before primes were held as bitmasks only;
+# the nerve of the 2,000-vertex path is 4,000 lines
+OUTPUT_DIGESTS = {
+    "simplex12": (SIMPLEX12, {
+        "spec": "de8a4854d67b44012192a31a967f87fb0a41fba2f5359ae5948b21cd73d57769",
+        "spec --json": "02b5c2e29d1e77516166743c70852cbe0f43bc953e7f54f266b91232161ae227",
+        "dot": "972b943f1a429bb953425977bfc9fd66d4c13cc6dccc9d7a020561fda8a2425d",
+        "nerve": "86e531fd5d34963b49ee9bf369dbdcf1ee14af316004e7d6c72ac908c9d4ac1d",
+    }),
+    "cycle64": (cycle_text(64), {
+        "spec": "47c286b532facdec876e27119d84348c0804740ec385d3a044728acd4c93b873",
+        "spec --json": "ccc6e4e0188951eb8382f13213ded6680c38755eee03ce65f6dbf97687888a81",
+        "dot": "a831226af130dcf4a342ad0a7b58d0f5e320ce8c346d616c97b39a26077700b2",
+        "nerve": "9f1677d04ec70dcbc78dd78b7dec421e56ac1decb4a7b0411e7795bc3595593c",
+        "nerve --json": "fe0358cb213232b3b0e782710151cff7a8071469d798d55f24f942b7fc09230f",
+    }),
+    "path2000": (path_text(2000), {
+        "spec": "cd042f1c157457eb4d064838e0d2f1c2682310ce7c7fa281a02acb65362f21af",
+        "nerve": "75f609f27a1146df835485e143259d75824c120ee1bd7fb21c71bd7d18912306",
+    }),
+    "p20-core": (P20_CORE, {
+        "spec": "4f4b76428cd902baa938c5c92af2e6b3a61fd2c4b4cf73d4169544f54450f0e6",
+        "spec --json": "d353ac0fd790bb7a4c8abbf5551c1ddf39e9f16bde611e689a7b9574148d8138",
+        "dot": "d5ac8e3022c1763a70216ceae8553e6e4369604dc25a5604e88a23f151bb6225",
+        "nerve": "e176a5dde98e8d3d173ff64a9a1ee47b283151aae729565cc0db3b7da26fc4ce",
+        "nerve --json": "fed042bb804ea47f0e23e2bd5f60ed5bbc55ff86c2998d918383b0d2dc7b6659",
+        "cohomology": "bfc16a006271243cec3b7e0a4a48aa857dca11d6657a45c6992430801a0ad218",
+        "cohomology --json": "25362cf66b81c7305c1226f8ed68f8b6c9052ecfbd6f3818c1e919f1000d38c4",
+    }),
+}
+
+
+@pytest.mark.parametrize(
+    "text, argv, digest",
+    [pytest.param(text, argv, digest, id="%s-%s" % (name, argv.replace(" --", "-")))
+     for name, (text, digests) in OUTPUT_DIGESTS.items()
+     for argv, digest in digests.items()],
+)
+def test_stdout_digest(capsys, tmp_path, text, argv, digest):
+    verb, *flags = argv.split()
+    code, out, _ = invoke(capsys, verb, write(tmp_path, text), *flags)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import re
 
 import pytest
 
@@ -11,12 +12,9 @@ from binoids.spectrum import (
     PrimeIdeal,
     SpecPoset,
     compute_spec,
-    connected_components,
     height,
     minimal_cover,
-    minimal_neighborhood,
     nerve,
-    open_subset,
     spectrum_of_complex,
     to_dot,
 )
@@ -29,7 +27,7 @@ from fixtures import (
     xyz_to_infinity,
     xyzw,
 )
-from oracles import brute_cover_edges, make_rng, random_facets
+from oracles import basic_open, brute_cover_edges, make_rng, random_facets
 
 XYZW_PRIMES = {
     (),
@@ -102,7 +100,6 @@ class TestOnlyPrimeIdealsAreInSpec:
         calls = [
             lambda: S.position_of((0,)),
             lambda: height(S, (0,)),
-            lambda: minimal_neighborhood(S, (0,)),
             lambda: minimal_cover(S, {(0,)}),
         ]
         for call in calls:
@@ -113,6 +110,18 @@ class TestOnlyPrimeIdealsAreInSpec:
         S = compute_spec(xy_nz(3))
         with pytest.raises(NotInSpec, match=r"^\(0,\) is not a prime ideal here$"):
             S.position_of(PrimeIdeal((0,)))
+
+    @pytest.mark.parametrize(
+        "generators", [(0, 0), (0, 0, 1), (-1,), ("x",), (0, 5)],
+        ids=["repeated", "repeated-carry", "negative", "not-an-int", "too-large"],
+    )
+    def test_tuple_that_is_no_bitmask_here_is_not_in_spec(self, generators):
+        # (0, 0) would otherwise add up to the bitmask of (1,)
+        S = compute_spec(free_binoid(3))
+        prime = PrimeIdeal(generators)
+        assert prime not in S
+        with pytest.raises(NotInSpec, match=r" is not a prime ideal here$"):
+            height(S, prime)
 
 
 class TestComputeSpec:
@@ -137,6 +146,9 @@ class TestComputeSpec:
         }
         assert len(S.primes) == 7
 
+    def test_no_generators(self):
+        assert compute_spec(BinoidPresentation((), ())).primes == (PrimeIdeal(()),)
+
     def test_positivity_guard(self):
         M = BinoidPresentation(("x", "y"), (Relation((1, 0), (0, 0)),))
         with pytest.raises(NotPositive):
@@ -157,17 +169,18 @@ class TestComputeSpec:
                     assert tuple(sorted(set(a) | set(b))) in sets
 
     def test_masks_kept_from_the_enumeration(self):
-        """Both routes hand over each prime's bitmask; a poset built from the
-        primes alone derives the same ones and is equal, with the same repr."""
+        """Both routes keep each prime as its bitmask only, and the public
+        primes are read off them; a poset built from the bitmasks alone is
+        equal, with the same repr, and finds each prime at its position."""
         rng = make_rng(15)
         for _ in range(20):
             c = SimplicialComplex.from_facets(random_facets(rng, 6))
             for S in (compute_spec(from_simplicial(c)), compute_spec(xyzw()), spectrum_of_complex(c)):
-                kept = S._generator_masks()
-                assert kept == tuple(sum(1 << i for i in p) for p in S.primes)
-                bare = SpecPoset(S.generator_names, S.primes)
+                assert all(type(m) is int for m in S._primes)
+                assert S._primes == tuple(sum(1 << i for i in p) for p in S.primes)
+                bare = SpecPoset(S.generator_names, S._primes)
                 assert bare == S and repr(bare) == repr(S)
-                assert bare._generator_masks() == kept
+                assert [bare.position_of(p) for p in S.primes] == list(range(len(S._primes)))
 
     def test_face_prime_bijection(self):
         rng = make_rng(14)
@@ -219,52 +232,13 @@ class TestHeight:
                     assert height(S, p) < height(S, q)
 
 
-class TestMinimalNeighborhood:
-    def test_favourite(self):
-        S = favourite_spec()
-        assert minimal_neighborhood(S, PrimeIdeal((0, 3))) == (1, 2)
-
-    def test_infinity_prime(self):
-        S = compute_spec(free_binoid(3))
-        assert minimal_neighborhood(S, PrimeIdeal(())) == (0, 1, 2)
-
-    def test_maximal_ideal(self):
-        S = favourite_spec()
-        assert minimal_neighborhood(S, PrimeIdeal((0, 1, 2, 3))) == ()
-
-
-class TestOpenSubset:
-    def test_favourite_d_x1_x3(self):
-        S = favourite_spec()
-        assert {p.generator_subset for p in open_subset(S, (0, 2))} == {
-            (3,),
-            (1, 3),
-        }
-
-    def test_empty_support_is_everything(self):
-        S = favourite_spec()
-        assert open_subset(S, ()) == set(S.primes)
-
-    def test_nonface_support_is_empty(self):
-        S = favourite_spec()
-        assert open_subset(S, (0, 3)) == set()
-
-    def test_subset_closed(self):
-        S = compute_spec(xyzw())
-        U = open_subset(S, (0,))
-        sets = {p.generator_subset for p in U}
-        for p in S.primes:
-            if any(set(p.generator_subset) < set(q) for q in sets):
-                assert p.generator_subset in sets
-
-
 class TestMinimalCover:
     def test_favourite_example(self):
         S = favourite_spec()
         U = (
-            open_subset(S, (2, 3))
-            | open_subset(S, (1, 2))
-            | open_subset(S, (0,))
+            basic_open(S.primes, (2, 3))
+            | basic_open(S.primes, (1, 2))
+            | basic_open(S.primes, (0,))
         )
         assert minimal_cover(S, U) == [(0,), (1, 2), (2, 3)]
 
@@ -282,9 +256,8 @@ class TestMinimalCover:
 
     def test_single_minimal_prime(self):
         S = favourite_spec()
-        p = PrimeIdeal((3,))
-        U = open_subset(S, minimal_neighborhood(S, p))
-        assert minimal_cover(S, U) == [minimal_neighborhood(S, p)]
+        U = basic_open(S.primes, (0, 1, 2))  # off the prime <3>: the primes inside it
+        assert minimal_cover(S, U) == [(0, 1, 2)]
 
     def test_not_open(self):
         S = favourite_spec()
@@ -321,22 +294,17 @@ class TestNerve:
         N = nerve(S, [(0, 1, 2, 3), (0,)])
         assert (N.vertices, N.facets) == ((2,), ((2,),))
 
-
-class TestConnectedComponents:
-    def test_two_branches(self):
-        M = BinoidPresentation(("x", "y"), (Relation((1, 1), None),))
-        S = compute_spec(M)
-        punctured = {p for p in S.primes if p.generator_subset != (0, 1)}
-        assert connected_components(S, punctured) == 2
-
-    def test_connected(self):
-        S = compute_spec(xyzw())
-        punctured = {p for p in S.primes if p.generator_subset != (0, 1, 2, 3)}
-        assert connected_components(S, punctured) == 1
-
-    def test_empty(self):
-        S = compute_spec(xyzw())
-        assert connected_components(S, set()) == 0
+    @pytest.mark.parametrize(
+        "support, index",
+        [((0, 5), "5"), ((-1,), "-1"), (("g0",), "'g0'"), ((True,), "True")],
+        ids=["too-large", "negative", "not-an-int", "bool"],
+    )
+    def test_support_outside_the_generators_is_refused(self, support, index):
+        # D(g5) of a three-vertex complex was taken for the whole spectrum
+        S = spectrum_of_complex(SimplicialComplex.from_facets([(1, 2), (2, 3)]))
+        message = r"^the support %s holds %s, which is not a generator index in 0\.\.2$"
+        with pytest.raises(NotInSpec, match=message % (re.escape(repr(support)), index)):
+            nerve(S, [(0,), support])
 
 
 class TestDot:
