@@ -93,22 +93,13 @@ class BinoidPresentation(Record):
 
 
 class DifferenceGroup(Record):
-    """Γ ≅ Z^rank with the chosen images of the generators.
+    """Γ ≅ Z^rank with the chosen images of the generators, one column each."""
 
-    images has one column per generator; relation_lattice has one column
-    per element-relation (lhs - rhs), and its cokernel is free by the
-    torsion check in difference_group.
-    """
+    _fields = ("rank", "images")
 
-    _fields = ("rank", "images", "relation_lattice")
-
-    def __init__(self, rank: int, images: IntMatrix, relation_lattice: IntMatrix):
+    def __init__(self, rank: int, images: IntMatrix):
         setfield(self, "rank", rank)
         setfield(self, "images", images)
-        setfield(self, "relation_lattice", relation_lattice)
-
-    def image_of(self, index: int) -> tuple:
-        return self.images.column(index)
 
     def all_images(self) -> list:
         return [self.images.column(j) for j in range(self.images.cols)]
@@ -207,6 +198,8 @@ def radical_complex(M: BinoidPresentation) -> SimplicialComplex:
 
 def smash_free(M: BinoidPresentation, k: int) -> BinoidPresentation:
     """M ∧ (N^k)^∞: k fresh free generators, no new relations."""
+    if k.__class__ is not int:  # bool is no count
+        raise ValueError("count must be an integer, not %r" % (k,))
     if k < 0:
         raise ValueError("count must be nonnegative")
     if k == 0:
@@ -251,4 +244,4 @@ def difference_group(M: BinoidPresentation) -> DifferenceGroup:
         raise Torsion("difference group has torsion: diagonal %s" % (diag,))
     free_rows = [i for i in range(n) if i >= len(diag) or diag[i] == 0]
     images = IntMatrix.from_rows([U[i] for i in free_rows], cols=n)
-    return DifferenceGroup(len(free_rows), images, IntMatrix.from_rows(rows, cols=len(columns)))
+    return DifferenceGroup(len(free_rows), images)

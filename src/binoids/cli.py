@@ -26,7 +26,6 @@ from .cech import (
 )
 from .divisors import class_group
 from .errors import ParseError, PreconditionError, UnknownVertex
-from .exactalg import TRIVIAL_GROUP
 from .simplicial import SimplicialComplex
 from .spectrum import (
     _labels,
@@ -178,6 +177,10 @@ def _load_json(text: str) -> SimplicialComplex:
     for v in vertices + [v for facet in facets for v in facet]:
         if isinstance(v, bool) or not isinstance(v, (int, str)):
             raise ParseError("label %s is neither an integer nor a string" % json.dumps(v))
+    shown = {}
+    for v in vertices:
+        if shown.setdefault(str(v), v) != v:
+            raise ParseError("two vertices print as %s" % v)
     try:
         return SimplicialComplex.make(
             vertices, [tuple(f) for f in facets]
@@ -429,7 +432,8 @@ def _run_nerve(ns, obj):
 
 def _run_link(ns, obj):
     delta = _as_complex(obj)
-    face = tuple(_label(t) for t in ns.labels)
+    shown = {str(v): v for v in delta.vertices}
+    face = tuple(shown[t] if t in shown else _label(t) for t in ns.labels)
     linked = delta.link(face)
     if ns.json:
         return _dump(_complex_payload(linked))

@@ -132,11 +132,7 @@ def valuation_matrix(M: BinoidPresentation) -> ValuationMatrix:
     """Facet valuations matched to the height-1 primes of the spectrum, the
     minimal nonempty ones; a prime without a facet raises.
     """
-    return _valuation_matrix(M, difference_group(M))
-
-
-def _valuation_matrix(M: BinoidPresentation, gamma: DifferenceGroup) -> ValuationMatrix:
-    """`valuation_matrix` on the difference group of M, computed once by the caller."""
+    gamma = difference_group(M)
     S = compute_spec(M)
     facets = _cone_facets(gamma, S)
     missing = next((mask for mask, normal in facets.items() if normal is None), None)
@@ -161,64 +157,3 @@ def class_group(M: BinoidPresentation) -> FinAbGroup:
     gamma_rank = len(vm.normals[0]) if vm.normals else 0
     phi = IntMatrix.from_rows([list(n) for n in vm.normals], cols=gamma_rank)
     return cokernel(phi)
-
-
-class PrimeEvidence(Record):
-    """What certifies one height-1 prime: a value-1 element and a unit lattice."""
-
-    _fields = ("prime", "witness", "units_span_hyperplane")
-
-    def __init__(
-        self, prime: PrimeIdeal, witness: tuple[int, ...] | None, units_span_hyperplane: bool
-    ):
-        setfield(self, "prime", prime)
-        setfield(self, "witness", witness)
-        setfield(self, "units_span_hyperplane", units_span_hyperplane)
-
-
-class RegularityReport(Record):
-    """The verdict, "Certified" or "Unknown", with the evidence for each prime."""
-
-    _fields = ("verdict", "evidence")
-
-    def __init__(self, verdict: str, evidence: tuple[PrimeEvidence, ...]):
-        setfield(self, "verdict", verdict)
-        setfield(self, "evidence", evidence)
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "evidence": [
-                {
-                    "prime": list(e.prime.generator_subset),
-                    "witness": list(e.witness) if e.witness is not None else None,
-                    "units_span_hyperplane": e.units_span_hyperplane,
-                }
-                for e in self.evidence
-            ],
-        }
-
-
-def regular_in_codim1_check(M: BinoidPresentation) -> RegularityReport:
-    """Sufficient criterion for regularity in codimension 1.
-
-    Certifies a prime when some generator has valuation exactly 1 and the
-    value-0 generators span the lattice of the facet's hyperplane, not only
-    a sublattice of its rank: their images have r - 1 invariant factors,
-    all 1.  Then M_P ≅ Z^(r-1) × N.  Values are nonnegative, so no sum of
-    generators has value 1 unless one generator does.  Failure to certify
-    is reported as Unknown, never as a negative.
-    """
-    gamma = difference_group(M)
-    vm = _valuation_matrix(M, gamma)
-    n = M.generator_count
-    units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-
-    evidence = []
-    for prime, row in zip(vm.row_primes, vm.matrix.to_lists()):
-        witness = next((units[i] for i, v in enumerate(row) if v == 1), None)
-        zero_span = [gamma.image_of(i) for i, v in enumerate(row) if v == 0]
-        hyperplane = _dense_factors(zero_span, gamma.rank) == (1,) * (gamma.rank - 1)
-        evidence.append(PrimeEvidence(prime, witness, hyperplane))
-    certified = all(e.witness is not None and e.units_span_hyperplane for e in evidence)
-    return RegularityReport("Certified" if certified else "Unknown", tuple(evidence))

@@ -31,12 +31,13 @@ nonzeros - 1) first (Markowitz, 1957), with costs refreshed lazily.
 Third, the block left without unit entries goes to the dense Smith
 normal form, which tracks neither transform: only its diagonal is read.
 
-`cohomology_of_complex` takes the differentials as sparse rows (or
-IntMatrix), checks d_(j+1) * d_j = 0 sparsely once per consecutive pair
-and then reduces the complex as a whole, from d_0 upward.  The check,
-`_sparse_complex`, is the one place a nonzero composition is reported:
-every complex of the package hands it a labeller name(k, r) -> (degree,
-label), called only on failure, to name the cell of the row at fault.
+A complex is given by its ranks and differentials, as sparse rows (or
+IntMatrix).  `_sparse_complex` checks d_(j+1) * d_j = 0 sparsely once per
+consecutive pair, and `_reduce_complex` then reduces the complex as a
+whole, from d_0 upward.  The check is the one place a nonzero composition
+is reported: every complex of the package hands it a labeller name(k, r)
+-> (degree, label), called only on failure, to name the cell of the row
+at fault.
 
 A unit pivot of d_j cancels a summand Z --±1--> Z of the complex
 (Kaczynski, Mrozek and Ślusarek, "Homology computation by reduction of
@@ -65,8 +66,8 @@ class IntMatrix(Record):
     """An immutable integer matrix: `rows` x `cols`, `entries` a tuple of row tuples.
 
     >>> A = IntMatrix.from_rows([[1, 2], [3, 4]])
-    >>> (A * IntMatrix.identity(2)).to_lists()
-    [[1, 2], [3, 4]]
+    >>> (A * A).to_lists()
+    [[7, 10], [15, 22]]
     """
 
     _fields = ("rows", "cols", "entries")
@@ -98,19 +99,8 @@ class IntMatrix(Record):
             width = 0
         return cls(len(data), width, data)
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, tuple((0,) * cols for _ in range(rows)))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
     def entry(self, i: int, j: int) -> int:
         return self.entries[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
 
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.entries)
@@ -144,9 +134,6 @@ class SmithDecomposition(Record):
 
     def diagonal(self) -> tuple:
         return tuple(self.S.entry(i, i) for i in range(min(self.S.rows, self.S.cols)))
-
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal() if d != 0)
 
 
 def _canonical_torsion(factors: Iterable[int]) -> tuple:
@@ -199,15 +186,6 @@ class FinAbGroup(Record):
     def is_trivial(self) -> bool:
         return self.free_rank == 0 and not self.invariant_factors
 
-    def torsion_order(self) -> int:
-        return math.prod(self.invariant_factors)
-
-    def direct_sum(self, other: "FinAbGroup") -> "FinAbGroup":
-        return FinAbGroup.from_torsion(
-            self.invariant_factors + other.invariant_factors,
-            self.free_rank + other.free_rank,
-        )
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:
@@ -249,6 +227,10 @@ class GroupExpr(Record):
             raise ValueError("free power must be an integer, not %r" % (free_power,))
         if free_power < 0:
             raise ValueError("free power must be nonnegative")
+        for field, orders in (("cotorsion", cotorsion), ("torsion_sub", torsion_sub)):
+            for d in orders:
+                if d.__class__ is not int or d < 2:  # bool is no order
+                    raise ValueError("%s orders must be integers >= 2, not %r" % (field, d))
         setfield(self, "symbol", symbol)
         setfield(self, "free_power", free_power)
         setfield(self, "cotorsion", cotorsion)
@@ -658,23 +640,6 @@ def _cohomology(rank: int, factors_in: tuple, factors_out: tuple) -> FinAbGroup:
         rank - len(factors_in) - len(factors_out),
         tuple(d for d in factors_in if d > 1),
     )
-
-
-def cohomology_of_complex(ranks: list, diffs: list) -> list:
-    """Cohomology groups of a cochain complex given by ranks and differentials.
-
-    diffs[j] maps Z^ranks[j] -> Z^ranks[j+1], as an IntMatrix or as sparse
-    rows {row: {column: nonzero entry}}; the ends are padded with zero
-    maps.  H^j = Z^(b_j - rk d_(j-1) - rk d_j) ⊕ torsion(coker d_(j-1)).
-    The complex is checked once to compose to zero and then reduced as a
-    whole, from d_0 upward (see the module docstring).
-
-    >>> d0 = {0: {0: 2}, 1: {0: 2}}  # Z -> Z^2, 1 |-> (2, 2)
-    >>> d1 = {0: {0: 1, 1: -1}}  # Z^2 -> Z, (a, b) |-> a - b
-    >>> [str(g) for g in cohomology_of_complex([1, 2, 1], [d0, d1])]
-    ['0', 'Z/2', '0']
-    """
-    return _reduce_complex(ranks, _sparse_complex(ranks, diffs))
 
 
 def coefficient_cohomology(h_here: FinAbGroup, h_next: FinAbGroup, symbol: str) -> GroupExpr:

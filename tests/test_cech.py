@@ -42,7 +42,7 @@ from binoids.exactalg import (
     IntMatrix,
     TRIVIAL_GROUP,
     cokernel,
-    smith_normal_form,
+    invariant_factors,
 )
 from binoids.simplicial import SimplicialComplex
 from binoids.spectrum import (
@@ -181,7 +181,7 @@ def punctured(delta):
 
 
 def free_gamma(n):
-    return DifferenceGroup(n, IntMatrix.identity(n), IntMatrix.zero(n, 0))
+    return DifferenceGroup(n, IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)]))
 
 
 def unit_basis(M, gamma, face):
@@ -204,12 +204,18 @@ def Z(r):
     return FinAbGroup(r)
 
 
+def direct_sum(a, b):
+    return FinAbGroup.from_torsion(
+        a.invariant_factors + b.invariant_factors, a.free_rank + b.free_rank
+    )
+
+
 class TestCechComplexType:
     def test_rank_label_mismatch_rejected(self):
         with pytest.raises(ValueError):
             CechComplex(
                 ((("a", 0),), (("b", 0), ("b", 1))),
-                (IntMatrix.zero(1, 1),),
+                (IntMatrix.from_rows([[0]]),),
             )
 
     def test_nonzero_composition_rejected(self):
@@ -439,7 +445,7 @@ class TestLocalPicardFormulaAgainstLinks:
             link_vertices = sorted(set().union(*link))
             reduced = brute_simplicial_cohomology(link_vertices, link_facets, reduced=True)
             for j, group in enumerate(reduced):  # H~^(j-1)(lk v) lands in degree j
-                expected[j] = expected[j].direct_sum(FinAbGroup(*group))
+                expected[j] = direct_sum(expected[j], FinAbGroup(*group))
         assert local_picard_formula(delta) == expected
 
 
@@ -660,7 +666,7 @@ class TestUnitsOfLocalization:
         units = unit_basis(M, gamma, (0,))
         assert units.cols == 1
         col = units.column(0)
-        assert col in (gamma.image_of(0), tuple(-v for v in gamma.image_of(0)))
+        assert col in (gamma.images.column(0), tuple(-v for v in gamma.images.column(0)))
 
     def test_xyzw_diagonal_pair_is_everything(self):
         M = xyzw()
@@ -686,7 +692,7 @@ class TestUnitsOfLocalization:
         units = unit_basis(M, gamma, (0,))
         assert units.cols == 1
         col = units.column(0)
-        assert col in (gamma.image_of(0), tuple(-v for v in gamma.image_of(0)))
+        assert col in (gamma.images.column(0), tuple(-v for v in gamma.images.column(0)))
 
     def test_free_binoid_full_face(self):
         M = free_binoid(3)
@@ -704,7 +710,7 @@ class TestUnitsOfLocalization:
                 col = units.column(j)
                 assert all(v == 0 for i, v in enumerate(col) if i not in face)
             square = IntMatrix.from_rows(
-                [list(units.row(i)) for i in face], cols=units.cols
+                [list(units.entries[i]) for i in face], cols=units.cols
             )
             assert cokernel(square).is_trivial
 
@@ -921,7 +927,7 @@ class TestLocalPicardGeneral:
                         [[diff.entry(r, c) for c in cols] for r in rows],
                         cols=len(cols),
                     )
-                    assert smith_normal_form(block).rank() == len(cols)
+                    assert len(invariant_factors(block)) == len(cols)
 
     def test_not_integral(self):
         with pytest.raises(NotIntegral):

@@ -262,13 +262,18 @@ class TestParsing:
             ("picard", '{"vertices": {}, "facets": []}', "'vertices' and 'facets' must be lists"),
             ("picard", '{"vertices": [1, 2], "facets": [[1, 3]]}', "vertex 3 not declared"),
             ("picard", '{"vertices": [1, 1], "facets": [[1]]}', "duplicate vertex labels"),
+            ("spec", '{"vertices": [1, "1"], "facets": [[1, "1"]]}',
+             "two vertices print as 1"),
+            ("picard", '{"vertices": ["a", 2, "2"], "facets": [["a"]]}',
+             "two vertices print as 2"),
             ("picard", '{"vertices": [1, 2], "facets": [[2, 1, 2]]}',
              "face with repeated vertex: (2, 1, 2)"),
         ],
         ids=["no-colon", "first-key", "duplicate-vertex", "undeclared-name", "facet-repeats",
              "duplicate-generator", "bad-term", "negative-coefficient", "duplicate-variable",
              "empty-gen", "zero-power", "unknown-variable", "json-not-lists", "json-undeclared",
-             "json-duplicate-vertex", "json-facet-repeats"],
+             "json-duplicate-vertex", "json-same-print", "json-same-print-unused",
+             "json-facet-repeats"],
     )
     def test_rejected_input_names_the_fault(self, capsys, tmp_path, verb, text, message):
         assert invoke(capsys, verb, write(tmp_path, text)) == (2, "", "error: %s\n" % message)
@@ -803,6 +808,21 @@ class TestLinkVerb:
     def test_link_needs_labels(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "link", write(tmp_path, FAVOURITE_CPLX))
         assert code == 2
+
+    def test_label_names_the_vertex_that_prints_as_it(self, capsys, tmp_path):
+        # "1" is a string vertex here, not the integer the label reads as
+        path = write(tmp_path, '{"vertices": ["1", "2", "a"], "facets": [["1", "2"], ["2", "a"]]}')
+        assert invoke(capsys, "link", path, "1") == (0, "vertices: 2\nfacet: 2\n", "")
+        code, out, _ = invoke(capsys, "link", path, "2", "--json")
+        assert code == 0
+        assert json.loads(out) == {"vertices": ["1", "a"], "facets": [["1"], ["a"]]}
+
+    def test_label_of_no_printed_vertex_is_read_as_before(self, capsys, tmp_path):
+        # no vertex prints as "03", so it reads as the integer 3
+        path = write(tmp_path, FAVOURITE_CPLX)
+        assert invoke(capsys, "link", path, "03") == invoke(capsys, "link", path, "3")
+        code, _, err = invoke(capsys, "link", path, "5")
+        assert (code, err) == (3, "error: vertex 5 not in complex\n")
 
 
 class TestMonomialReportVerb:

@@ -19,7 +19,7 @@ import pytest
 
 from binoids.binoid import BinoidPresentation, Relation, difference_group, smash_free
 from binoids.cech import local_picard_general, monomial_report, picard_complex_simplicial
-from binoids.divisors import regular_in_codim1_check, valuation_matrix
+from binoids.divisors import valuation_matrix
 from binoids.exactalg import (
     FinAbGroup,
     GroupExpr,
@@ -134,10 +134,9 @@ RECORDS = [
     pytest.param(
         lambda: difference_group(free2()),
         lambda: difference_group(xy_z2()),
-        ("rank", "images", "relation_lattice"),
+        ("rank", "images"),
         True,
-        "DifferenceGroup(rank=2, images=IntMatrix(rows=2, cols=2, entries=((1, 0), (0, 1))), "
-        "relation_lattice=IntMatrix(rows=2, cols=0, entries=((), ())))",
+        "DifferenceGroup(rank=2, images=IntMatrix(rows=2, cols=2, entries=((1, 0), (0, 1))))",
         id="DifferenceGroup",
     ),
     pytest.param(
@@ -198,24 +197,6 @@ RECORDS = [
         "row_primes=(PrimeIdeal(generator_subset=(0,)), PrimeIdeal(generator_subset=(1,))), "
         "normals=((1, 0), (0, 1)))",
         id="ValuationMatrix",
-    ),
-    pytest.param(
-        lambda: regular_in_codim1_check(free2()).evidence[0],
-        lambda: regular_in_codim1_check(free2()).evidence[1],
-        ("prime", "witness", "units_span_hyperplane"),
-        True,
-        "PrimeEvidence(prime=PrimeIdeal(generator_subset=(0,)), witness=(1, 0), "
-        "units_span_hyperplane=True)",
-        id="PrimeEvidence",
-    ),
-    pytest.param(
-        lambda: regular_in_codim1_check(BinoidPresentation(("x",), ())),
-        lambda: regular_in_codim1_check(free2()),
-        ("verdict", "evidence"),
-        True,
-        "RegularityReport(verdict='Certified', evidence=(PrimeEvidence("
-        "prime=PrimeIdeal(generator_subset=(0,)), witness=(1,), units_span_hyperplane=True),))",
-        id="RegularityReport",
     ),
 ]
 
@@ -283,6 +264,13 @@ REFUSED = [
     (lambda: FinAbGroup(-1), "free rank must be nonnegative"),
     (lambda: GroupExpr("K*", True), "free power must be an integer, not True"),
     (lambda: GroupExpr("K*", 2.0), "free power must be an integer, not 2.0"),
+    (lambda: GroupExpr("K*", 1, (True,), (0,)), "cotorsion orders must be integers >= 2, not True"),
+    (lambda: GroupExpr("K*", 1, (1,)), "cotorsion orders must be integers >= 2, not 1"),
+    (lambda: GroupExpr("K*", 1, (2.0,)), "cotorsion orders must be integers >= 2, not 2.0"),
+    (lambda: GroupExpr("K*", 1, (), (0,)), "torsion_sub orders must be integers >= 2, not 0"),
+    (lambda: GroupExpr("K*", 1, (), (-2,)), "torsion_sub orders must be integers >= 2, not -2"),
+    (lambda: smash_free(BinoidPresentation(("x",), ()), True), "count must be an integer, not True"),
+    (lambda: smash_free(BinoidPresentation(("x",), ()), 1.5), "count must be an integer, not 1.5"),
 ]
 
 
@@ -293,7 +281,8 @@ REFUSED = [
          "product", "torsion", "free-power", "modulus", "vertices", "face",
          "bool-exponent", "float-exponent", "bool-entry", "float-entry", "bool-dimension",
          "bool-free-rank", "float-free-rank", "negative-free-rank", "bool-free-power",
-         "float-free-power"],
+         "float-free-power", "bool-cotorsion", "unit-cotorsion", "float-cotorsion",
+         "zero-torsion-sub", "negative-torsion-sub", "bool-smash", "float-smash"],
 )
 def test_refused_fields(make, message):
     with pytest.raises(ValueError) as raised:
