@@ -221,6 +221,18 @@ def smash_free(M: BinoidPresentation, k: int) -> BinoidPresentation:
     return BinoidPresentation(names, relations)
 
 
+def _drop_free(M: BinoidPresentation) -> BinoidPresentation:
+    """M without its free generators, those in no relation: what `smash_free`
+    was given, up to the order of the generators."""
+    used = [i for i in range(M.generator_count)
+            if any(rel.lhs[i] or rel.rhs and rel.rhs[i] for rel in M.relations)]
+    if len(used) == M.generator_count:
+        return M
+    pick = lambda v: v and tuple(v[i] for i in used)  # None, for ∞, stays None
+    relations = tuple(Relation(pick(rel.lhs), pick(rel.rhs)) for rel in M.relations)
+    return BinoidPresentation(pick(M.generator_names), relations)
+
+
 def difference_group(M: BinoidPresentation) -> DifferenceGroup:
     """Γ = group completion of M minus ∞, with a recorded basis.
 

@@ -23,12 +23,14 @@ from ._record import Record, setfield
 from .binoid import (
     BinoidPresentation,
     DifferenceGroup,
+    _drop_free,
     difference_group,
     radical_complex,
 )
 from .divisors import _cone_facets, _dot
-from .errors import NotCancellative, VoidComplex
+from .errors import NotCancellative, PreconditionError, VoidComplex
 from .exactalg import (
+    TRIVIAL_GROUP,
     FinAbGroup,
     GroupExpr,
     IntMatrix,
@@ -307,7 +309,7 @@ def _check_cancellative(S: SpecPoset, gamma: DifferenceGroup) -> None:
             )
 
 
-def _check_units(M: BinoidPresentation, S: SpecPoset, gamma: DifferenceGroup, ranks: dict) -> None:
+def _check_units(M: BinoidPresentation, S: SpecPoset, ranks: dict) -> None:
     """At each punctured prime p ≠ ∅, by its bitmask a key of `ranks`,
     Z^(generators off p) modulo the relations with both sides off p must be
     free of rank ranks[p], that of the lattice L_p the generators off p
@@ -317,23 +319,18 @@ def _check_units(M: BinoidPresentation, S: SpecPoset, gamma: DifferenceGroup, ra
     relation is balanced on p, so no derivation between words off p leaves
     them.  It is L_p when M is cancellative; where it is not, the cells
     would carry the wrong groups.  At ∅ the units are Γ by definition.
-    Primes that differ only in generators no relation uses keep the same
-    relations and share one Smith form; a prime that meets no
-    relation keeps them all, and Γ is free (`difference_group`).
+    A prime holding generators no relation uses is skipped: it keeps the
+    relations of the prime without them, which comes earlier, and both its
+    quotient and its lattice lose one free Z per such generator.
     """
     n = M.generator_count
     supports = [lhs | rhs for lhs, rhs in S._relations[0]]  # M is integral: all element relations
     covered = reduce(or_, supports, 0)
-    # the prime's generators in some relation -> the nonzero invariant factors of those it keeps
-    quotients = {0: (1,) * (n - gamma.rank)}
     for mask in S._primes:
-        if not mask or mask not in ranks:
+        if not mask or mask & ~covered or mask not in ranks:
             continue
-        if mask & covered not in quotients:
-            kept = [rel for used, rel in zip(supports, M.relations) if not used & mask]
-            rows = [[a - b for a, b in zip(rel.lhs, rel.rhs)] for rel in kept]
-            quotients[mask & covered] = _dense_factors(rows, n)
-        factors = quotients[mask & covered]
+        kept = [rel for used, rel in zip(supports, M.relations) if not used & mask]
+        factors = _dense_factors([[a - b for a, b in zip(rel.lhs, rel.rhs)] for rel in kept], n)
         if any(f != 1 for f in factors) or n - mask.bit_count() - len(factors) != ranks[mask]:
             raise NotCancellative(
                 "not cancellative: the units at the prime %s are not the lattice "
@@ -402,6 +399,18 @@ def _cell_complex(S: SpecPoset) -> tuple:
     return [support for support, _ in vertices], [sorted(k_cells) for k_cells in cells], cell
 
 
+def _unit_lattices(M: BinoidPresentation) -> tuple:
+    """The spectrum of M and `_unit_lattice` per punctured prime, by
+    bitmask, once `_check_cancellative` and `_check_units` pass; and the
+    rank of the difference group."""
+    gamma = difference_group(M)
+    S = compute_spec(M)
+    _check_cancellative(S, gamma)
+    lattices = {prime: _unit_lattice(gamma, prime) for prime in S._primes[:-1]}
+    _check_units(M, S, {prime: len(lattice[2]) for prime, lattice in lattices.items()})
+    return S, lattices, gamma.rank
+
+
 def local_picard_general(M: BinoidPresentation) -> LocalPicardResult:
     """Unit-sheaf cohomology of the punctured spectrum, one cell per prime.
 
@@ -413,12 +422,9 @@ def local_picard_general(M: BinoidPresentation) -> LocalPicardResult:
     Degree 1 is the local Picard group.  That these are the unit groups
     is checked exactly, by `_check_cancellative` and `_check_units`.
     """
-    gamma = difference_group(M)
-    S = compute_spec(M)
-    _check_cancellative(S, gamma)
+    S, units, _ = _unit_lattices(M)
     cover, cells, cell = _cell_complex(S)
-    lattices = {J: _unit_lattice(gamma, prime) for J, (prime, _) in cell.items()}
-    _check_units(M, S, gamma, {prime: len(lattices[J][2]) for J, (prime, _) in cell.items()})
+    lattices = {J: units[prime] for J, (prime, _) in cell.items()}
 
     def block(sub, K):
         X = _divide(*lattices[K][1:], lattices[sub][0])  # U_K, d_K and B_sub
@@ -427,6 +433,35 @@ def local_picard_general(M: BinoidPresentation) -> LocalPicardResult:
     coordinates = lambda J: range(len(lattices[J][2]))
     cech = _cech_complex(cells, coordinates, block, lambda K: cell[K][1])
     return LocalPicardResult(tuple(cech.cohomology()), cech, tuple(cover))
+
+
+def local_picard_groups(M: BinoidPresentation) -> tuple[FinAbGroup, ...]:
+    """The groups of `local_picard_general`, with no cells once a free
+    generator, one in no relation, splits off.
+
+    Let M have n ≥ 2 generators, k ≥ 1 of them free, and N be M on the
+    others.  Then every group is 0.  Write M = M′ ∧ ⟨t⟩, M′ with a generator,
+    and cover X = Spec•M by U = Spec•M′ × {∅, ⟨t⟩} and D(t) = Spec M′.  Each
+    fibre of U has the closed point ⟨t⟩, so H^i(U) = H^i(Spec•M′).  D(t) has
+    a point whose only neighbourhood is D(t), so O* is acyclic there, with
+    H^0 = units(M′) ⊕ Zt = Zt.  On U ∩ D(t) = Spec•M′, O* gains a constant
+    Z, flasque as ∅ lies in every nonempty open.  So H^i(U) ⊕ H^i(D(t)) →
+    H^i(U ∩ D(t)) is an isomorphism, (a, b) ↦ (a, −b) in degree 0, and
+    Mayer–Vietoris gives H^i(X) = 0.
+
+    The checks are decided on N: cone(M) = cone(N) × R≥0^k, Γ_M = Γ_N ⊕ Z^k
+    on the free generators, and at a prime q ∪ s, s free, the units are N's
+    at q plus Z^(k − |s|).  A refused N runs the cell route, which refuses
+    M in its own words (`Torsion` prints one entry per generator).  The
+    degrees are those of the cells, rank Γ_M = rank Γ_N + k.
+    """
+    N, n = _drop_free(M), M.generator_count
+    if n > 1 and N.generator_count < n:
+        try:
+            return (TRIVIAL_GROUP,) * (_unit_lattices(N)[2] + n - N.generator_count)
+        except PreconditionError:
+            pass
+    return local_picard_general(M).groups
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .cech import (
     _weil_cover,
     local_picard_formula,
     local_picard_general,
+    local_picard_groups,
     monomial_report,
     stanley_reisner_cohomology,
 )
@@ -177,14 +178,8 @@ def _load_json(text: str) -> SimplicialComplex:
     for v in vertices + [v for facet in facets for v in facet]:
         if isinstance(v, bool) or not isinstance(v, (int, str)):
             raise ParseError("label %s is neither an integer nor a string" % json.dumps(v))
-    shown = {}
-    for v in vertices:
-        if shown.setdefault(str(v), v) != v:
-            raise ParseError("two vertices print as %s" % v)
     try:
-        return SimplicialComplex.make(
-            vertices, [tuple(f) for f in facets]
-        )
+        return SimplicialComplex.make(vertices, [tuple(f) for f in facets])
     except (UnknownVertex, ValueError, TypeError) as e:
         raise ParseError(str(e))
 
@@ -360,10 +355,10 @@ def _run_picard(ns, obj):
 
 
 def _run_picard_general(ns, obj):
-    result = local_picard_general(_as_binoid(obj))
+    M = _as_binoid(obj)
     if ns.json:
-        return _dump(result.to_json())
-    return _format_degrees([str(g) for g in result.groups], 0, ns.degree)
+        return _dump(local_picard_general(M).to_json())
+    return _format_degrees([str(g) for g in local_picard_groups(M)], 0, ns.degree)
 
 
 def _cover_nerve(obj):

@@ -74,11 +74,16 @@ class SimplicialComplex(Record):
 
     @classmethod
     def make(cls, vertices: Sequence, faces: Iterable[Sequence]) -> "SimplicialComplex":
-        """Check and normalize: sort faces by vertex position, keep the
-        maximal ones, and turn uncovered vertices into singleton facets."""
+        """Check and normalize: refuse two vertices that are equal or print
+        the same, sort faces by vertex position, keep the maximal ones, and
+        turn uncovered vertices into singleton facets."""
         vertices = tuple(vertices)
         if len(set(vertices)) != len(vertices):
             raise ValueError("duplicate vertex labels")
+        shown = {}
+        for v in vertices:
+            if shown.setdefault(str(v), v) != v:
+                raise ValueError("two vertices print as %s" % v)
         position = {v: i for i, v in enumerate(vertices)}
         normalized = set()
         for face in faces:

@@ -962,7 +962,7 @@ class TestLocalPicardGeneral:
         punctured = S._primes[:-1]
         ranks = {m: len(binoids.cech._unit_lattice(gamma, m)[2]) for m in punctured}
         with pytest.raises(NotCancellative, match="the units at the prime <t> "):
-            binoids.cech._check_units(M, S, gamma, ranks)
+            binoids.cech._check_units(M, S, ranks)
         with pytest.raises(NotCancellative, match="<x,t> are not the generators on a face"):
             local_picard_general(M)
 

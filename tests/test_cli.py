@@ -16,9 +16,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import binoids
-from binoids.cli import _HELP, _dump, main
+from binoids.binoid import BinoidPresentation, Relation
+from binoids.cech import local_picard_general, local_picard_groups
+from binoids.cli import _HELP, _dump, _format_degrees, main
+from binoids.errors import PreconditionError
 
 from fixtures import presentation_text, quadric_cone
+from oracles import make_rng
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 DATA = pathlib.Path(__file__).resolve().parent / "data"
@@ -585,6 +589,134 @@ class TestPicardGeneralVerb:
     def test_not_integral(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "picard-general", write(tmp_path, XYZ_INF))
         assert code == 3
+
+
+def smashed(M, k, at):
+    """M with k free generators t1..tk declared from position `at` on."""
+    pad = lambda v: v and v[:at] + (0,) * k + v[at:]  # None, for ∞, stays None
+    names = M.generator_names[:at] + tuple("t%d" % i for i in range(1, k + 1))
+    relations = [Relation(pad(r.lhs), pad(r.rhs)) for r in M.relations]
+    return BinoidPresentation(names + M.generator_names[at:], relations)
+
+
+def load_text(tmp_path, names, relations):
+    """The presentation of a file with these generators and relations."""
+    lines = ["generators: " + names] + ["relation: " + r for r in relations]
+    return binoids.cli.load_input(write(tmp_path, "\n".join(lines) + "\n", "base.binoid"))
+
+
+# the integral-units families of the benchmark, as (generators, relations)
+FREE_SPLIT_FAMILIES = [("x y z", ["x + y = %d z" % n]) for n in range(1, 13)] + [
+    ("x y", ["2 x = 3 y"]),
+    ("x y z w", ["x + z = y + w"]),
+    ("a", []),
+    ("a b", []),
+    ("a b c", []),
+]
+
+# refused before smashing: a unit of order 2 at <z>; torsion in Γ from more
+# relations than generators, so the message's diagonal grows with the
+# generators; and an ∞ relation
+FREE_SPLIT_REFUSED = [
+    ("x y z", ["x + z = y + z", "2 x = 2 y"]),
+    ("x y", ["2 x = 2 y", "4 x = 4 y", "6 x = 6 y"]),
+    ("x y z", ["x + y = inf"]),
+]
+
+P20 = """\
+generators: g0 g1 g2 g3 g4 g5 g6 g7 g8 g9 g10 g11 g12 g13 g14 g15 g16 g17 g18 g19
+relation: 1 g19 + 2 g8 = 1 g12 + 3 g17
+relation: 2 g1 + 1 g5 = 2 g4 + 3 g13
+relation: 3 g3 + 1 g18 = 2 g8 + 2 g0
+"""
+
+
+class TestPicardGeneralFreeSplit:
+    """picard-general's text splits off free generators (in no relation) and
+    prints every group as 0 without cells; it must print what the cell
+    route's groups print, and refuse what it refuses with its exit code and
+    message.  --json keeps the cell route."""
+
+    def check(self, capsys, tmp_path, M):
+        """Assert that the text, whole and at --degree 0..4, is the cell
+        route's; return the error message of a refusal, or None."""
+        path = write(tmp_path, presentation_text(M))
+        message = None
+        try:
+            groups = local_picard_general(M).groups
+        except PreconditionError as error:
+            message = str(error)
+            with pytest.raises(PreconditionError) as raised:
+                local_picard_groups(M)
+            assert (type(raised.value), str(raised.value)) == (type(error), message)
+            err = "error: %s\n" % message
+            assert invoke(capsys, "picard-general", path, "--json") == (3, "", err)
+            expected = [(3, "", err)] * 6
+        else:
+            assert local_picard_groups(M) == groups
+            shown = [str(g) for g in groups]
+            expected = [(0, _format_degrees(shown), "")]
+            expected += [(0, _format_degrees(shown, 0, j), "") for j in range(5)]
+        got = [invoke(capsys, "picard-general", path)]
+        got += [invoke(capsys, "picard-general", path, "--degree", str(j)) for j in range(5)]
+        assert got == expected
+        return message
+
+    @pytest.mark.parametrize(
+        "names, relations", FREE_SPLIT_FAMILIES,
+        ids=["x+y=%dz" % n for n in range(1, 13)] + ["2x=3y", "x+z=y+w", "free1", "free2",
+                                                     "free3"],
+    )
+    def test_families_before_between_and_after(self, capsys, tmp_path, names, relations):
+        M = load_text(tmp_path, names, relations)
+        for k in (1, 2, 3):
+            for at in (0, 1, M.generator_count):
+                assert self.check(capsys, tmp_path, smashed(M, k, at)) is None
+
+    @pytest.mark.parametrize(
+        "names, relations", FREE_SPLIT_REFUSED, ids=["unit-of-order-2", "torsion", "infinity"]
+    )
+    def test_refused_bases(self, capsys, tmp_path, names, relations):
+        M = load_text(tmp_path, names, relations)
+        messages = set()
+        for k in (0, 1, 2):
+            for at in (0, 1, M.generator_count):
+                message = self.check(capsys, tmp_path, smashed(M, k, at))
+                assert message is not None
+                messages.add(message)
+        if "6 x = 6 y" in relations:  # one diagonal entry per generator, up to 3 relations
+            assert messages == {"difference group has torsion: diagonal %s" % (d,)
+                                for d in [(2, 0), (2, 0, 0)]}
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_presentations(self, capsys, tmp_path, seed):
+        # one or two relations, each generator on one side or on neither;
+        # about half of them are refused, mostly for torsion
+        rng = make_rng(seed)
+        outcomes = set()
+        for _ in range(12):
+            n, count = rng.randint(2, 4), rng.randint(1, 2)
+            relations = []
+            while len(relations) < count:
+                sides = [rng.choice("lr-") for _ in range(n)]
+                lhs = tuple(rng.randint(1, 3) if s == "l" else 0 for s in sides)
+                rhs = tuple(rng.randint(1, 3) if s == "r" else 0 for s in sides)
+                if any(lhs) and any(rhs):
+                    relations.append(Relation(lhs, rhs))
+            M = BinoidPresentation(tuple("g%d" % i for i in range(n)), tuple(relations))
+            M = smashed(M, rng.randint(1, 2), rng.randint(0, n))
+            outcomes.add(self.check(capsys, tmp_path, M) is None)
+        assert outcomes == {True, False}
+
+    def test_p20_builds_no_cells(self, capsys, tmp_path, monkeypatch):
+        # nine free generators: the cell route would build 520 * 2^9 cells
+        def refuse(S):
+            raise AssertionError("a cell complex was built")
+
+        monkeypatch.setattr(binoids.cech, "_cell_complex", refuse)
+        path = write(tmp_path, P20)
+        assert invoke(capsys, "picard-general", path) == (0, "H^0 = 0, H^1 = 0\n", "")
+        assert invoke(capsys, "picard-general", path, "--degree", "3") == (0, "H^3 = 0\n", "")
 
 
 class TestCohomologyVerb:

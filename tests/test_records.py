@@ -253,6 +253,8 @@ REFUSED = [
     (lambda: GroupExpr("K*", 1).evaluate(0), "modulus must be positive"),
     (lambda: SimplicialComplex.make([1, 2, 1], [(1, 2)]), "duplicate vertex labels"),
     (lambda: SimplicialComplex.make([1, 2], [(1, 2, 1)]), "face with repeated vertex: (1, 2, 1)"),
+    # 1 and "1" differ, but `spec` and every other text output would show both as <1>
+    (lambda: SimplicialComplex.make([1, "1"], [(1,)]), "two vertices print as 1"),
     # bool is an int subclass, but no exponent, entry or count
     (lambda: Relation((True, 0), (0, 2)), "exponents must be nonnegative integers, not True"),
     (lambda: Relation((1, 0), (0, 2.0)), "exponents must be nonnegative integers, not 2.0"),
@@ -278,7 +280,7 @@ REFUSED = [
     "make, message",
     REFUSED,
     ids=["sides", "identical", "names", "arity", "smash", "dimensions", "rows", "columns",
-         "product", "torsion", "free-power", "modulus", "vertices", "face",
+         "product", "torsion", "free-power", "modulus", "vertices", "face", "same-print",
          "bool-exponent", "float-exponent", "bool-entry", "float-entry", "bool-dimension",
          "bool-free-rank", "float-free-rank", "negative-free-rank", "bool-free-power",
          "float-free-power", "bool-cotorsion", "unit-cotorsion", "float-cotorsion",

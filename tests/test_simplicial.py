@@ -1,4 +1,3 @@
-import itertools
 import math
 import random
 
@@ -15,7 +14,6 @@ from oracles import (
     brute_faces,
     brute_simplicial_cohomology,
     make_rng,
-    mat_mul,
     modm_cohomology_orders,
     modp_cohomology_dims,
     naive_complex_cohomology,
