@@ -47,6 +47,7 @@ from .spectrum import (
     SpecPoset,
     _labels,
     _punctured_cover,
+    _vertex_positions,
     compute_spec,
     minimal_cover,
     spectrum_of_complex,
@@ -221,13 +222,11 @@ def _weil_cover(delta: SimplicialComplex) -> list[tuple[int, ...]]:
     minimal, since that facet is too large for any smaller face; any other
     face of it is a facet, minimal unless it minus one vertex is in the locus.
     """
-    if delta.is_void or not delta.vertices:
-        raise VoidComplex("need a complex with at least one vertex")
+    position = _vertex_positions(delta)
     sizes = [len(f) for f in delta.facets]
     # wider[k]: the bitmask of the facets with more than k vertices
     wider = [sum(1 << j for j, s in enumerate(sizes) if s > k) for k in range(max(sizes) + 2)]
     by_dim = delta._faces_by_dim()
-    position = {v: i for i, v in enumerate(delta.vertices)}
     cover = []
     for k, faces in enumerate(list(by_dim.values())[1:], 1):  # k vertices each
         for face, above in faces.items():

@@ -29,6 +29,8 @@ from .divisors import class_group
 from .errors import ParseError, PreconditionError, UnknownVertex
 from .simplicial import SimplicialComplex
 from .spectrum import (
+    _complex_cover_nerve,
+    _complex_heights,
     _labels,
     _members,
     _punctured_cover,
@@ -324,23 +326,19 @@ def _as_complex(obj) -> SimplicialComplex:
     return obj if isinstance(obj, SimplicialComplex) else as_simplicial(obj)
 
 
-def _spectrum(obj):
-    if isinstance(obj, SimplicialComplex):
-        return spectrum_of_complex(obj)
-    return compute_spec(_as_binoid(obj))
-
-
 def _run_spec(ns, obj):
-    S = _spectrum(obj)
+    simplicial = isinstance(obj, SimplicialComplex)
+    S = spectrum_of_complex(obj) if simplicial else compute_spec(_as_binoid(obj))
     if ns.dot or ns.verb == "dot":
         return to_dot(S)
     if ns.json:
         names = S.generator_names
+        heights = _complex_heights(obj) if simplicial else S._hasse_diagram()[1]
         payload = {
             "generators": list(names),
             "primes": [
                 {"generators": list(_members(m, names)), "height": h}
-                for m, h in zip(S._primes, S._hasse_diagram()[1])
+                for m, h in zip(S._primes, heights)
             ],
         }
         return _dump(payload)
@@ -362,9 +360,11 @@ def _run_picard_general(ns, obj):
 
 
 def _cover_nerve(obj):
-    S = _spectrum(obj)
+    if isinstance(obj, SimplicialComplex):
+        return (obj.vertices, *_complex_cover_nerve(obj))
+    S = compute_spec(_as_binoid(obj))
     cover = [support for support, _ in _punctured_cover(S)]
-    return S, cover, nerve(S, cover)
+    return S.generator_names, cover, nerve(S, cover)
 
 
 def _run_cohomology(ns, obj):
@@ -409,8 +409,7 @@ def _run_pic_open(ns, obj):
 
 
 def _run_nerve(ns, obj):
-    S, cover, N = _cover_nerve(obj)
-    names = S.generator_names
+    names, cover, N = _cover_nerve(obj)
     supports = [[names[i] for i in sup] for sup in cover]
     if ns.json:
         payload = _complex_payload(N)

@@ -21,8 +21,8 @@ from math import gcd, lcm
 from operator import mul
 
 from ._record import Record, setfield
-from .binoid import BinoidPresentation, DifferenceGroup, difference_group
-from .errors import FacetPrimeMismatch, NotFullDimensional, NotPointed
+from .binoid import BinoidPresentation, DifferenceGroup, _drop_free, difference_group
+from .errors import FacetPrimeMismatch, NotFullDimensional, NotPointed, PreconditionError
 from .exactalg import FinAbGroup, IntMatrix, _dense_factors, cokernel
 from .simplicial import _bits
 from .spectrum import PrimeIdeal, SpecPoset, _labels, _prime, compute_spec
@@ -152,7 +152,20 @@ def valuation_matrix(M: BinoidPresentation) -> ValuationMatrix:
 
 
 def class_group(M: BinoidPresentation) -> FinAbGroup:
-    """Divisor class group: cokernel of the valuation map on the difference group."""
+    """Divisor class group: cokernel of the valuation map on the difference group.
+
+    It is decided on N, M without its free generators: Cl(N ∧ ℕ^k) = Cl(N),
+    as Γ_M = Γ_N ⊕ Z^k, each free generator adds the facet that its own
+    coordinate is positive on, and the valuation matrix gains an identity
+    block.  N passes the checks exactly when M does, yet a refused N
+    falls back to M, which refuses in its own words.
+    """
+    N = _drop_free(M)
+    if N is not M:
+        try:
+            return class_group(N)
+        except PreconditionError:
+            pass
     vm = valuation_matrix(M)
     gamma_rank = len(vm.normals[0]) if vm.normals else 0
     phi = IntMatrix.from_rows([list(n) for n in vm.normals], cols=gamma_rank)

@@ -23,7 +23,11 @@ outside p, one Hasse edge per (face, vertex).  The nerve of a cover takes
 its points from the minimal primes alone: a smaller prime avoids every
 support a larger one avoids, so the primes above them add no face.  The
 minimal cover of the punctured spectrum is the complements of the primes
-just below the maximal ideal (`_punctured_cover`).
+just below the maximal ideal (`_punctured_cover`).  On a complex both are
+read off the faces with no Hasse diagram: the prime of a face F has
+height max |G| - |F| over the facets G above F (`_complex_heights`), and
+the cover is one open per vertex, whose nerve is the complex itself on
+its vertex positions (`_complex_cover_nerve`).
 """
 
 from __future__ import annotations
@@ -260,9 +264,7 @@ def spectrum_of_complex(delta: SimplicialComplex) -> SpecPoset:
     >>> [p.generator_subset for p in S.primes]
     [(2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
     """
-    if delta.is_void or not delta.vertices:
-        raise VoidComplex("need a complex with at least one vertex")
-    position = {v: i for i, v in enumerate(delta.vertices)}
+    position = _vertex_positions(delta)
     by_dim = delta._faces_by_dim()
     grown = {(): (1 << len(position)) - 1}  # face -> the bitmask of its complement
     for faces in list(by_dim.values())[1:]:  # after the empty face, parents first
@@ -270,6 +272,51 @@ def spectrum_of_complex(delta: SimplicialComplex) -> SpecPoset:
             grown[face] = grown[face[:-1]] ^ 1 << position[face[-1]]
     masks = tuple(grown[face] for faces in reversed(by_dim.values()) for face in reversed(faces))
     return SpecPoset(delta.vertices, masks)
+
+
+def _vertex_positions(delta: SimplicialComplex) -> dict:
+    """The position of each vertex in ``delta.vertices``; a complex without
+    vertices has no spectrum to speak of."""
+    if delta.is_void or not delta.vertices:
+        raise VoidComplex("need a complex with at least one vertex")
+    return {v: i for i, v in enumerate(delta.vertices)}
+
+
+def _complex_heights(delta: SimplicialComplex) -> list[int]:
+    """The heights of the primes of `spectrum_of_complex(delta)`, in its
+    order, with no Hasse diagram.
+
+    The primes below that of a face F are those of the faces holding F, and
+    each step down a chain adds one vertex, so the height is max |G| - |F|
+    over the facets G above F: the largest size whose facets meet F's
+    ``above`` mask.
+    """
+    by_size = {}
+    for k, facet in enumerate(delta.facets):
+        by_size[len(facet)] = by_size.get(len(facet), 0) | 1 << k
+    widest = sorted(by_size.items(), reverse=True)
+    return [
+        next(size for size, facets in widest if facets & above) - len(face)
+        for faces in reversed(delta._faces_by_dim().values())
+        for face, above in reversed(faces.items())
+    ]
+
+
+def _complex_cover_nerve(delta: SimplicialComplex) -> tuple[list, SimplicialComplex]:
+    """The minimal cover of the punctured spectrum of a complex and its
+    nerve, as `nerve` over `_punctured_cover` gives them, with no spectrum.
+
+    The primes just below the maximal ideal are the complements of the
+    vertices, so the cover is D(v), one open per vertex in vertex order.
+    The points of the nerve are the primes of the facets, and D(v) holds
+    those of the facets through v: the nerve is the complex itself on the
+    1-based positions of its vertices, whose facets are already maximal,
+    sorted by position and covering every vertex.
+    """
+    position = _vertex_positions(delta)
+    facets = tuple(tuple(position[v] + 1 for v in facet) for facet in delta.facets)
+    vertices = tuple(range(1, len(position) + 1))
+    return [(i,) for i in range(len(position))], SimplicialComplex(vertices, facets)
 
 
 def height(S: SpecPoset, prime: PrimeIdeal) -> int:

@@ -16,10 +16,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import binoids
+from binoids import cli, spectrum
 from binoids.binoid import BinoidPresentation, Relation
 from binoids.cech import local_picard_general, local_picard_groups
 from binoids.cli import _HELP, _dump, _format_degrees, main
+from binoids.divisors import valuation_matrix
 from binoids.errors import PreconditionError
+from binoids.exactalg import IntMatrix, cokernel
+from binoids.spectrum import SpecPoset
 
 from fixtures import presentation_text, quadric_cone
 from oracles import make_rng
@@ -719,6 +723,73 @@ class TestPicardGeneralFreeSplit:
         assert invoke(capsys, "picard-general", path, "--degree", "3") == (0, "H^3 = 0\n", "")
 
 
+class TestClassGroupFreeSplit:
+    """class-group decides on the presentation without its free generators;
+    it must print what the valuation matrix of the whole presentation gives,
+    and refuse what that refuses with its exit code and message."""
+
+    def check(self, capsys, tmp_path, M):
+        """Assert the text and --json; return the error message of a refusal, or None."""
+        path = write(tmp_path, presentation_text(M))
+        message = None
+        try:
+            normals = valuation_matrix(M).normals
+        except PreconditionError as error:
+            message = str(error)
+            expected = [(3, "", "error: %s\n" % message)] * 2
+        else:
+            rank = len(normals[0]) if normals else 0
+            group = cokernel(IntMatrix.from_rows([list(n) for n in normals], cols=rank))
+            expected = [(0, str(group) + "\n", ""), (0, _dump(group.to_json()), "")]
+        got = [invoke(capsys, "class-group", path), invoke(capsys, "class-group", path, "--json")]
+        assert got == expected
+        return message
+
+    @pytest.mark.parametrize(
+        "names, relations", FREE_SPLIT_FAMILIES,
+        ids=["x+y=%dz" % n for n in range(1, 13)] + ["2x=3y", "x+z=y+w", "free1", "free2",
+                                                     "free3"],
+    )
+    def test_families_before_between_and_after(self, capsys, tmp_path, names, relations):
+        M = load_text(tmp_path, names, relations)
+        for k in (1, 2, 3):
+            for at in (0, 1, M.generator_count):
+                assert self.check(capsys, tmp_path, smashed(M, k, at)) is None
+
+    @pytest.mark.parametrize(
+        "names, relations",
+        FREE_SPLIT_REFUSED[1:] + [
+            ("g0 g1", ["g1 + g0 = 2 g0 + 3 g1", "g1 + g0 = 1 g0 + 2 g1"]),
+            ("a b c d", ["a + d = b + c", "2 a = c + d"]),
+        ],
+        ids=["torsion", "infinity", "rank-zero", "not-cancellative"],
+    )
+    def test_refused_bases(self, capsys, tmp_path, names, relations):
+        M = load_text(tmp_path, names, relations)
+        messages = set()
+        for k in (0, 1, 2):
+            for at in (0, 1, M.generator_count):
+                message = self.check(capsys, tmp_path, smashed(M, k, at))
+                assert message is not None
+                messages.add(message)
+        if "6 x = 6 y" in relations:  # one diagonal entry per generator, up to 3 relations
+            assert messages == {"difference group has torsion: diagonal %s" % (d,)
+                                for d in [(2, 0), (2, 0, 0)]}
+
+    def test_p20_spectrum_on_its_eleven_used_generators(self, capsys, tmp_path, monkeypatch):
+        # nine free generators: the whole spectrum would have 520 * 2^9 primes
+        sizes = []
+        compute_spec = binoids.divisors.compute_spec
+
+        def recording_compute_spec(M):
+            sizes.append(M.generator_count)
+            return compute_spec(M)
+
+        monkeypatch.setattr(binoids.divisors, "compute_spec", recording_compute_spec)
+        assert invoke(capsys, "class-group", write(tmp_path, P20)) == (0, "Z^4 + Z/2\n", "")
+        assert sizes == [11]
+
+
 class TestCohomologyVerb:
     def test_complex_input(self, capsys, tmp_path):
         code, out, _ = invoke(capsys, "cohomology", write(tmp_path, CYCLE4_CPLX))
@@ -909,6 +980,23 @@ class TestNerveVerb:
             "vertices": [1, 2],
             "facets": [[1, 2]],
         }
+
+
+    @pytest.mark.parametrize("argv", [["nerve"], ["nerve", "--json"], ["spec", "--json"]])
+    def test_complex_builds_no_hasse_diagram(self, capsys, tmp_path, monkeypatch, argv):
+        # the cover and the nerve of a complex, and the heights of its
+        # primes, are read off its faces; nerve builds no spectrum at all
+        def refuse(*args):
+            raise AssertionError("the Hasse diagram or the spectrum was built")
+
+        monkeypatch.setattr(SpecPoset, "_hasse_diagram", refuse)
+        if argv[0] == "nerve":
+            monkeypatch.setattr(cli, "spectrum_of_complex", refuse)
+            monkeypatch.setattr(spectrum, "spectrum_of_complex", refuse)
+        code, out, err = invoke(capsys, argv[0], write(tmp_path, FAVOURITE_CPLX), *argv[1:])
+        assert (code, err) == (0, "")
+        if argv == ["nerve"]:
+            assert out.endswith("vertices: 1 2 3 4\nfacet: 1 2 3\nfacet: 3 4\n")
 
 
 class TestLinkVerb:
@@ -1323,14 +1411,17 @@ relation: 2 g1 + 1 g5 = 2 g4 + 3 g13
 relation: 3 g3 + 1 g18 = 2 g8 + 2 g0
 """
 
-# SHA-256 of stdout, recorded before primes were held as bitmasks only;
-# the nerve of the 2,000-vertex path is 4,000 lines
+# SHA-256 of stdout, recorded before primes were held as bitmasks only
+# (`nerve --json` of the 12-simplex and the path: before the nerve of a
+# complex was read off its faces); the nerve of the 2,000-vertex path is
+# 4,000 lines
 OUTPUT_DIGESTS = {
     "simplex12": (SIMPLEX12, {
         "spec": "de8a4854d67b44012192a31a967f87fb0a41fba2f5359ae5948b21cd73d57769",
         "spec --json": "02b5c2e29d1e77516166743c70852cbe0f43bc953e7f54f266b91232161ae227",
         "dot": "972b943f1a429bb953425977bfc9fd66d4c13cc6dccc9d7a020561fda8a2425d",
         "nerve": "86e531fd5d34963b49ee9bf369dbdcf1ee14af316004e7d6c72ac908c9d4ac1d",
+        "nerve --json": "22fb60416382a3d1ca1792fd9e97d7eec4733198d40df42bb5f3a1cf110737ed",
     }),
     "cycle64": (cycle_text(64), {
         "spec": "47c286b532facdec876e27119d84348c0804740ec385d3a044728acd4c93b873",
@@ -1342,6 +1433,7 @@ OUTPUT_DIGESTS = {
     "path2000": (path_text(2000), {
         "spec": "cd042f1c157457eb4d064838e0d2f1c2682310ce7c7fa281a02acb65362f21af",
         "nerve": "75f609f27a1146df835485e143259d75824c120ee1bd7fb21c71bd7d18912306",
+        "nerve --json": "2a1c9f7357fba624a0cc4103ebe6cf3b87be09fd8bcc4794c99969776e219cc9",
     }),
     "p20-core": (P20_CORE, {
         "spec": "4f4b76428cd902baa938c5c92af2e6b3a61fd2c4b4cf73d4169544f54450f0e6",

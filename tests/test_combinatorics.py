@@ -244,6 +244,54 @@ class TestReadOffTheFaces:
         nodes = [line for line in outputs[1].splitlines() if "label=" in line]
         assert nodes == ['  p%d [label="%s"];' % pair for pair in enumerate(shown)]
 
+    @settings(max_examples=60, deadline=None)
+    @given(complexes_with_isolated_vertices(), st.data())
+    def test_nerve_and_heights(self, c, data):
+        """`nerve`, as text and JSON, against the nerve of the minimal cover
+        of the punctured spectrum, and the heights of `spec --json`, both
+        over a subset scan; vertices named by integers, strings or both."""
+        n = len(c.vertices)
+        named = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        label = {v: "v%d" % v if s else v for v, s in zip(c.vertices, named)}
+        names = [label[v] for v in c.vertices]
+        text = "vertices: %s\n" % " ".join(map(str, names))
+        text += "".join("facet: %s\n" % " ".join(str(label[v]) for v in f) for f in c.facets)
+        supports = [set(s) for s in brute_minimal_nonfaces(c.vertices, c.facets)]
+        primes = brute_spectrum(n, [], supports)
+        punctured = [set(p) for p in primes[:-1]]  # the maximal ideal comes last
+        cover = sorted(
+            tuple(i for i in range(n) if i not in p)
+            for p in punctured
+            if not any(p < q for q in punctured)
+        )
+        faces = brute_nerve(primes, cover)
+        with tempfile.TemporaryDirectory() as folder:
+            path = folder + "/complex.cplx"
+            with open(path, "w") as handle:
+                handle.write(text)
+            outputs = []
+            for argv in (["nerve", path], ["nerve", path, "--json"], ["spec", path, "--json"]):
+                with contextlib.redirect_stdout(io.StringIO()) as out:
+                    assert main(argv) == 0
+                outputs.append(out.getvalue())
+        nerve_text, nerve_json, spec_json = outputs[0], json.loads(outputs[1]), json.loads(outputs[2])
+        shown = [[names[i] for i in sup] for sup in cover]
+        assert nerve_json["cover"] == [
+            {"index": i, "support": sup} for i, sup in enumerate(shown, 1)
+        ]
+        assert {s for f in nerve_json["facets"] for s in all_subsets(f) if s} == faces
+        assert nerve_json["vertices"] == sorted({i for f in faces for i in f})
+        assert nerve_text == "".join(
+            "# %d: D(%s)\n" % (i, ",".join(map(str, sup))) for i, sup in enumerate(shown, 1)
+        ) + "vertices: %s\n" % " ".join(map(str, nerve_json["vertices"])) + "".join(
+            "facet: %s\n" % " ".join(map(str, f)) for f in nerve_json["facets"]
+        )
+        heights = brute_heights(primes)
+        position = {name: i for i, name in enumerate(names)}
+        assert [
+            (tuple(map(position.get, p["generators"])), p["height"]) for p in spec_json["primes"]
+        ] == [(p, heights[p]) for p in primes]
+
 
 class TestUpwardWalk:
     """Without element relations the primes are the complements of faces, so

@@ -141,8 +141,8 @@ class TestConeFacets:
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_one_kernel_line_per_facet(self, monkeypatch, k):
-        # the facets are read off the 4 + k minimal primes, one kernel line
-        # each, with no Hasse diagram
+        # the facets are read off the 4 minimal primes, one kernel line each,
+        # with no Hasse diagram: the k free generators are split off first
         lines = []
         kernel_line = divisors._kernel_line
 
@@ -157,7 +157,7 @@ class TestConeFacets:
         monkeypatch.setattr(SpecPoset, "_hasse_diagram", no_hasse_diagram)
         M = smash_free(xyzw(), k) if k else xyzw()
         assert class_group(M) == FinAbGroup(1)
-        assert len(lines) == 4 + k
+        assert len(lines) == 4
 
 
 class TestValuationMatrix:
