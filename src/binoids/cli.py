@@ -1,4 +1,5 @@
-"""Command line front end: parse input files, dispatch, print text/JSON/DOT.
+"""Command line front end: parse input files, dispatch, print text, JSON
+(`--json`) or DOT (the `dot` verb).
 
 Exit codes: 0 success, 2 parse error, 3 precondition error.  All syntax
 lives here; the library modules only ever see built values.
@@ -80,9 +81,7 @@ def _parse_side(text: str, index: dict, lineno: int) -> tuple:
             try:
                 coefficient = int(parts[0])
             except ValueError:
-                raise ParseError(
-                    "coefficient %r is not an integer" % parts[0], line=lineno
-                )
+                raise ParseError("coefficient %r is not an integer" % parts[0], line=lineno)
             name = parts[1]
         else:
             raise ParseError("cannot read term %r" % term.strip(), line=lineno)
@@ -112,12 +111,17 @@ def _build_complex(lines) -> SimplicialComplex:
     return SimplicialComplex.make(vertices, facets)
 
 
-def _build_binoid(lines) -> BinoidPresentation:
+def _names(lines, kind: str) -> tuple[list, dict]:
+    """The names on the first line and the position of each."""
     first_lineno, _, value = lines[0]
     names = value.split()
     if len(set(names)) != len(names):
-        raise ParseError("duplicate generator name", line=first_lineno)
-    index = {name: i for i, name in enumerate(names)}
+        raise ParseError("duplicate %s name" % kind, line=first_lineno)
+    return names, {name: i for i, name in enumerate(names)}
+
+
+def _build_binoid(lines) -> BinoidPresentation:
+    names, index = _names(lines, "generator")
     relations = []
     for lineno, _, value in lines[1:]:
         sides = value.split("=")
@@ -135,11 +139,7 @@ def _build_binoid(lines) -> BinoidPresentation:
 
 
 def _build_monomial(lines) -> BinoidPresentation:
-    first_lineno, _, value = lines[0]
-    names = value.split()
-    if len(set(names)) != len(names):
-        raise ParseError("duplicate variable name", line=first_lineno)
-    index = {name: i for i, name in enumerate(names)}
+    names, index = _names(lines, "variable")
     relations = []
     for lineno, _, value in lines[1:]:
         vec = [0] * len(names)
@@ -243,44 +243,45 @@ def _format_degrees(entries: list[str], start: int = 0, degree: int | None = Non
     return ", ".join("H^%d = %s" % (start + j, t) for j, t in enumerate(shown)) + "\n"
 
 
-def _groups_payload(groups, start: int = 0) -> dict:
-    return {"start_degree": start, "groups": [g.to_json() for g in groups]}
+def _groups_output(ns, groups, start: int = 0) -> str:
+    """The groups from degree `start` on, as `--json` or one `H^j` per degree."""
+    if ns.json:
+        return _dump({"start_degree": start, "groups": [g.to_json() for g in groups]})
+    return _format_degrees([str(g) for g in groups], start, ns.degree)
 
 
 def _pair_text(constant, integer) -> str:
-    parts = []
-    if not constant.is_trivial:
-        parts.append(str(constant))
-    if not integer.is_trivial:
-        parts.append(str(integer))
-    return " + ".join(parts) if parts else "0"
+    return " + ".join(str(g) for g in (constant, integer) if not g.is_trivial) or "0"
 
 
 def _complex_text(delta: SimplicialComplex) -> str:
-    lines = [("vertices: " + " ".join(str(v) for v in delta.vertices)).rstrip()]
+    lines = [("vertices: " + " ".join(map(str, delta.vertices))).rstrip()]
     for facet in delta.facets:
-        lines.append(("facet: " + " ".join(str(v) for v in facet)).rstrip())
+        lines.append(("facet: " + " ".join(map(str, facet))).rstrip())
     return "\n".join(lines) + "\n"
 
 
 def _complex_payload(delta: SimplicialComplex) -> dict:
-    return {
-        "vertices": list(delta.vertices),
-        "facets": [list(f) for f in delta.facets],
-    }
+    return {"vertices": list(delta.vertices), "facets": [list(f) for f in delta.facets]}
 
 
 def _dump(payload) -> str:
-    """`json.dumps(payload, indent=2, sort_keys=True)` plus a newline, written
-    here because with an indent the standard library's encoder is pure Python."""
+    """`json.dumps(payload, indent=2, sort_keys=True)` plus a newline: with an
+    indent the standard library's encoder is pure Python, several calls per
+    value.  `spec --json` writes its 2^n primes itself, one string each."""
     out = []
     _write(payload, "\n", out)
     out.append("\n")
     return "".join(out)
 
 
+_SCALAR_TEXT = {str: _quote, int: int.__repr__}
+
+
 def _write(value, newline: str, out: list) -> None:
-    """Append the JSON text of `value`, whose lines start with `newline`."""
+    """Append the JSON text of `value`, whose lines start with `newline`.
+    A list of only strs or only ints, such as a row of a dense differential,
+    is one join: one C call per item where recursing makes several."""
     if value.__class__ is str:
         out.append(_quote(value))
     elif value.__class__ is int:
@@ -301,6 +302,10 @@ def _write(value, newline: str, out: list) -> None:
             out.append("[]")
             return
         inner = newline + "  "
+        kinds = set(map(type, value))
+        if len(kinds) == 1 and (text := _SCALAR_TEXT.get(*kinds)):
+            out.append("[" + inner + ("," + inner).join(map(text, value)) + newline + "]")
+            return
         separator = "[" + inner
         for item in value:
             out.append(separator)
@@ -329,27 +334,26 @@ def _as_complex(obj) -> SimplicialComplex:
 def _run_spec(ns, obj):
     simplicial = isinstance(obj, SimplicialComplex)
     S = spectrum_of_complex(obj) if simplicial else compute_spec(_as_binoid(obj))
-    if ns.dot or ns.verb == "dot":
+    if ns.verb == "dot":
         return to_dot(S)
-    if ns.json:
-        names = S.generator_names
-        heights = _complex_heights(obj) if simplicial else S._hasse_diagram()[1]
-        payload = {
-            "generators": list(names),
-            "primes": [
-                {"generators": list(_members(m, names)), "height": h}
-                for m, h in zip(S._primes, heights)
-            ],
-        }
-        return _dump(payload)
-    return "".join([label + "\n" for label in _labels(S, S._primes)])
+    if not ns.json:
+        return "".join([label + "\n" for label in _labels(S, S._primes)])
+    # _dump's text, one string per prime and each name quoted once
+    heights = _complex_heights(obj) if simplicial else S._hasse_diagram()[1]
+    names = [_SCALAR_TEXT[type(v)](v) for v in S.generator_names]
+    primes = [
+        '{\n      "generators": [\n        %s\n      ],\n      "height": %d\n    }'
+        % (",\n        ".join(_members(m, names)), h)
+        for m, h in zip(S._primes, heights)
+    ]
+    if not S._primes[0]:  # the empty prime comes first, of height 0
+        primes[0] = '{\n      "generators": [],\n      "height": 0\n    }'
+    return '{\n  "generators": [\n    %s\n  ],\n  "primes": [\n    %s\n  ]\n}\n' % (
+        ",\n    ".join(names), ",\n    ".join(primes))
 
 
 def _run_picard(ns, obj):
-    groups = local_picard_formula(_as_complex(obj))
-    if ns.json:
-        return _dump(_groups_payload(groups))
-    return _format_degrees([str(g) for g in groups], 0, ns.degree)
+    return _groups_output(ns, local_picard_formula(_as_complex(obj)))
 
 
 def _run_picard_general(ns, obj):
@@ -368,27 +372,15 @@ def _cover_nerve(obj):
 
 
 def _run_cohomology(ns, obj):
-    if isinstance(obj, SimplicialComplex):
-        delta = obj
-    else:
-        _, _, delta = _cover_nerve(obj)
-    groups = delta.cohomology(reduced=ns.reduced)
-    start = -1 if ns.reduced else 0
-    if ns.json:
-        return _dump(_groups_payload(groups, start))
-    return _format_degrees([str(g) for g in groups], start, ns.degree)
+    delta = obj if isinstance(obj, SimplicialComplex) else _cover_nerve(obj)[2]
+    return _groups_output(ns, delta.cohomology(reduced=ns.reduced), -1 if ns.reduced else 0)
 
 
 def _run_sr_cohomology(ns, obj):
     degrees = stanley_reisner_cohomology(_as_complex(obj))
     if ns.json:
-        payload = {
-            "degrees": [
-                {"constant": constant.to_json(), "integer": integer.to_json()}
-                for constant, integer in degrees
-            ]
-        }
-        return _dump(payload)
+        pairs = [{"constant": c.to_json(), "integer": i.to_json()} for c, i in degrees]
+        return _dump({"degrees": pairs})
     entries = [_pair_text(constant, integer) for constant, integer in degrees]
     return _format_degrees(entries, 0, ns.degree)
 
@@ -402,10 +394,7 @@ def _run_class_group(ns, obj):
 
 def _run_pic_open(ns, obj):
     delta = _as_complex(obj)
-    groups = _pic_open_cover(delta, _weil_cover(delta))
-    if ns.json:
-        return _dump(_groups_payload(groups))
-    return _format_degrees([str(g) for g in groups], 0, ns.degree)
+    return _groups_output(ns, _pic_open_cover(delta, _weil_cover(delta)))
 
 
 def _run_nerve(ns, obj):
@@ -413,13 +402,10 @@ def _run_nerve(ns, obj):
     supports = [[names[i] for i in sup] for sup in cover]
     if ns.json:
         payload = _complex_payload(N)
-        payload["cover"] = [
-            {"index": i, "support": sup} for i, sup in enumerate(supports, start=1)
-        ]
+        payload["cover"] = [{"index": i, "support": s} for i, s in enumerate(supports, 1)]
         return _dump(payload)
     comments = "".join(
-        "# %d: D(%s)\n" % (i, ",".join(str(name) for name in sup))
-        for i, sup in enumerate(supports, start=1)
+        "# %d: D(%s)\n" % (i, ",".join(map(str, s))) for i, s in enumerate(supports, 1)
     )
     return comments + _complex_text(N)
 
@@ -438,9 +424,7 @@ def _run_monomial_report(ns, obj):
     report = monomial_report(_as_binoid(obj))
     if ns.json:
         return _dump(report.to_json())
-    facets = " | ".join(
-        " ".join(str(v) for v in facet) for facet in report.complex.facets
-    )
+    facets = " | ".join(" ".join(map(str, facet)) for facet in report.complex.facets)
     lines = [("facets: " + facets).rstrip()]
     lines.append("radical: %s" % ("yes" if report.is_radical else "no"))
     for j, (constant, integer) in enumerate(report.degrees):
@@ -470,7 +454,7 @@ _HANDLERS = {
 
 
 _HELP = """\
-usage: binoids VERB FILE [LABEL...] [--json] [--dot] [--reduced] [--degree J]
+usage: binoids VERB FILE [LABEL...] [--json] [--reduced] [--degree J]
 
 Spectra, Picard groups, and class groups of finitely presented binoids.
 
@@ -480,19 +464,18 @@ verbs: spec, dot, picard, picard-general, cohomology, sr-cohomology,
 options (anywhere; -- ends them):
   -h, --help    show this help and exit
   --json        machine-readable output
-  --dot         DOT output (spec only)
   --reduced     reduced cohomology
   --degree J    print one degree (also --degree=J)
 """
 
 # in argparse's order, which the message for an ambiguous prefix keeps
-_OPTIONS = ("--help", "--json", "--dot", "--reduced", "--degree")
+_OPTIONS = ("--help", "--json", "--reduced", "--degree")
 
 
 class _Args:
     """The command line: VERB FILE [LABEL...] and the options, off by default."""
 
-    json = dot = reduced = False
+    json = reduced = False
     degree = None
 
 
@@ -566,9 +549,7 @@ def _validate(ns):
         raise ParseError("link needs at least one vertex label")
     if ns.reduced and ns.verb != "cohomology":
         raise ParseError("--reduced only applies to cohomology")
-    if ns.dot and ns.verb not in ("spec", "dot"):
-        raise ParseError("--dot only applies to spec")
-    if ns.json and (ns.dot or ns.verb == "dot"):
+    if ns.json and ns.verb == "dot":
         raise ParseError("--json conflicts with DOT output")
     if ns.degree is not None:
         if ns.verb not in _GROUP_VERBS:

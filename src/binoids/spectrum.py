@@ -289,14 +289,17 @@ def _complex_heights(delta: SimplicialComplex) -> list[int]:
     The primes below that of a face F are those of the faces holding F, and
     each step down a chain adds one vertex, so the height is max |G| - |F|
     over the facets G above F: the largest size whose facets meet F's
-    ``above`` mask.
+    ``above`` mask.  Every face of a pure complex lies in a widest facet,
+    which one AND tests; the other sizes are tried only when it fails.
     """
     by_size = {}
     for k, facet in enumerate(delta.facets):
         by_size[len(facet)] = by_size.get(len(facet), 0) | 1 << k
     widest = sorted(by_size.items(), reverse=True)
+    top, largest = widest[0] if widest else (0, 0)
     return [
-        next(size for size, facets in widest if facets & above) - len(face)
+        (top if above & largest else next(size for size, fs in widest if fs & above))
+        - len(face)
         for faces in reversed(delta._faces_by_dim().values())
         for face, above in reversed(faces.items())
     ]

@@ -144,7 +144,7 @@ def golden(name):
 
 def write(tmp_path, text, name="input.txt"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -374,11 +374,12 @@ class TestDotVerb:
         assert '"<x,z>"' in out
         assert out.endswith("}\n")
 
-    def test_spec_dot_flag_matches_dot_verb(self, capsys, tmp_path):
+    def test_spec_dot_flag_is_unknown(self, capsys, tmp_path):
+        """DOT output has one spelling, the verb; `--dot` is no option."""
         path = write(tmp_path, XY_2Z)
-        _, via_flag, _ = invoke(capsys, "spec", path, "--dot")
-        _, via_verb, _ = invoke(capsys, "dot", path)
-        assert via_flag == via_verb
+        error = (2, "", "error: unrecognized arguments: --dot\n")
+        assert invoke(capsys, "spec", path, "--dot") == error
+        assert invoke(capsys, "dot", path, "--dot") == error
 
     def test_deterministic(self, capsys, tmp_path):
         path = write(tmp_path, XYZW)
@@ -1166,11 +1167,11 @@ class TestFlagValidation:
         )
         assert code == 2
 
-    def test_dot_only_for_spec(self, capsys, tmp_path):
-        code, _, _ = invoke(
+    def test_dot_is_unknown_option(self, capsys, tmp_path):
+        code, _, err = invoke(
             capsys, "picard", write(tmp_path, FAVOURITE_CPLX), "--dot"
         )
-        assert code == 2
+        assert (code, err) == (2, "error: unrecognized arguments: --dot\n")
 
     def test_negative_degree_without_reduced(self, capsys, tmp_path):
         code, _, _ = invoke(
@@ -1241,9 +1242,10 @@ ARGV_TABLE = [
     (["--json", "picard", "P"], 0, PICARD_JSON, OK),
     (["picard", "--json", "P"], 0, PICARD_JSON, OK),
     (["picard", "P", "--json"], 0, PICARD_JSON, OK),
-    (["--dot", "spec", "P"], 0, DOT_TEXT, OK),
-    (["spec", "--dot", "P"], 0, DOT_TEXT, OK),
-    (["spec", "P", "--dot"], 0, DOT_TEXT, OK),
+    (["dot", "P"], 0, DOT_TEXT, OK),
+    (["--dot", "spec", "P"], 2, "", BAD),
+    (["spec", "--dot", "P"], 2, "", BAD),
+    (["spec", "P", "--dot"], 2, "", BAD),
     (["--reduced", "cohomology", "P"], 0, REDUCED_TEXT, OK),
     (["cohomology", "--reduced", "P"], 0, REDUCED_TEXT, OK),
     (["cohomology", "P", "--reduced"], 0, REDUCED_TEXT, OK),
@@ -1253,7 +1255,7 @@ ARGV_TABLE = [
     (["picard", "P", "--degree=1"], 0, "H^1 = 0\n", OK),
     (["picard", "P", "--deg", "1"], 0, "H^1 = 0\n", OK),
     (["picard", "P", "--deg=1"], 0, "H^1 = 0\n", OK),
-    (["picard", "P", "--d", "1"], 2, "", BAD),
+    (["picard", "P", "--d", "1"], 0, "H^1 = 0\n", OK),
     (["picard", "P", "--json=1"], 2, "", BAD),
     (["picard", "P", "--jso"], 0, PICARD_JSON, OK),
     (["--", "picard", "P"], 0, PICARD_TEXT, OK),
@@ -1314,12 +1316,16 @@ class TestArgv:
             (["picard", "P", "--degree", "one"], "argument --degree: invalid int value: 'one'"),
             (["picard", "P", "--json=1"], "argument --json: ignored explicit argument '1'"),
             (["picard", "P", "--help="], "argument -h/--help: ignored explicit argument ''"),
-            (["picard", "P", "--d", "1"], "ambiguous option: --d could match --dot, --degree"),
+            (
+                ["picard", "P", "--=1"],
+                "ambiguous option: --=1 could match --help, --json, --reduced, --degree",
+            ),
             (["picard", "P", "--degree", "-1.5"], "argument --degree: invalid int value: '-1.5'"),
             (["picard", "P", "--degree", "-.5"], "argument --degree: invalid int value: '-.5'"),
             (["picard", "P", "-1.x"], "unrecognized arguments: -1.x"),
             (["dot", "P", "--json"], "--json conflicts with DOT output"),
-            (["spec", "P", "--dot", "--json"], "--json conflicts with DOT output"),
+            (["dot", "--json", "P"], "--json conflicts with DOT output"),
+            (["spec", "P", "--dot"], "unrecognized arguments: --dot"),
         ],
     )
     def test_error_wording(self, capsys, tmp_path, argv, message):
@@ -1342,6 +1348,24 @@ json_values = st.recursive(
     max_leaves=25,
 )
 
+# quotes, backslashes, control characters and non-ASCII text; long all-int
+# and all-str lists repeat a short one
+escapes = 'a"\\/\x00\x01\x1f\x7f\n\t\u2028\u00e9\U0001f600'
+escaped_text = st.text(st.sampled_from(escapes) | st.characters())
+wide_ints = st.integers() | st.integers(2**64, 2**200) | st.integers(-(2**200), -(2**64))
+json_payloads = st.recursive(
+    st.none()
+    | st.booleans()
+    | wide_ints
+    | escaped_text
+    | st.lists(wide_ints, min_size=1, max_size=8).map(lambda items: items * 25)
+    | st.lists(escaped_text, min_size=1, max_size=8).map(lambda items: items * 25)
+    | st.lists(st.booleans() | st.none(), max_size=4),
+    lambda children: st.lists(children, max_size=6)
+    | st.dictionaries(escaped_text, children, max_size=6),
+    max_leaves=30,
+)
+
 
 class TestJsonWriter:
     @settings(max_examples=300, deadline=None)
@@ -1350,6 +1374,17 @@ class TestJsonWriter:
     @example(["\u00e9\u4e2d\U0001f600", '"', "\\", "\x00\x1f\x7f\n\t\u2028", -(2**70)])
     @example({'q"\\\x01\u00e9': "x"})
     def test_matches_json_dumps(self, value):
+        assert _dump(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+    @settings(max_examples=100, deadline=None)
+    @given(json_payloads)
+    @example([2**64, -(2**70), 0, 2**64 - 1])
+    @example(["", '"', "\\", "\x00\x1f\x7f", "\u00e9\u4e2d\U0001f600", "\u2028\ud800"])
+    @example({"": [], "a": {}, "b": [True, False], "c": [None, None], "d": [True, 1, None, "x"]})
+    @example([[1, 2], ["a", "b"], [1, "a"], [[]], [{}], [True, 1], [1, True]])
+    def test_scalar_lists_match_json_dumps(self, value):
+        """Lists of only strs or only ints take one join; bools, None and
+        mixed lists take the item-by-item path."""
         assert _dump(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
@@ -1377,7 +1412,7 @@ class TestConsoleEntry:
         calls = [
             ["spec", path, "--json"],
             ["spec", path],
-            ["picard", path, "--dot"],
+            ["dot", path, "--json"],
             ["cohomology", path, "--reduced", "--degree", "-1"],
             ["cohomology", path],
             ["link", path, "3"],
@@ -1411,10 +1446,21 @@ relation: 2 g1 + 1 g5 = 2 g4 + 3 g13
 relation: 3 g3 + 1 g18 = 2 g8 + 2 g0
 """
 
+# facets of sizes 3, 2, 1 and 2 on labels with a quote, a backslash and
+# non-ASCII text: the prime of the vertex \u00e9 lies in no widest facet
+MIXED_CPLX = """\
+vertices: a b"q c\\d \u00e9 e f
+facet: a b"q c\\d
+facet: c\\d \u00e9
+facet: e
+facet: b"q f
+"""
+
 # SHA-256 of stdout, recorded before primes were held as bitmasks only
 # (`nerve --json` of the 12-simplex and the path: before the nerve of a
-# complex was read off its faces); the nerve of the 2,000-vertex path is
-# 4,000 lines
+# complex was read off its faces; the last three inputs: before `--json`
+# joined lists of scalars and wrote `spec --json` one prime at a time); the
+# nerve of the 2,000-vertex path is 4,000 lines
 OUTPUT_DIGESTS = {
     "simplex12": (SIMPLEX12, {
         "spec": "de8a4854d67b44012192a31a967f87fb0a41fba2f5359ae5948b21cd73d57769",
@@ -1443,6 +1489,15 @@ OUTPUT_DIGESTS = {
         "nerve --json": "fed042bb804ea47f0e23e2bd5f60ed5bbc55ff86c2998d918383b0d2dc7b6659",
         "cohomology": "bfc16a006271243cec3b7e0a4a48aa857dca11d6657a45c6992430801a0ad218",
         "cohomology --json": "25362cf66b81c7305c1226f8ed68f8b6c9052ecfbd6f3818c1e919f1000d38c4",
+    }),
+    "2x-3y": ("generators: x y\nrelation: 2 x = 3 y\n", {
+        "picard-general --json": "ff0940e7315a59c62f2bccc48c1e23d57d3c12d89396d905e6f7a9075d66a54c",
+    }),
+    "free6": ("generators: a b c d e f\n", {
+        "picard-general --json": "2371092623f387613ff9244d0e535080da41c560d4b71e55900ee0cb436b8068",
+    }),
+    "mixed-labels": (MIXED_CPLX, {
+        "spec --json": "00f7e64fb5c4c7f3b6f1b46c34abc3f29df52e0c9a77d25bff51bb07ac12cdc9",
     }),
 }
 

@@ -293,6 +293,105 @@ class TestReadOffTheFaces:
         ] == [(p, heights[p]) for p in primes]
 
 
+def spec_json_oracle(names, primes, heights):
+    """`spec --json` by the standard library's encoder, from the primes as
+    sorted position tuples and their heights."""
+    records = [{"generators": [names[i] for i in p], "height": heights[p]} for p in primes]
+    payload = {"generators": list(names), "primes": records}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def spec_json(text):
+    """stdout of `spec --json` on an input file with the given text."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = folder + "/input.txt"
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["spec", path, "--json"]) == 0
+    return out.getvalue()
+
+
+def complex_spec_json_oracle(vertices, facets):
+    """The oracle's `spec --json` of a complex: one prime per face, the
+    positions of the vertices outside it, by size and then lexicographically."""
+    primes = sorted(
+        (tuple(i for i, v in enumerate(vertices) if v not in face) for face in brute_faces(facets)),
+        key=lambda p: (len(p), p),
+    )
+    return spec_json_oracle(vertices, primes, brute_heights(primes))
+
+
+# label prefixes that JSON escapes: a quote, a backslash, a control
+# character, non-ASCII text
+ESCAPED_PREFIXES = ['q"', "b\\", "\x01", "\u00e9", "\u4e2d"]
+
+
+class TestSpecJsonAgainstJsonDumps:
+    """`spec --json`, written one prime at a time, byte for byte against
+    `json.dumps` of a payload built from subset scans alone."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(complexes_with_isolated_vertices(), st.data())
+    def test_random_complexes(self, c, data):
+        """Vertices named by integers, by strings that need escaping, or both."""
+        n = len(c.vertices)
+        prefix = st.sampled_from([None] + ESCAPED_PREFIXES)
+        prefixes = data.draw(st.lists(prefix, min_size=n, max_size=n))
+        label = {v: v if p is None else "%s%d" % (p, v) for v, p in zip(c.vertices, prefixes)}
+        names = [label[v] for v in c.vertices]
+        text = "vertices: %s\n" % " ".join(map(str, names))
+        text += "".join("facet: %s\n" % " ".join(str(label[v]) for v in f) for f in c.facets)
+        facets = [[label[v] for v in f] for f in c.facets]
+        assert spec_json(text) == complex_spec_json_oracle(names, facets)
+
+    @pytest.mark.parametrize(
+        "vertices, facets",
+        [
+            # facets of sizes 3, 2, 1 and 2: the faces of d, e and f lie in
+            # no widest facet, so their heights take the fallback
+            (
+                ["a", 'b"', "c\\", "d", "e", "f"],
+                [["a", 'b"', "c\\"], ["c\\", "d"], ["e"], ['b"', "f"]],
+            ),
+            ([1, 2, 3, 4, 5], [[1, 2, 3, 4], [4, 5], [2, 5]]),
+            ([7], [[7]]),
+            (["\u00e9"], [["\u00e9"]]),
+        ],
+        ids=["mixed-str", "mixed-int", "one-vertex", "one-vertex-str"],
+    )
+    def test_complexes(self, vertices, facets):
+        text = "vertices: %s\n" % " ".join(map(str, vertices))
+        text += "".join("facet: %s\n" % " ".join(map(str, f)) for f in facets)
+        assert spec_json(text) == complex_spec_json_oracle(vertices, facets)
+
+    @pytest.mark.parametrize(
+        "text, names, element, infinity",
+        [
+            (
+                'generators: a" b\\ c \u00e9\n'
+                'relation: a" + \u00e9 = inf\nrelation: b\\ + \u00e9 = inf\n',
+                ['a"', "b\\", "c", "\u00e9"],
+                [],
+                [{0, 3}, {1, 3}],
+            ),
+            (
+                'generators: x" y z\nrelation: x" + y = 2 z\n',
+                ['x"', "y", "z"],
+                [({0, 1}, {2})],
+                [],
+            ),
+        ],
+        ids=["infinity", "element"],
+    )
+    def test_presentations(self, text, names, element, infinity):
+        """With an infinity relation no prime is empty; without one the
+        empty prime comes first and prints `"generators": []`."""
+        primes = brute_spectrum(len(names), element, infinity)
+        assert (() in primes) == (not infinity)
+        assert spec_json(text) == spec_json_oracle(names, primes, brute_heights(primes))
+
+
 class TestUpwardWalk:
     """Without element relations the primes are the complements of faces, so
     p ∪ {g} is a prime for every prime p and generator g outside it (what the
